@@ -45,6 +45,7 @@ from .indexcount import (
 from .kfunc import (
     KFunction,
     admissible_epsilon,
+    euler_characteristic_diagnostic,
     find_critical_points,
     k_infinity_points,
 )
@@ -435,7 +436,14 @@ def run_flow(cfg: RunConfig) -> int:
     if not tau > 0:
         raise CLIFailure(EXIT_INVARIANT, "invariant", "tau must be positive for flows")
     scheme = _scheme(cfg)
-    targets = k_infinity_points(find_critical_points(K))
+    points = find_critical_points(K)
+    euler_sum, euler_expected, euler_match = euler_characteristic_diagnostic(points, K.n)
+    if not euler_match:
+        print(
+            f"warning: critical inventory is incomplete: {len(points)} points, "
+            f"alternating index sum {euler_sum} != Euler characteristic {euler_expected}"
+        )
+    targets = k_infinity_points(points)
     rows = []
     trajectories = []
     # seeds sit at the scanned equilibrium scale, i.e. already near-stationary,
@@ -496,6 +504,12 @@ def run_flow(cfg: RunConfig) -> int:
         "curvature": K.to_dict(),
         "tau": tau,
         "scheme": scheme.to_dict(),
+        "inventory": {
+            "points": len(points),
+            "euler_sum": euler_sum,
+            "euler_expected": euler_expected,
+            "euler_match": euler_match,
+        },
         "flows": rows,
     }
     if cfg.out:
@@ -604,14 +618,16 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    warnings.simplefilter("ignore", QuadratureNoiseWarning)
-    try:
-        cfg = parse_args(argv if argv is not None else sys.argv[1:])
-        return run(cfg)
-    except CLIFailure as fail:
-        json.dump(fail.payload(), sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return fail.code
+    # scoped, so an in-process call leaves the caller's warning filters intact
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureNoiseWarning)
+        try:
+            cfg = parse_args(argv if argv is not None else sys.argv[1:])
+            return run(cfg)
+        except CLIFailure as fail:
+            json.dump(fail.payload(), sys.stderr, sort_keys=True)
+            sys.stderr.write("\n")
+            return fail.code
 
 
 if __name__ == "__main__":

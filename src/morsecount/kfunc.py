@@ -4,7 +4,8 @@ f is a sum of smooth sphere bumps w * exp(-(1 - <x, c>)/s^2), chosen because all
 ambient derivatives are closed-form.  Intrinsic derivatives come from projecting:
 with P = I - x x^T the tangential gradient is P (grad f), the covariant Hessian of
 the restriction is P (Hess f) P - (x . grad f) P, and the sphere Laplacian is its
-trace.  The module locates critical points (vectorized Newton from a deterministic
+trace.  One kernel, ``_derivs``, evaluates both for a stack of points.  The
+module locates critical points (Newton batched over a deterministic
 quasi-uniform seed set), classifies them, extracts the admissible concentration
 set {grad K = 0, Lap K < 0} as a parity configuration, and evaluates the
 admissibility threshold for the declared oscillation bound.
@@ -18,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indexcount import H3Warning, ParityConfig
-from .sphere import (
-    check_unit,
-    geodesic_distance,
-    quasi_uniform_points,
-    tangent_basis,
-    unit,
-)
+from .sphere import check_unit, quasi_uniform_points, tangent_basis, unit
 
 
 class H1ViolationError(ValueError):
@@ -149,39 +144,38 @@ class CriticalPoint:
 # -- evaluation --------------------------------------------------------------
 
 
-def _bump_data(K: KFunction, x: np.ndarray):
-    """Per-term exponentials and inner products; x may be (d,) or (batch, d)."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    C = K.centers()  # (T, d)
-    t = X @ C.T  # (B, T)
-    w = np.array([term.weight for term in K.terms])
-    s2 = np.array([term.width**2 for term in K.terms])
-    g = np.exp((t - 1.0) / s2)  # bump values
-    return X, C, t, w, s2, g
-
-
 def eval_K(K: KFunction, x: np.ndarray) -> float | np.ndarray:
     """K(x); accepts a single point (d,) or a batch (B, d)."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if not K.terms:
-        out = np.full(x.shape[:-1] or (1,), K.scale)
-        return float(out[0]) if single else out
-    X, C, t, w, s2, g = _bump_data(K, x)
-    f = g @ w
+    w = np.array([term.weight for term in K.terms])
+    s2 = np.array([term.width**2 for term in K.terms])
+    f = np.exp((np.atleast_2d(x) @ K.centers().T - 1.0) / s2) @ w
     out = K.scale * (1.0 + K.epsilon * f)
-    return float(out[0]) if single else out
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def _derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangential gradients (B, d) and covariant Hessians (B, d, d) of K at a
+    stack of unit points X (B, d).  Products run row by row (einsum, stacked
+    matmul), so a point's derivatives round alike in any batch."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    C = K.centers()
+    w = np.array([term.weight for term in K.terms])
+    s2 = np.array([term.width**2 for term in K.terms])
+    se = K.scale * K.epsilon
+    wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
+    amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * se
+    amb_hess = np.matmul(C.T * (wg / s2**2)[:, None, :], C) * se
+    radial = np.matmul(amb_grad[:, None, :], X[:, :, None])[:, 0, 0]
+    P = np.eye(K.dim) - X[:, :, None] * X[:, None, :]
+    return amb_grad - radial[:, None] * X, P @ amb_hess @ P - radial[:, None, None] * P
 
 
 def grad_K(K: KFunction, x: np.ndarray) -> np.ndarray:
     """Tangential gradient of K at unit x (single point)."""
     x = np.asarray(x, dtype=float)
     check_unit(x)
-    if not K.terms:
-        return np.zeros_like(x)
-    X, C, t, w, s2, g = _bump_data(K, x)
-    amb = ((w * g / s2)[0] @ C) * (K.scale * K.epsilon)  # ambient gradient
-    return amb - np.dot(amb, x) * x
+    return _derivs(K, x)[0][0]
 
 
 def hess_K(K: KFunction, x: np.ndarray) -> np.ndarray:
@@ -189,39 +183,28 @@ def hess_K(K: KFunction, x: np.ndarray) -> np.ndarray:
     tangent space (rows/columns in ambient coordinates)."""
     x = np.asarray(x, dtype=float)
     check_unit(x)
-    d = K.dim
-    if not K.terms:
-        return np.zeros((d, d))
-    X, C, t, w, s2, g = _bump_data(K, x)
-    coef = (w * g / s2**2)[0]  # second radial derivative weights
-    amb_hess = (C.T * coef) @ C * (K.scale * K.epsilon)
-    amb_grad = ((w * g / s2)[0] @ C) * (K.scale * K.epsilon)
-    P = np.eye(d) - np.outer(x, x)
-    return P @ amb_hess @ P - float(np.dot(x, amb_grad)) * P
+    return _derivs(K, x)[1][0]
 
 
 def laplace_K(K: KFunction, x: np.ndarray) -> float:
-    """Sphere Laplacian of K at unit x: trace of the covariant Hessian,
-    computed directly as Lap f - Hess f(x, x) - n (x . grad f)."""
-    x = np.asarray(x, dtype=float)
-    check_unit(x)
-    if not K.terms:
-        return 0.0
-    X, C, t, w, s2, g = _bump_data(K, x)
-    t0, g0 = t[0], g[0]
-    lap_amb = float(np.sum(w * g0 / s2**2))
-    hess_xx = float(np.sum(w * g0 / s2**2 * t0**2))
-    x_grad = float(np.sum(w * g0 / s2 * t0))
-    return K.scale * K.epsilon * (lap_amb - hess_xx - K.n * x_grad)
+    """Sphere Laplacian of K at unit x: the trace of the covariant Hessian."""
+    return float(np.trace(hess_K(K, x)))
 
 
 # -- critical point search ----------------------------------------------------
 
 
-def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80):
-    """Vectorized damped Newton on the tangential gradient.  Returns the subset
-    of seeds that converged, as points on the sphere."""
-    d = K.dim
+def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Damped Newton on the tangential gradient, one batched step over all live
+    seeds per iteration.  Returns the converged points, in seed order.
+
+    The covariant Hessian H kills x, so A = H + x x^T is invertible exactly
+    when the tangent Hessian B^T H B is (B any orthonormal tangent frame), and
+    the solution of A delta = -g is the tangent Newton step
+    B (B^T H B)^{-1} (-B^T g) with zero x-component.  One stacked solve thus
+    replaces the per-seed frames.  If the stack holds a singular A, the rows
+    are solved one by one and a singular row takes the gradient step -g.
+    """
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
     # characteristic gradient magnitude, for the convergence threshold
@@ -233,38 +216,27 @@ def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80):
             break
         idx = np.flatnonzero(alive)
         pts = X[idx]
-        grads = np.empty((len(idx), d))
-        steps = np.empty((len(idx), d))
-        done = np.zeros(len(idx), dtype=bool)
-        for j, x in enumerate(pts):
-            g = grad_K(K, x)
-            gn = float(np.linalg.norm(g))
-            grads[j] = g
-            if gn < tol:
-                done[j] = True
-                steps[j] = 0.0
-                continue
-            B = tangent_basis(x)
-            H = B.T @ hess_K(K, x) @ B
-            gt = B.T @ g
-            try:
-                delta = np.linalg.solve(H, -gt)
-            except np.linalg.LinAlgError:
-                delta = -gt  # gradient fallback near singular Hessians
-            nrm = float(np.linalg.norm(delta))
-            if nrm > 0.5:  # trust region: cap the geodesic step
-                delta *= 0.5 / nrm
-            steps[j] = B @ delta
-        moved = pts + steps
-        X[idx] = unit(moved)
+        grads, hess = _derivs(K, pts)
+        done = np.linalg.norm(grads, axis=1) < tol
+        A = hess + pts[:, :, None] * pts[:, None, :]
+        try:
+            steps = np.linalg.solve(A, -grads[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            steps = np.empty_like(grads)
+            for j in range(len(idx)):
+                try:
+                    steps[j] = np.linalg.solve(A[j], -grads[j])
+                except np.linalg.LinAlgError:
+                    steps[j] = -grads[j]  # gradient fallback at singular Hessians
+        nrm = np.linalg.norm(steps, axis=1)
+        # trust region: cap the geodesic step
+        steps *= np.minimum(1.0, 0.5 / np.maximum(nrm, 1e-300))[:, None]
+        steps[done] = 0.0
+        X[idx] = unit(pts + steps)
         alive[idx[done]] = False
 
     # final filter: keep points whose gradient truly vanished
-    keep = []
-    for x in X:
-        if float(np.linalg.norm(grad_K(K, x))) < GRAD_NORM_TOL:
-            keep.append(x)
-    return keep
+    return X[np.linalg.norm(_derivs(K, X)[0], axis=1) < GRAD_NORM_TOL]
 
 
 def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
@@ -302,23 +274,26 @@ def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
 
     converged = _newton_batch(K, all_seeds)
 
-    # dedup by geodesic distance
-    distinct: list[np.ndarray] = []
+    # greedy first-seen dedup by geodesic distance (the cross-norm atan2 form,
+    # accurate at small angles), each point against the few kept so far
+    distinct = converged[:0]
     for x in converged:
-        if all(geodesic_distance(x, y) > 1e-6 for y in distinct):
-            distinct.append(x)
+        c = np.clip(distinct @ x, -1.0, 1.0)
+        s = np.linalg.norm(distinct - x, axis=1) * np.linalg.norm(distinct + x, axis=1)
+        if np.all(np.arctan2(s / 2.0, c) > 1e-6):
+            distinct = np.vstack([distinct, x])
 
     points: list[CriticalPoint] = []
     dropped = 0
     for x in distinct:
         B = tangent_basis(x)
-        H = B.T @ hess_K(K, x) @ B
-        eigs = np.linalg.eigvalsh(H)
+        hess = hess_K(K, x)
+        eigs = np.linalg.eigvalsh(B.T @ hess @ B)
         emax = float(np.max(np.abs(eigs)))
         if emax == 0.0 or float(np.min(np.abs(eigs))) <= NONDEGENERACY_RATIO * emax:
             dropped += 1
             continue
-        lap = laplace_K(K, x)
+        lap = float(np.trace(hess))  # the Laplacian
         if abs(lap) <= NONDEGENERACY_RATIO * emax:
             dropped += 1
             continue
@@ -424,12 +399,10 @@ def k_range(K: KFunction, samples: int = 1 << 16, polish: bool = True) -> tuple[
     vals = eval_K(K, grid)
     kmin, kmax = float(np.min(vals)), float(np.max(vals))
     if polish and K.terms:
-        for which, idx in (("min", int(np.argmin(vals))), ("max", int(np.argmax(vals)))):
-            refined = _newton_batch(K, grid[idx : idx + 1])
-            for x in refined:
-                v = float(eval_K(K, x))
-                kmin = min(kmin, v)
-                kmax = max(kmax, v)
+        refined = _newton_batch(K, grid[[int(np.argmin(vals)), int(np.argmax(vals))]])
+        for v in eval_K(K, refined):
+            kmin = min(kmin, float(v))
+            kmax = max(kmax, float(v))
     return kmin, kmax
 
 

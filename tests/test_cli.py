@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
+from morsecount import cli
 from morsecount.cli import main
 
 
@@ -129,8 +131,26 @@ def test_flow_pins_every_admissible_point(tmp_path, capsys):
     assert sorted(f["reduced_index"] for f in flows) == [0, 0, 0, 1]
     assert all(f["indeterminate"] == 0 for f in flows)
     assert all(f["reduced_index"] == f["target_iota"] for f in flows)
+    assert report["inventory"] == {
+        "points": 6, "euler_sum": 0, "euler_expected": 0, "euler_match": True,
+    }
+    assert "warning" not in out
     assert (tmp_path / "trajectory_0.csv").exists()
     assert (tmp_path / "targets.csv").exists()
+
+
+def test_flow_flags_an_inventory_that_fails_the_euler_check(tmp_path, capsys, monkeypatch):
+    full = cli.find_critical_points
+    # drop the lowest point, a minimum: the flow targets stay, the inventory breaks
+    monkeypatch.setattr(cli, "find_critical_points", lambda K: full(K)[:-1])
+    code, out, _ = run(capsys, "flow", "--preset", "three-bump-s3",
+                       "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["inventory"]["points"] == 5
+    assert report["inventory"]["euler_match"] is False
+    assert "warning: critical inventory is incomplete" in out
+    assert len(report["flows"]) == 4
 
 
 def test_flow_runaway_defect_reports_nonconvergence(capsys):
@@ -144,8 +164,10 @@ def test_flow_runaway_defect_reports_nonconvergence(capsys):
 
 
 def test_quadrature_diagnostics(tmp_path, capsys):
+    filters = list(warnings.filters)
     code, out, _ = run(capsys, "quadrature", "--out", str(tmp_path))
     assert code == 0
+    assert warnings.filters == filters  # main() silences noise warnings only inside
     report = json.loads((tmp_path / "report.json").read_text())
     assert max(c["rel_dev"] for c in report["single_bubble_levels"]) < 1e-10
     pair = {row["lam"]: row["rel_dev"] for row in report["antipodal_pair_levels"]}

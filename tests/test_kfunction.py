@@ -10,7 +10,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from morsecount import kfunc
 from morsecount.kfunc import (
+    GRAD_NORM_TOL,
     BumpTerm,
     H1ViolationError,
     KFunction,
@@ -26,6 +28,7 @@ from morsecount.kfunc import (
     laplace_K,
     normalize,
 )
+from morsecount.presets import load_preset
 from morsecount.sphere import quasi_uniform_points, tangent_basis, unit
 
 
@@ -125,6 +128,26 @@ def test_hessian_matches_second_differences_of_gradient():
     assert np.max(np.abs(H - H_fd)) < 1e-5 * max(1.0, np.max(np.abs(H)))
 
 
+@pytest.mark.parametrize(
+    "K",
+    [sample_K(seed=0), sample_K(seed=3), sample_K(n=2, seed=1),
+     load_preset("three-max-one-saddle"), load_preset("two-bump-antipodal")],
+)
+def test_batched_derivatives_are_tangent_and_match_the_wrappers(K):
+    """The Newton step needs H x = 0 and g . x = 0; the public one-point
+    derivatives are rows of the batched kernel."""
+    X = unit(np.random.default_rng(17).standard_normal((40, K.dim)))
+    grads, hess = kfunc._derivs(K, X)
+    assert np.max(np.abs(np.einsum("bij,bj->bi", hess, X))) < 1e-12
+    assert np.max(np.abs(np.einsum("bi,bi->b", grads, X))) < 1e-12
+    for x, g, H in zip(X, grads, hess):
+        assert np.linalg.norm(hess_K(K, x) @ x) < 1e-12
+        assert abs(np.dot(grad_K(K, x), x)) < 1e-12
+        # row-wise products: a point's derivatives do not depend on its batch
+        assert np.array_equal(grad_K(K, x), g)
+        assert np.array_equal(hess_K(K, x), H)
+
+
 def test_constant_candidate():
     K = KFunction(n=3, epsilon=0.05, terms=())
     x = unit(np.array([1.0, 2.0, -1.0, 0.5]))
@@ -155,6 +178,85 @@ def test_degenerate_candidate_raises():
     terms = (bump(np.array([0.0, 0.0, 0.0, 1.0]), weight=0.0),)
     with pytest.raises(H1ViolationError):
         find_critical_points(KFunction(n=3, epsilon=0.05, terms=terms))
+
+
+def newton_per_seed_oracle(K, seeds, iters=80):
+    """The per-seed Newton loop the batched search replaced: one tangent frame,
+    one frame Hessian and one solve per live seed per iteration."""
+    d = K.dim
+    X = seeds.copy()
+    alive = np.ones(len(X), dtype=bool)
+    gscale = K.scale * K.epsilon * sum(abs(t.weight) / t.width**2 for t in K.terms)
+    tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
+    for _ in range(iters):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        pts = X[idx]
+        steps = np.empty((len(idx), d))
+        done = np.zeros(len(idx), dtype=bool)
+        for j, x in enumerate(pts):
+            g = grad_K(K, x)
+            if float(np.linalg.norm(g)) < tol:
+                done[j] = True
+                steps[j] = 0.0
+                continue
+            B = tangent_basis(x)
+            H = B.T @ hess_K(K, x) @ B
+            gt = B.T @ g
+            try:
+                delta = np.linalg.solve(H, -gt)
+            except np.linalg.LinAlgError:
+                delta = -gt
+            nrm = float(np.linalg.norm(delta))
+            if nrm > 0.5:
+                delta *= 0.5 / nrm
+            steps[j] = B @ delta
+        X[idx] = unit(pts + steps)
+        alive[idx[done]] = False
+    keep = [x for x in X if float(np.linalg.norm(grad_K(K, x))) < GRAD_NORM_TOL]
+    return np.array(keep).reshape(-1, d)
+
+
+@pytest.mark.filterwarnings("ignore:dropped")  # the antipodal pair's degenerate equator
+@pytest.mark.parametrize(
+    "K",
+    [load_preset("three-bump-s3"), load_preset("three-max-one-saddle"),
+     load_preset("two-bump-antipodal"), sample_K(seed=3)],
+    ids=["three-bump-s3", "three-max-one-saddle", "two-bump-antipodal", "sample-3"],
+)
+def test_batched_newton_matches_the_per_seed_oracle(K, monkeypatch):
+    seeds = np.vstack([quasi_uniform_points(K.n, 128), K.centers(), -K.centers()])
+    got = kfunc._newton_batch(K, seeds)
+    want = newton_per_seed_oracle(K, seeds)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-10
+
+    new = find_critical_points(K, seeds=128)
+    monkeypatch.setattr(kfunc, "_newton_batch", newton_per_seed_oracle)
+    old = find_critical_points(K, seeds=128)
+    assert len(new) == len(old) > 0
+    for p, q in zip(new, old):
+        assert (p.morse_index_K, p.co_index, p.laplacian_sign) == (
+            q.morse_index_K, q.co_index, q.laplacian_sign)
+        assert np.max(np.abs(np.subtract(p.location, q.location))) < 1e-10
+
+
+def test_newton_survives_an_exactly_singular_hessian():
+    """On the equator of a single bump the Hessian is rank one, so the
+    augmented system is exactly singular and the batched solve raises; that
+    seed must take the gradient step while its batch-mate keeps Newton."""
+    K = KFunction(n=3, epsilon=0.1, terms=(bump([0.0, 0.0, 0.0, 1.0]),))
+    seeds = np.array([[1.0, 0.0, 0.0, 0.0], unit(np.array([0.1, 0.0, 0.0, 1.0]))])
+    A = hess_K(K, seeds[0]) + np.outer(seeds[0], seeds[0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, -grad_K(K, seeds[0]))
+    got = kfunc._newton_batch(K, seeds)
+    np.testing.assert_allclose(got, [[0, 0, 0, -1.0], [0, 0, 0, 1.0]], atol=1e-12)
+    # a strong, wide bump: the capped descent step -g leaves the equator for
+    # the minimum's basin, where an ascent step would reach the maximum's
+    K = KFunction(n=3, epsilon=1.0, terms=(bump([0.0, 0.0, 0.0, 1.0], 10.0, 1.5),))
+    np.testing.assert_allclose(kfunc._newton_batch(K, seeds[:1]), [[0, 0, 0, -1.0]], atol=1e-12)
 
 
 def grid_search_extrema(K, samples=1_000_000):
