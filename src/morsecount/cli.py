@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +64,11 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_CONSISTENCY = 5
+
+#: The direct route enumerates all 2^m point subsets: ``indices`` refuses more than
+#: MAX_INDICES_M points, ``verify`` sweeps at most MAX_VERIFY_M (each point triples it).
+MAX_INDICES_M = 20
+MAX_VERIFY_M = 12
 
 
 class CLIFailure(Exception):
@@ -151,7 +154,9 @@ def build_parser() -> _Parser:
 
     p_idx = sub.add_parser("indices", help="signed blow-up counts mu_p for one configuration")
     common(p_idx)
-    p_idx.add_argument("--parities", help="comma-separated co-index parities, e.g. 0,0,1")
+    p_idx.add_argument(
+        "--parities", help=f"comma-separated co-index parities, e.g. 0,0,1 (m <= {MAX_INDICES_M})"
+    )
 
     p_bnd = sub.add_parser("bounds", help="classified case and solution-count lower bounds")
     common(p_bnd)
@@ -165,7 +170,9 @@ def build_parser() -> _Parser:
         default=None,
         help="all patterns up to --max-m",
     )
-    p_ver.add_argument("--max-m", type=int, default=None, dest="max_m")
+    p_ver.add_argument(
+        "--max-m", type=int, default=None, dest="max_m", help=f"default 8, at most {MAX_VERIFY_M}"
+    )
     p_ver.add_argument("--max-N", type=int, default=None, dest="max_N")
 
     p_flow = sub.add_parser("flow", help="single-bubble flows seeded at each admissible point")
@@ -222,15 +229,6 @@ def parse_args(argv) -> RunConfig:
     return cfg
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("MORSECOUNT_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return cap if cap > 0 else min(8, os.cpu_count() or 1)
-
-
 def _parity_config(cfg: RunConfig) -> ParityConfig:
     """Resolve parities from flag or preset, with the level cap applied."""
     n, parities, N = 7, cfg.parities, cfg.N if cfg.N is not None else 12
@@ -281,6 +279,10 @@ def _scheme(cfg: RunConfig, **overrides) -> QuadratureScheme:
 
 def run_indices(cfg: RunConfig) -> int:
     pcfg = _parity_config(cfg)
+    if pcfg.m > MAX_INDICES_M:
+        raise CLIFailure(
+            EXIT_USAGE, "usage", f"m = {pcfg.m} exceeds the limit of {MAX_INDICES_M} points"
+        )
     table = mu_direct(pcfg)
     cross = mu_recurrence(pcfg)
     if table.mu != cross.mu:
@@ -348,9 +350,7 @@ def run_bounds(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_one(args) -> dict:
-    n, parities, N = args
-    pcfg = ParityConfig(n=n, parities=parities, N=N)
+def _verify_one(pcfg: ParityConfig) -> dict:
     direct = mu_direct(pcfg)
     rec = mu_recurrence(pcfg)
     closed = mu_closed_form(pcfg)
@@ -362,7 +362,7 @@ def _verify_one(args) -> dict:
     except ConsistencyError:
         ok_bounds = False
     return {
-        "parities": list(parities),
+        "parities": list(pcfg.parities),
         "routes_agree": ok_routes,
         "euler_poincare": ok_euler,
         "bounds_consistent": ok_bounds,
@@ -375,13 +375,16 @@ def run_verify(cfg: RunConfig) -> int:
         raise CLIFailure(
             EXIT_USAGE, "usage", "verify currently only supports --exhaustive sweeps"
         )
+    if cfg.max_m > MAX_VERIFY_M:
+        raise CLIFailure(
+            EXIT_USAGE, "usage", f"--max-m {cfg.max_m} exceeds the limit of {MAX_VERIFY_M}"
+        )
     N = cfg.max_N
-    jobs = []
-    for m in range(2, cfg.max_m + 1):
-        for parities in all_parity_patterns(m):
-            jobs.append((7, parities, N))
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        results = list(pool.map(_verify_one, jobs))
+    results = [
+        _verify_one(ParityConfig(n=7, parities=parities, N=N))
+        for m in range(2, cfg.max_m + 1)
+        for parities in all_parity_patterns(m)
+    ]
     results.sort(key=lambda r: (len(r["parities"]), r["parities"]))
     bad = [
         r

@@ -32,7 +32,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterator, Literal, Optional
 
@@ -210,6 +209,15 @@ def _empty_rows(m: int, N: int) -> tuple[list[list[int]], list[list[int]]]:
     return mu_geq, mu_geq_at
 
 
+def _table(cfg: ParityConfig, mu, mu_geq, mu_geq_at) -> IndexTable:
+    return IndexTable(
+        config=cfg,
+        mu=tuple(mu),
+        mu_geq=tuple(tuple(r) for r in mu_geq),
+        mu_geq_at=tuple(tuple(r) for r in mu_geq_at),
+    )
+
+
 def mu_direct(cfg: ParityConfig) -> IndexTable:
     """Compute the full table by summing signs over every blow-up configuration.
 
@@ -221,39 +229,34 @@ def mu_direct(cfg: ParityConfig) -> IndexTable:
     where sigma(S) is the parity of the summed co-indices over S.  Configurations
     with |S| = p have no residual solution and carry sign (-1)^{p-1+sigma(S)}.
 
-    ``mu_p`` itself is then pinned by the level-p Euler-Poincare identity,
-    ascending in p.
+    A term depends on S only through its minimum rank, |S| and sigma(S), so each
+    nonempty subset of {1..m} is enumerated once, into a bucket keyed by those
+    three.  mu_{>=k;k} at level p is the sign-weighted sum over the buckets of
+    minimum rank k, and mu_{>=k} is its running sum from rank m down.  ``mu_p``
+    itself is then pinned by the level-p Euler-Poincare identity, ascending in p.
     """
     m, N = cfg.m, cfg.N
-    par = cfg.parities
+    odd_ranks = sum(1 << j for j, b in enumerate(cfg.parities) if b)
+    # buckets[k-1][size][sigma]: number of subsets with minimum rank k
+    buckets = [[[0, 0] for _ in range(m + 1)] for _ in range(m)]
+    for S in range(1, 1 << m):  # bit j set <=> rank j+1 is in S
+        low = (S & -S).bit_length() - 1
+        buckets[low][S.bit_count()][(S & odd_ranks).bit_count() & 1] += 1
+
     mu: list[int] = []
     mu_geq, mu_geq_at = _empty_rows(m, N)
-
     for p in range(1, N + 1):
-        for k in range(1, m + 1):
-            total = 0
-            total_at = 0
+        for k in range(m, 0, -1):
+            at = 0
             for size in range(1, min(p, m - k + 1) + 1):
-                for S in combinations(range(k, m + 1), size):
-                    sigma = sum(par[j - 1] for j in S) % 2
-                    if size == p:
-                        term = -1 if (p - 1 + sigma) % 2 else 1
-                    else:
-                        sign = -1 if (size + sigma) % 2 else 1
-                        term = sign * mu[p - size - 1]
-                    total += term
-                    if S[0] == k:  # S is sorted, so membership of k is S[0] == k
-                        total_at += term
-            mu_geq[k - 1][p - 1] = total
-            mu_geq_at[k - 1][p - 1] = total_at
+                even, odd = buckets[k - 1][size]
+                term = (-1) ** (p - 1) if size == p else (-1) ** size * mu[p - size - 1]
+                at += term * (even - odd)  # sigma = 1 flips the sign
+            mu_geq_at[k - 1][p - 1] = at
+            mu_geq[k - 1][p - 1] = mu_geq[k][p - 1] + at
         mu.append((1 if p == 1 else 0) - mu_geq[0][p - 1])
 
-    return IndexTable(
-        config=cfg,
-        mu=tuple(mu),
-        mu_geq=tuple(tuple(r) for r in mu_geq),
-        mu_geq_at=tuple(tuple(r) for r in mu_geq_at),
-    )
+    return _table(cfg, mu, mu_geq, mu_geq_at)
 
 
 def _recurrence_rows(
@@ -268,58 +271,33 @@ def _recurrence_rows(
         mu_{>=k;k}^{inf,p} = (-1)^{1 + parity_k} * (mu_{p-1} + mu_{>=k+1}^{inf,p-1})
         mu_{>=k}^{inf,p}   = mu_{>=k+1}^{inf,p} + mu_{>=k;k}^{inf,p}
 
-    ``mu`` must hold at least p-1 entries when level p is processed; the caller
-    either grows it level by level (mu_recurrence) or supplies it whole
-    (mu_closed_form).
+    A level whose mu_p is not yet in ``mu`` is closed by the Euler-Poincare
+    identity mu_p = delta_{p,1} - mu_{>=1}^{inf,p}, appended in place: the
+    recurrence route passes an empty list and grows it level by level, the
+    closed-form route passes its whole binomial row, which is never appended to.
     """
     m = len(par)
     mu_geq, mu_geq_at = _empty_rows(m, N)
-    for k in range(m, 0, -1):
-        mu_geq_at[k - 1][0] = 1 if par[k - 1] == 0 else -1
-        mu_geq[k - 1][0] = mu_geq_at[k - 1][0] + (mu_geq[k][0] if k < m else 0)
-    for p in range(2, N + 1):
+    for p in range(1, N + 1):
         for k in range(m, 0, -1):
-            above = mu_geq[k][p - 2] if k < m else 0
-            sign = -1 if par[k - 1] == 0 else 1  # (-1)^{1 + parity_k}
-            at = sign * (mu[p - 2] + above)
+            # (-1)^{1 + parity_k} times the bracket; at level 1 the bracket is
+            # -1, which leaves the single point's (-1)^{parity_k}
+            at = mu[p - 2] + mu_geq[k][p - 2] if p > 1 else -1
+            if par[k - 1] == 0:
+                at = -at
             mu_geq_at[k - 1][p - 1] = at
-            mu_geq[k - 1][p - 1] = (mu_geq[k][p - 1] if k < m else 0) + at
+            mu_geq[k - 1][p - 1] = mu_geq[k][p - 1] + at
+        if len(mu) < p:
+            mu.append((1 if p == 1 else 0) - mu_geq[0][p - 1])
     return mu_geq, mu_geq_at
 
 
 def mu_recurrence(cfg: ParityConfig) -> IndexTable:
     """Compute the full table by the rank recursion, closing each level with
     the Euler-Poincare identity mu_p = delta_{p,1} - mu_{>=1}^{inf,p}."""
-    m, N = cfg.m, cfg.N
-    par = cfg.parities
-
     mu: list[int] = []
-    mu_geq, mu_geq_at = _empty_rows(m, N)
-
-    # Level 1 is closed form.
-    running = 0
-    for k in range(m, 0, -1):
-        single = 1 if par[k - 1] == 0 else -1
-        mu_geq_at[k - 1][0] = single
-        running += single
-        mu_geq[k - 1][0] = running
-    mu.append(1 - mu_geq[0][0])
-
-    for p in range(2, N + 1):
-        for k in range(m, 0, -1):
-            above = mu_geq[k][p - 2] if k < m else 0
-            sign = -1 if par[k - 1] == 0 else 1
-            at = sign * (mu[p - 2] + above)
-            mu_geq_at[k - 1][p - 1] = at
-            mu_geq[k - 1][p - 1] = (mu_geq[k][p - 1] if k < m else 0) + at
-        mu.append(-mu_geq[0][p - 1])
-
-    return IndexTable(
-        config=cfg,
-        mu=tuple(mu),
-        mu_geq=tuple(tuple(r) for r in mu_geq),
-        mu_geq_at=tuple(tuple(r) for r in mu_geq_at),
-    )
+    mu_geq, mu_geq_at = _recurrence_rows(cfg.parities, cfg.N, mu)
+    return _table(cfg, mu, mu_geq, mu_geq_at)
 
 
 def mu_closed_form(cfg: ParityConfig) -> Optional[IndexTable]:
@@ -355,12 +333,7 @@ def mu_closed_form(cfg: ParityConfig) -> Optional[IndexTable]:
         return None
 
     mu_geq, mu_geq_at = _recurrence_rows(par, N, mu)
-    return IndexTable(
-        config=cfg,
-        mu=tuple(mu),
-        mu_geq=tuple(tuple(r) for r in mu_geq),
-        mu_geq_at=tuple(tuple(r) for r in mu_geq_at),
-    )
+    return _table(cfg, mu, mu_geq, mu_geq_at)
 
 
 def euler_poincare_check(t: IndexTable) -> bool:

@@ -351,10 +351,18 @@ def extract_K_infinity(points: list[CriticalPoint], N: int = 1) -> ParityConfig:
     """Parity configuration of the admissible concentration set.
 
     The level cap N is carried into the configuration (defaults to 1; callers
-    computing tables generally override it).  Warns when m < 2.
+    computing tables generally override it).  Warns when m < 2, and when the
+    inventory fails the Euler characteristic check (points were missed).
     """
     admissible = k_infinity_points(points)
     n = len(admissible[0].location) - 1
+    euler_sum, euler_expected, euler_match = euler_characteristic_diagnostic(points, n)
+    if not euler_match:
+        warnings.warn(
+            f"critical inventory is incomplete: {len(points)} points, alternating "
+            f"index sum {euler_sum} != Euler characteristic {euler_expected}",
+            stacklevel=2,
+        )
     parities = tuple(p.co_index % 2 for p in admissible)
     if parities and parities[0] != 0:
         warnings.warn(

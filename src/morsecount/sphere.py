@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import norm, qmc
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -78,6 +77,8 @@ def quasi_uniform_points(n: int, count: int, seed: int = 0) -> np.ndarray:
     Deterministic for a given (n, count, seed); used for solver seeding and for
     dense min/max scans.
     """
+    from scipy.stats import norm, qmc  # slow and large to load; only sampling needs it
+
     d = n + 1
     sob = qmc.Sobol(d, scramble=(seed != 0), seed=seed)
     mexp = max(4, int(math.ceil(math.log2(max(count, 2)))))

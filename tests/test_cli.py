@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -189,12 +192,30 @@ def test_quadrature_diagnostics(tmp_path, capsys):
         (["bounds", "--parities", "0,0", "--N", "4", "--eta", "0.9"], 3, "invariant"),
         (["flow", "--preset", "two-bump-antipodal"], 3, "invariant"),
         (["flow", "--tau", "-0.05"], 3, "invariant"),
+        (["indices", "--parities", ",".join(["0"] * (cli.MAX_INDICES_M + 1))], 2, "usage"),
+        (["verify", "--exhaustive", "--max-m", str(cli.MAX_VERIFY_M + 1)], 2, "usage"),
     ],
 )
 def test_failures_exit_with_structured_errors(capsys, argv, code, kind):
     got, _, err = run(capsys, *argv)
     assert got == code
     assert stderr_error(err)["kind"] == kind
+
+
+def test_oversized_direct_route_inputs_name_the_limit(capsys):
+    code, _, _ = run(capsys, "indices", "--parities", ",".join(["0"] * 20), "--N", "2")
+    assert code == 0  # the limit itself is allowed
+    _, _, err = run(capsys, "indices", "--parities", ",".join(["0"] * 21))
+    assert "limit of 20 points" in stderr_error(err)["detail"]
+    _, _, err = run(capsys, "verify", "--exhaustive", "--max-m", "13")
+    assert "limit of 12" in stderr_error(err)["detail"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, morsecount.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
 
 
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys):

@@ -37,10 +37,14 @@ from morsecount import (
 # ---------------------------------------------------------------------------
 
 
-def oracle_tables(co_indices: list[int], N: int) -> tuple[list[int], list[list[int]]]:
+def oracle_tables(
+    co_indices: list[int], N: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Naive enumeration with explicit integer co-indices.
 
-    Returns (mu, mu_geq) with mu_geq[k][p] indexed 1-based via mu_geq[k-1][p-1].
+    Returns (mu, mu_geq, mu_geq_at) with mu_geq[k][p] indexed 1-based via
+    mu_geq[k-1][p-1]; the at-rank row mu_geq_at[k-1] keeps the configurations
+    whose point set contains rank k itself.
     A configuration at level p from ranks >= k is:
       - a residual solution at level q in 1..p-1 (entering via its signed count
         mu_q) together with p - q concentration points, contributing
@@ -55,22 +59,29 @@ def oracle_tables(co_indices: list[int], N: int) -> tuple[list[int], list[list[i
     m = len(co_indices)
     mu: list[int] = []
     mu_geq = [[0] * N for _ in range(m + 1)]
+    mu_geq_at = [[0] * N for _ in range(m)]
     for p in range(1, N + 1):
         for k in range(1, m + 2):
             ranks = range(k, m + 1)
-            total = 0
+            total = total_at = 0
             # weak limit at a positive residual level q
             for q in range(1, p):
                 for pts in combinations(ranks, p - q):
                     s = sum(co_indices[j - 1] for j in pts)
-                    total += (-1) ** ((p - q) + s) * mu[q - 1]
+                    term = (-1) ** ((p - q) + s) * mu[q - 1]
+                    total += term
+                    total_at += term if k in pts else 0
             # no weak limit: exactly p concentration points
             for pts in combinations(ranks, p):
                 s = sum(co_indices[j - 1] for j in pts)
-                total += (-1) ** ((p - 1) + s)
+                term = (-1) ** ((p - 1) + s)
+                total += term
+                total_at += term if k in pts else 0
             mu_geq[k - 1][p - 1] = total
+            if k <= m:
+                mu_geq_at[k - 1][p - 1] = total_at
         mu.append((1 if p == 1 else 0) - mu_geq[0][p - 1])
-    return mu, mu_geq
+    return mu, mu_geq, mu_geq_at
 
 
 def lift(parities: tuple[int, ...], shifts: tuple[int, ...]) -> list[int]:
@@ -118,16 +129,31 @@ def test_frozen_mu_values(parities, expected):
         c = cfg(parities, N=len(expected))
         assert mu_direct(c).mu == expected
         assert mu_recurrence(c).mu == expected
-        mu_o, _ = oracle_tables(list(parities), len(expected))
+        mu_o, _, _ = oracle_tables(list(parities), len(expected))
         assert tuple(mu_o) == expected
 
 
 def test_oracle_matches_direct_on_full_tables():
     c = cfg((0, 1, 1, 0, 1), N=6)
     t = mu_direct(c)
-    mu_o, mu_geq_o = oracle_tables(list(c.parities), c.N)
+    mu_o, mu_geq_o, mu_geq_at_o = oracle_tables(list(c.parities), c.N)
     assert list(t.mu) == mu_o
     assert [list(r) for r in t.mu_geq] == mu_geq_o
+    assert [list(r) for r in t.mu_geq_at] == mu_geq_at_o
+
+
+def test_direct_matches_the_oracle_on_every_small_pattern():
+    """All three rows of the bucketed direct route against the literal
+    per-(p, k) enumeration, on every pattern with m <= 6 at N = 8."""
+    for m in range(1, 7):
+        for parities in all_parity_patterns(m):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", H3Warning)
+                t = mu_direct(cfg(parities, N=8))
+            mu_o, mu_geq_o, mu_geq_at_o = oracle_tables(list(parities), 8)
+            assert list(t.mu) == mu_o, parities
+            assert [list(r) for r in t.mu_geq] == mu_geq_o, parities
+            assert [list(r) for r in t.mu_geq_at] == mu_geq_at_o, parities
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +212,7 @@ def test_counts_depend_only_on_parity(tail, N, shifts):
         warnings.simplefilter("ignore", H3Warning)
         parities = (0, *tail)
         c = cfg(parities, N=N)
-        mu_a, _ = oracle_tables(lift(parities, tuple(shifts[: len(parities)])), N)
+        mu_a, _, _ = oracle_tables(lift(parities, tuple(shifts[: len(parities)])), N)
         assert tuple(mu_a) == mu_recurrence(c).mu
 
 
@@ -230,6 +256,7 @@ def test_exhaustive_small_sweep():
                 td, tr = mu_direct(c), mu_recurrence(c)
                 assert td.mu == tr.mu
                 assert td.mu_geq == tr.mu_geq
+                assert td == tr  # whole tables, the at-rank rows included
                 assert euler_poincare_check(td)
                 tc = mu_closed_form(c)
                 if tc is not None:

@@ -335,6 +335,27 @@ def test_extract_single_bump_warns_h3():
     assert cfg.parities == (0,)
 
 
+def test_extract_k_infinity_flags_an_incomplete_inventory():
+    c = np.array([0.0, 0.0, 0.0, 1.0])
+    K = KFunction(n=3, epsilon=0.1, terms=(bump(c, weight=1.0, width=0.5),))
+    pts = find_critical_points(K, seeds=256)
+
+    def incomplete_warnings(points):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = extract_K_infinity(points)
+        assert cfg.parities == (0,)
+        return [str(w.message) for w in caught if "inventory is incomplete" in str(w.message)]
+
+    assert [p.morse_index_K for p in pts] == [3, 0]  # the maximum and the minimum
+    assert incomplete_warnings(pts) == []
+    # dropping the minimum keeps the admissible set but breaks the Euler sum
+    assert incomplete_warnings(pts[:-1]) == [
+        "critical inventory is incomplete: 1 points, alternating index sum -1 "
+        "!= Euler characteristic 0"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # admissibility threshold
 # ---------------------------------------------------------------------------
