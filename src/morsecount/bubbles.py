@@ -252,15 +252,11 @@ def eval_bubble(b: Bubble, x: np.ndarray, n: int):
     """Pointwise bubble value; ``x`` is one unit vector or a batch of rows."""
     a = np.asarray(b.center, dtype=float)
     x = np.asarray(x, dtype=float)
-    return _profile(b.lam, x @ a, n)
+    return _profile(b.lam, np.einsum("...i,i->...", x, a), n)
 
 
 def eval_bubble_sum(u: BubbleSum, x: np.ndarray):
-    x = np.asarray(x, dtype=float)
-    total = np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
-    for a, b in zip(u.alphas, u.bubbles):
-        total = total + a * eval_bubble(b, x, u.n)
-    return total
+    return sum(a * eval_bubble(b, x, u.n) for a, b in zip(u.alphas, u.bubbles))
 
 
 def _power_primitive(lam: float, power: float, n: int) -> Callable:
@@ -296,10 +292,13 @@ def _cos_scale(lam: float) -> float:
 def bubble_component(b: Bubble, n: int, weight: float = 1.0) -> MixtureComponent:
     """Proposal with density B^{2n/(n-2)}/S_n, sampled exactly.
 
-    The conformal dilation toward the center maps colatitude t to
-    t' = 2*atan2(sin(t/2), lam*cos(t/2)); pushing the uniform measure
-    through it produces exactly the normalized bubble-power density, so
-    importance weights for single-bubble integrands are constant.
+    The conformal dilation toward the center, tan(t'/2) = tan(t/2)/lam in
+    colatitude, pushes the uniform measure exactly onto the normalized
+    bubble-power density, so single-bubble integrands get constant weights.
+    In half-angle form, with c = <x,a> and D = lam^2(1+c) + (1-c), it maps x
+    to k*x + (cos t' - k*c)*a, k = 2*lam/D, cos t' = (lam^2(1+c) - (1-c))/D:
+    a rational map that needs no tangent frame, because D >= min(2, 2*lam^2)
+    keeps it regular at x = +-a, where it fixes both poles.
     """
     b = canonical_bubble(b)
     a = np.asarray(b.center, dtype=float)
@@ -309,20 +308,14 @@ def bubble_component(b: Bubble, n: int, weight: float = 1.0) -> MixtureComponent
 
     def sample(rng: np.random.Generator, m: int) -> np.ndarray:
         x = unit(rng.standard_normal((m, n + 1)))
-        cos_t = np.clip(x @ a, -1.0, 1.0)
-        theta = np.arccos(cos_t)
-        tangential = x - cos_t[:, None] * a[None, :]
-        norms = np.linalg.norm(tangential, axis=1)
-        fallback = tangent_basis(a)[:, 0]
-        w = np.where(
-            norms[:, None] > 1e-12, tangential / np.maximum(norms, 1e-300)[:, None],
-            fallback[None, :],
-        )
-        theta2 = 2.0 * np.arctan2(np.sin(theta / 2.0), lam * np.cos(theta / 2.0))
-        return np.cos(theta2)[:, None] * a[None, :] + np.sin(theta2)[:, None] * w
+        c = np.einsum("bi,i->b", x, a)
+        near, far = lam * lam * (1.0 + c), 1.0 - c
+        D = near + far
+        k = 2.0 * lam / D
+        return k[:, None] * x + ((near - far) / D - k * c)[:, None] * a
 
     def density(x: np.ndarray) -> np.ndarray:
-        return _profile(lam, np.asarray(x) @ a, n) ** q_crit / s_n
+        return _profile(lam, np.einsum("bi,i->b", x, a), n) ** q_crit / s_n
 
     return MixtureComponent(weight=weight, sample=sample, density=density)
 
@@ -801,15 +794,11 @@ def fd_hessian(
     H = np.zeros((d, d))
     j0 = j_of(x0)
     worst_err = j0.error
-    plus = []
-    minus = []
     for i in range(d):
         e_i = np.zeros(d)
         e_i[i] = step
         jp = j_of(x0 + e_i)
         jm = j_of(x0 - e_i)
-        plus.append(jp)
-        minus.append(jm)
         worst_err = max(worst_err, jp.error, jm.error)
         H[i, i] = (jp.value - 2.0 * j0.value + jm.value) / (step * step)
     for i in range(d):

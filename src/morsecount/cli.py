@@ -67,8 +67,11 @@ EXIT_CONSISTENCY = 5
 
 #: The direct route enumerates all 2^m point subsets: ``indices`` refuses more than
 #: MAX_INDICES_M points, ``verify`` sweeps at most MAX_VERIFY_M (each point triples it).
+#: Both refuse a level cap above MAX_LEVEL_N; the counts are big integers, so the
+#: work grows faster than linearly in N.
 MAX_INDICES_M = 20
 MAX_VERIFY_M = 12
+MAX_LEVEL_N = 64
 
 
 class CLIFailure(Exception):
@@ -143,17 +146,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="morsecount", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p):
+    def common(p, n_help="energy level cap"):
         p.add_argument("--config", type=Path, help="JSON file with defaults for any flag")
         p.add_argument("--out", type=Path, help="directory for report files")
         p.add_argument("--preset", help="bundled preset name")
-        p.add_argument("--N", type=int, help="energy level cap")
+        p.add_argument("--N", type=int, help=n_help)
         p.add_argument("--eta", type=float, help="level-window half-width")
         p.add_argument("--tau", type=float, help="subcritical defect")
         p.add_argument("--seed", type=int, help="random seed for sampling schemes")
 
     p_idx = sub.add_parser("indices", help="signed blow-up counts mu_p for one configuration")
-    common(p_idx)
+    common(p_idx, n_help=f"energy level cap, at most {MAX_LEVEL_N}")
     p_idx.add_argument(
         "--parities", help=f"comma-separated co-index parities, e.g. 0,0,1 (m <= {MAX_INDICES_M})"
     )
@@ -173,7 +176,9 @@ def build_parser() -> _Parser:
     p_ver.add_argument(
         "--max-m", type=int, default=None, dest="max_m", help=f"default 8, at most {MAX_VERIFY_M}"
     )
-    p_ver.add_argument("--max-N", type=int, default=None, dest="max_N")
+    p_ver.add_argument(
+        "--max-N", type=int, default=None, dest="max_N", help=f"default 12, at most {MAX_LEVEL_N}"
+    )
 
     p_flow = sub.add_parser("flow", help="single-bubble flows seeded at each admissible point")
     common(p_flow)
@@ -277,12 +282,15 @@ def _scheme(cfg: RunConfig, **overrides) -> QuadratureScheme:
 # ---------------------------------------------------------------------------
 
 
+def _at_most(what: str, value: int, limit: int, unit: str = "") -> None:
+    if value > limit:
+        raise CLIFailure(EXIT_USAGE, "usage", f"{what}{value} exceeds the limit of {limit}{unit}")
+
+
 def run_indices(cfg: RunConfig) -> int:
     pcfg = _parity_config(cfg)
-    if pcfg.m > MAX_INDICES_M:
-        raise CLIFailure(
-            EXIT_USAGE, "usage", f"m = {pcfg.m} exceeds the limit of {MAX_INDICES_M} points"
-        )
+    _at_most("m = ", pcfg.m, MAX_INDICES_M, " points")
+    _at_most("N = ", pcfg.N, MAX_LEVEL_N, " levels")
     table = mu_direct(pcfg)
     cross = mu_recurrence(pcfg)
     if table.mu != cross.mu:
@@ -375,10 +383,8 @@ def run_verify(cfg: RunConfig) -> int:
         raise CLIFailure(
             EXIT_USAGE, "usage", "verify currently only supports --exhaustive sweeps"
         )
-    if cfg.max_m > MAX_VERIFY_M:
-        raise CLIFailure(
-            EXIT_USAGE, "usage", f"--max-m {cfg.max_m} exceeds the limit of {MAX_VERIFY_M}"
-        )
+    _at_most("--max-m ", cfg.max_m, MAX_VERIFY_M)
+    _at_most("--max-N ", cfg.max_N, MAX_LEVEL_N)
     N = cfg.max_N
     results = [
         _verify_one(ParityConfig(n=7, parities=parities, N=N))

@@ -145,11 +145,13 @@ class CriticalPoint:
 
 
 def eval_K(K: KFunction, x: np.ndarray) -> float | np.ndarray:
-    """K(x); accepts a single point (d,) or a batch (B, d)."""
+    """K(x) at a point (d,) or a batch (B, d).  Products run row by row (einsum,
+    as in ``_derivs``, never threaded BLAS), so a point rounds alike in any batch."""
     x = np.asarray(x, dtype=float)
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width**2 for term in K.terms])
-    f = np.exp((np.atleast_2d(x) @ K.centers().T - 1.0) / s2) @ w
+    cos = np.einsum("bi,ti->bt", np.atleast_2d(x), K.centers())
+    f = np.einsum("bt,t->b", np.exp((cos - 1.0) / s2), w)
     out = K.scale * (1.0 + K.epsilon * f)
     return float(out[0]) if x.ndim == 1 else out
 

@@ -40,7 +40,7 @@ from morsecount.quadrature import (
     QuadratureScheme,
     mc_integrate,
 )
-from morsecount.sphere import geodesic_distance, random_rotation, unit
+from morsecount.sphere import geodesic_distance, random_rotation, tangent_basis, unit
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -236,6 +236,57 @@ def test_bubble_component_density_matches_sampler():
     )
     assert val == pytest.approx(sobolev_constant(3), rel=1e-12)
     assert err < 1e-10
+
+
+def trig_sampler_oracle(a, lam, n, rng, m):
+    """The colatitude form of the bubble sampler: t' = 2*atan2(sin(t/2),
+    lam*cos(t/2)) along the great circle from the center through x, with a
+    fixed tangent direction where x = +-a leaves that circle undefined."""
+    x = unit(rng.standard_normal((m, n + 1)))
+    cos_t = np.clip(x @ a, -1.0, 1.0)
+    theta = np.arccos(cos_t)
+    tangential = x - cos_t[:, None] * a[None, :]
+    norms = np.linalg.norm(tangential, axis=1)
+    fallback = tangent_basis(a)[:, 0]
+    w = np.where(
+        norms[:, None] > 1e-12, tangential / np.maximum(norms, 1e-300)[:, None],
+        fallback[None, :],
+    )
+    theta2 = 2.0 * np.arctan2(np.sin(theta / 2.0), lam * np.cos(theta / 2.0))
+    return np.cos(theta2)[:, None] * a[None, :] + np.sin(theta2)[:, None] * w
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("lam", [1.0, 1.3, 40.0, 1e4])
+def test_bubble_sampler_matches_the_trigonometric_oracle(n, lam):
+    b = Bubble(center=tuple(unit(np.random.default_rng(n).standard_normal(n + 1))), lam=lam)
+    got = bubble_component(b, n).sample(np.random.default_rng(99), 20_000)
+    want = trig_sampler_oracle(np.asarray(b.center), lam, n, np.random.default_rng(99), 20_000)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) < 1e-12
+
+
+class _FixedRows:
+    """Generator stand-in whose standard_normal returns the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.3, 40.0, 1e4])
+def test_bubble_sampler_fixes_both_poles_and_dilates_the_equator(lam):
+    """x = +-a, where the colatitude form needs a fallback frame, and a point
+    at colatitude pi/2, which lands where tan(t'/2) = 1/lam."""
+    a = np.array([0.5, 0.5, 0.5, 0.5])
+    w = np.array([0.5, -0.5, 0.5, -0.5])
+    comp = bubble_component(Bubble(center=tuple(a), lam=lam), 3)
+    got = comp.sample(_FixedRows([a, -a, w]), 3)
+    dilated = ((lam * lam - 1.0) * a + 2.0 * lam * w) / (lam * lam + 1.0)
+    assert np.max(np.abs(got - np.array([a, -a, dilated]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -202,13 +202,24 @@ def test_failures_exit_with_structured_errors(capsys, argv, code, kind):
     assert stderr_error(err)["kind"] == kind
 
 
-def test_oversized_direct_route_inputs_name_the_limit(capsys):
+def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
     code, _, _ = run(capsys, "indices", "--parities", ",".join(["0"] * 20), "--N", "2")
     assert code == 0  # the limit itself is allowed
     _, _, err = run(capsys, "indices", "--parities", ",".join(["0"] * 21))
     assert "limit of 20 points" in stderr_error(err)["detail"]
     _, _, err = run(capsys, "verify", "--exhaustive", "--max-m", "13")
     assert "limit of 12" in stderr_error(err)["detail"]
+    # the level cap, from the flag or from a config file
+    for value in (64, 65):
+        (tmp_path / f"{value}.json").write_text(json.dumps({"N": value, "max_N": value}))
+    for base, flag in ((("indices", "--parities", "0,1,1"), "--N"),
+                       (("verify", "--exhaustive", "--max-m", "3"), "--max-N")):
+        for value in (64, 65):
+            for extra in ((flag, str(value)), ("--config", str(tmp_path / f"{value}.json"))):
+                code, _, err = run(capsys, *base, *extra)
+                assert code == (0 if value == 64 else 2)
+                if value == 65:
+                    assert "65 exceeds the limit of 64" in stderr_error(err)["detail"]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -148,6 +148,38 @@ def test_batched_derivatives_are_tangent_and_match_the_wrappers(K):
         assert np.array_equal(hess_K(K, x), H)
 
 
+# critical values (descending) and (K_min, K_max) of the curvature presets, as
+# computed when eval_K still multiplied through BLAS; row-wise products keep them
+PRESET_VALUES = {
+    "three-bump-s3": (
+        [1.1392371245189632, 1.125106421563653, 1.1050004912726705,
+         1.1020881383731742, 1.0172810175855496, 1.0000963739759468],
+        (1.0000963739759468, 1.1392371245189632),
+    ),
+    "three-max-one-saddle": (
+        [1.100421397224317, 1.0904462170765647, 1.0804709746763381,
+         1.0256977935045366, 1.0242096615520642, 1.022992768203927],
+        (1.004924787463132, 1.100421397224317),
+    ),
+    "two-bump-antipodal": (
+        [1.0999664537372098, 0.9000335462627902],
+        (0.9000335462627902, 1.0999664537372098),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@pytest.mark.parametrize("name", sorted(PRESET_VALUES))
+def test_eval_k_rounds_a_point_alike_alone_or_in_a_batch(name):
+    K = load_preset(name)
+    X = unit(np.random.default_rng(23).standard_normal((200, K.dim)))
+    batch = eval_K(K, X)
+    assert all(eval_K(K, x) == v for x, v in zip(X, batch))
+    values, krange = PRESET_VALUES[name]
+    assert [p.value for p in find_critical_points(K)] == values
+    assert k_range(K) == krange
+
+
 def test_constant_candidate():
     K = KFunction(n=3, epsilon=0.05, terms=())
     x = unit(np.array([1.0, 2.0, -1.0, 0.5]))
