@@ -3,134 +3,57 @@
 Exact blow-up index tables and multiplicity bounds from co-index parities, plus
 a numerical lab for the variational side: analytic curvature candidates, bubble
 energies, reduced gradient flows, and finite-difference Morse indices.
+
+Exports load on first access (PEP 562), so the exact side runs without
+importing numpy or scipy.
 """
-from .bubbles import (
-    Bubble,
-    BubbleSum,
-    FlowOptions,
-    FlowReport,
-    JEvaluation,
-    MorseIndexEstimate,
-    QuadratureNoiseWarning,
-    I_from_J,
-    canonical_bubble,
-    constant_one,
-    equilibrium_scale,
-    eval_bubble,
-    eval_bubble_sum,
-    flow_to_critical,
-    functional_J,
-    functional_J_detailed,
-    norm_squared,
-    reduced_gradient,
-    reduced_morse_index,
-    sobolev_constant,
-    weighted_power_integral,
-)
-from .indexcount import (
-    ConsistencyError,
-    H3Warning,
-    IndexTable,
-    LevelBound,
-    ParityConfig,
-    SolutionBoundReport,
-    all_parity_patterns,
-    classify_case,
-    euler_poincare_check,
-    index_K,
-    mu_closed_form,
-    mu_direct,
-    mu_recurrence,
-    solution_bounds,
-)
-from .kfunc import (
-    BumpTerm,
-    CriticalPoint,
-    H1ViolationError,
-    KFunction,
-    admissible_epsilon,
-    check_positive,
-    epsilon_membership,
-    eval_K,
-    euler_characteristic_diagnostic,
-    extract_K_infinity,
-    find_critical_points,
-    grad_K,
-    hess_K,
-    k_infinity_points,
-    k_range,
-    laplace_K,
-)
-from .presets import available_presets, load_preset, preset_description
-from .quadrature import (
-    QuadratureConvergenceError,
-    QuadratureScheme,
-    integrate_radial,
-    integrate_two_point_s3,
-    mc_integrate,
-)
+import importlib
+
+#: defining module of every export
+_EXPORTS = {
+    "bubbles": (
+        "Bubble", "BubbleSum", "FlowOptions", "FlowReport", "JEvaluation",
+        "MorseIndexEstimate", "QuadratureNoiseWarning", "I_from_J", "canonical_bubble",
+        "constant_one", "equilibrium_scale", "eval_bubble", "eval_bubble_sum",
+        "flow_to_critical", "functional_J", "functional_J_detailed", "norm_squared",
+        "reduced_gradient", "reduced_morse_index", "sobolev_constant",
+        "weighted_power_integral",
+    ),
+    "indexcount": (
+        "ConsistencyError", "H3Warning", "IndexTable", "LevelBound", "ParityConfig",
+        "SolutionBoundReport", "admissible_epsilon", "all_parity_patterns",
+        "classify_case", "euler_poincare_check", "index_K", "mu_closed_form",
+        "mu_direct", "mu_recurrence", "solution_bounds",
+    ),
+    "kfunc": (
+        "BumpTerm", "CriticalPoint", "H1ViolationError", "KFunction", "check_positive",
+        "epsilon_membership", "eval_K", "euler_characteristic_diagnostic",
+        "extract_K_infinity", "find_critical_points", "grad_K", "hess_K",
+        "k_infinity_points", "k_range", "laplace_K",
+    ),
+    "presets": ("available_presets", "load_preset", "preset_description"),
+    "quadrature": (
+        "QuadratureConvergenceError", "QuadratureScheme", "integrate_radial",
+        "integrate_two_point_s3", "mc_integrate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {"cli", "reports", "sphere", *_EXPORTS}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bubble",
-    "BubbleSum",
-    "BumpTerm",
-    "ConsistencyError",
-    "CriticalPoint",
-    "FlowOptions",
-    "FlowReport",
-    "H1ViolationError",
-    "H3Warning",
-    "IndexTable",
-    "I_from_J",
-    "JEvaluation",
-    "KFunction",
-    "LevelBound",
-    "MorseIndexEstimate",
-    "ParityConfig",
-    "QuadratureConvergenceError",
-    "QuadratureNoiseWarning",
-    "QuadratureScheme",
-    "SolutionBoundReport",
-    "admissible_epsilon",
-    "all_parity_patterns",
-    "available_presets",
-    "canonical_bubble",
-    "check_positive",
-    "classify_case",
-    "constant_one",
-    "epsilon_membership",
-    "equilibrium_scale",
-    "euler_characteristic_diagnostic",
-    "euler_poincare_check",
-    "eval_K",
-    "eval_bubble",
-    "eval_bubble_sum",
-    "extract_K_infinity",
-    "find_critical_points",
-    "flow_to_critical",
-    "functional_J",
-    "functional_J_detailed",
-    "grad_K",
-    "hess_K",
-    "index_K",
-    "integrate_radial",
-    "integrate_two_point_s3",
-    "k_infinity_points",
-    "k_range",
-    "laplace_K",
-    "load_preset",
-    "mc_integrate",
-    "mu_closed_form",
-    "mu_direct",
-    "mu_recurrence",
-    "norm_squared",
-    "preset_description",
-    "reduced_gradient",
-    "reduced_morse_index",
-    "sobolev_constant",
-    "solution_bounds",
-    "weighted_power_integral",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -33,10 +33,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kfunc import KFunction, eval_K
 from .quadrature import (
@@ -83,8 +83,11 @@ class QuadratureNoiseWarning(UserWarning):
     """Integration error is comparable to a finite-difference variation."""
 
 
+@cache
 def sobolev_constant(n: int) -> float:
     """S_n = (n(n-2))^{n/2} * pi^{n/2} * Gamma(n/2) / Gamma(n)."""
+    from scipy.special import gammaln  # slow to import; only the first call pays
+
     if int(n) != n or n < 3:
         raise ValueError("dimension must be an integer >= 3")
     n = int(n)

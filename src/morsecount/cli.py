@@ -10,29 +10,17 @@ arguments/config, 3 invariant violation, 4 numerical nonconvergence,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .bubbles import (
-    Bubble,
-    BubbleSum,
-    FlowOptions,
-    QuadratureNoiseWarning,
-    constant_one,
-    equilibrium_scale,
-    flow_to_critical,
-    functional_J_detailed,
-    reduced_morse_index,
-    sobolev_constant,
-)
 from .indexcount import (
     ConsistencyError,
     ParityConfig,
+    admissible_epsilon,
     all_parity_patterns,
     euler_poincare_check,
     mu_closed_form,
@@ -40,15 +28,7 @@ from .indexcount import (
     mu_recurrence,
     solution_bounds,
 )
-from .kfunc import (
-    KFunction,
-    admissible_epsilon,
-    euler_characteristic_diagnostic,
-    find_critical_points,
-    k_infinity_points,
-)
 from .presets import load_preset
-from .quadrature import QuadratureConvergenceError, QuadratureScheme
 from .reports import (
     bounds_csv,
     critical_points_csv,
@@ -58,6 +38,41 @@ from .reports import (
     write_report,
     write_text,
 )
+
+#: Subcommands of the numerical lab.  The names they use are bound in this
+#: module on first use (``_load_numerics``), so the exact subcommands never
+#: import numpy or scipy.
+_NUMERICAL_MODES = ("flow", "quadrature")
+_NUMERICS = {
+    "bubbles": (
+        "Bubble", "BubbleSum", "FlowOptions", "QuadratureNoiseWarning", "constant_one",
+        "equilibrium_scale", "flow_to_critical", "functional_J_detailed",
+        "reduced_morse_index", "sobolev_constant",
+    ),
+    "kfunc": (
+        "KFunction", "euler_characteristic_diagnostic", "find_critical_points",
+        "k_infinity_points",
+    ),
+    "quadrature": ("QuadratureConvergenceError", "QuadratureScheme"),
+}
+
+
+def _load_numerics() -> None:
+    """Bind the names in ``_NUMERICS`` here.  A name that is already bound
+    keeps its value, so a patched ``find_critical_points`` stays patched."""
+    names = globals()
+    for module, attrs in _NUMERICS.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for attr in attrs:
+            names.setdefault(attr, getattr(mod, attr))
+
+
+def __getattr__(name: str):
+    if any(name in attrs for attrs in _NUMERICS.values()):
+        _load_numerics()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -460,7 +475,7 @@ def run_flow(cfg: RunConfig) -> int:
     # descent would slide off the saddle-type points
     opts = FlowOptions(max_steps=200, newton_threshold=0.1)
     for i, pt in enumerate(targets):
-        center = np.asarray(pt.location)
+        center = pt.location
         iota = int(3 - pt.morse_index_K)
         lam_bar = equilibrium_scale(K, center, tau, scheme)
         if lam_bar is None:
@@ -614,24 +629,32 @@ def run(cfg: RunConfig) -> int:
     runner = _RUNNERS.get(cfg.mode)
     if runner is None:
         raise CLIFailure(EXIT_USAGE, "usage", f"unknown mode {cfg.mode!r}")
+    numerical = cfg.mode in _NUMERICAL_MODES
+    if numerical:
+        _load_numerics()
     try:
         return runner(cfg)
     except CLIFailure:
         raise
-    except QuadratureConvergenceError as exc:
-        raise CLIFailure(EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
     except ConsistencyError as exc:
         raise CLIFailure(EXIT_CONSISTENCY, "consistency", str(exc))
     except ValueError as exc:
         raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
+    except RuntimeError as exc:
+        # QuadratureConvergenceError is bound once a numerical subcommand runs
+        if numerical and isinstance(exc, QuadratureConvergenceError):
+            raise CLIFailure(EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
+        raise
 
 
 def main(argv=None) -> int:
     # scoped, so an in-process call leaves the caller's warning filters intact
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureNoiseWarning)
         try:
             cfg = parse_args(argv if argv is not None else sys.argv[1:])
+            if cfg.mode in _NUMERICAL_MODES:
+                _load_numerics()
+                warnings.simplefilter("ignore", QuadratureNoiseWarning)
             return run(cfg)
         except CLIFailure as fail:
             json.dump(fail.payload(), sys.stderr, sort_keys=True)

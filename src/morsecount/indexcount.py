@@ -25,14 +25,16 @@ and are exposed as ``euler_poincare_check``.
 ``solution_bounds`` turns a classified parity pattern into the sharpest published
 per-level bound and cross-checks it against ``|mu_p|``, failing loudly on any
 inconsistency.  All arithmetic uses Python's arbitrary-precision integers; the
-binomial growth in m and N can never overflow silently.
+binomial growth in m and N can never overflow silently.  ``admissible_epsilon``
+evaluates the oscillation threshold of the perturbation for a level cap N and
+window eta.  The module needs only the standard library.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, expm1, log, log1p
 from typing import Iterator, Literal, Optional
 
 CaseLabel = Literal["IndexOne", "Case1", "Case2", "Case3", "Case4"]
@@ -140,10 +142,6 @@ class IndexTable:
     def mu_geq_of(self, k: int, p: int) -> int:
         """mu_{>=k}^{inf,p} for 1 <= k <= m+1, 1 <= p <= N."""
         return self.mu_geq[k - 1][p - 1]
-
-    def mu_geq_at_of(self, k: int, p: int) -> int:
-        """mu_{>=k;k}^{inf,p} for 1 <= k <= m, 1 <= p <= N."""
-        return self.mu_geq_at[k - 1][p - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -482,3 +480,23 @@ def all_parity_patterns(m: int) -> Iterator[tuple[int, ...]]:
     """All 2^{m-1} parity tuples of length m with the leading bit fixed to 0."""
     for mask in range(1 << (m - 1)):
         yield (0,) + tuple((mask >> j) & 1 for j in range(m - 1))
+
+
+def admissible_epsilon(N: int, eta: float, n: int) -> float:
+    """Oscillation threshold ((N+1)/N)^{2/(n-2)} ((1-eta)/(1+eta))^{2/(n-2)} - 1.
+
+    A declared epsilon is admissible iff it is strictly below the returned
+    value (the accompanying small-epsilon constant is non-constructive and not
+    evaluated here).  Preconditions: N >= 1, n >= 3, 0 < eta < 1/(2N+1).
+    """
+    if not isinstance(N, int) or N < 1:
+        raise ValueError("N must be an integer >= 1")
+    if not isinstance(n, int) or n < 3:
+        raise ValueError("n must be an integer >= 3")
+    if not (0.0 < eta < 1.0 / (2 * N + 1)):
+        raise ValueError(
+            f"eta must satisfy 0 < eta < 1/(2N+1) = {1.0 / (2 * N + 1):.6g}, "
+            f"got {eta!r}"
+        )
+    expo = 2.0 / (n - 2)
+    return expm1(expo * (log((N + 1) / N) + log1p(-eta) - log1p(eta)))

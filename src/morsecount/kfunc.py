@@ -7,18 +7,17 @@ the restriction is P (Hess f) P - (x . grad f) P, and the sphere Laplacian is it
 trace.  One kernel, ``_derivs``, evaluates both for a stack of points.  The
 module locates critical points (Newton batched over a deterministic
 quasi-uniform seed set), classifies them, extracts the admissible concentration
-set {grad K = 0, Lap K < 0} as a parity configuration, and evaluates the
-admissibility threshold for the declared oscillation bound.
+set {grad K = 0, Lap K < 0} as a parity configuration, and scans K's range.
+``admissible_epsilon`` is re-exported from ``indexcount``, which needs no numpy.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexcount import H3Warning, ParityConfig
+from .indexcount import H3Warning, ParityConfig, admissible_epsilon  # noqa: F401 (re-export)
 from .sphere import check_unit, quasi_uniform_points, tangent_basis, unit
 
 
@@ -377,29 +376,7 @@ def extract_K_infinity(points: list[CriticalPoint], N: int = 1) -> ParityConfig:
     return ParityConfig(n=n, parities=parities, N=N)
 
 
-# -- admissibility window and normalization -----------------------------------
-
-
-def admissible_epsilon(N: int, eta: float, n: int) -> float:
-    """Oscillation threshold ((N+1)/N)^{2/(n-2)} ((1-eta)/(1+eta))^{2/(n-2)} - 1.
-
-    A declared epsilon is admissible iff it is strictly below the returned
-    value (the accompanying small-epsilon constant is non-constructive and not
-    evaluated here).  Preconditions: N >= 1, n >= 3, 0 < eta < 1/(2N+1).
-    """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError("N must be an integer >= 1")
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("n must be an integer >= 3")
-    if not (0.0 < eta < 1.0 / (2 * N + 1)):
-        raise ValueError(
-            f"eta must satisfy 0 < eta < 1/(2N+1) = {1.0 / (2 * N + 1):.6g}, "
-            f"got {eta!r}"
-        )
-    expo = 2.0 / (n - 2)
-    return math.expm1(
-        expo * (math.log((N + 1) / N) + math.log1p(-eta) - math.log1p(eta))
-    )
+# -- normalization ------------------------------------------------------------
 
 
 def k_range(K: KFunction, samples: int = 1 << 16, polish: bool = True) -> tuple[float, float]:

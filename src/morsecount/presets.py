@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .indexcount import ParityConfig
-from .kfunc import KFunction
+
+if TYPE_CHECKING:
+    from .kfunc import KFunction
 
 __all__ = ["available_presets", "load_preset", "preset_description"]
 
@@ -51,6 +54,8 @@ def load_preset(name: str) -> ParityConfig | KFunction:
     if "parities" in data:
         return ParityConfig.from_dict(data)
     if "terms" in data:
+        from .kfunc import KFunction  # numpy loads with the first curvature preset
+
         return KFunction.from_dict(data)
     raise ValueError(
         f"preset {name!r} has neither 'parities' nor 'terms'; cannot load"

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -19,8 +19,11 @@ def check_unit(x: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError(f"expected a unit vector, |x| deviates by {err:.3e}")
 
 
+@cache
 def sphere_area(n: int) -> float:
     """Surface measure of S^n: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
+    from scipy.special import gammaln  # slow to import; only the first call pays
+
     return float(2.0 * math.pi ** ((n + 1) / 2) / math.exp(gammaln((n + 1) / 2)))
 
 
@@ -29,11 +32,6 @@ def geodesic_distance(x: np.ndarray, y: np.ndarray) -> float:
     c = float(np.clip(np.dot(x, y), -1.0, 1.0))
     s = float(np.linalg.norm(x - y) * np.linalg.norm(x + y) / 2.0)
     return math.atan2(s, c)
-
-
-def project_tangent(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the tangent space at x (works on batches broadcast over x)."""
-    return v - np.sum(v * x, axis=-1, keepdims=True) * x
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -71,16 +69,16 @@ def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return math.cos(t) * x + math.sin(t) * (v / t)
 
 
-def quasi_uniform_points(n: int, count: int, seed: int = 0) -> np.ndarray:
+def quasi_uniform_points(n: int, count: int) -> np.ndarray:
     """Low-discrepancy point set on S^n: Sobol in the cube -> Gaussian -> radial projection.
 
-    Deterministic for a given (n, count, seed); used for solver seeding and for
+    Deterministic for a given (n, count); used for solver seeding and for
     dense min/max scans.
     """
     from scipy.stats import norm, qmc  # slow and large to load; only sampling needs it
 
     d = n + 1
-    sob = qmc.Sobol(d, scramble=(seed != 0), seed=seed)
+    sob = qmc.Sobol(d, scramble=False)
     mexp = max(4, int(math.ceil(math.log2(max(count, 2)))))
     u = sob.random_base2(mexp)[:count]
     # Clip away the cube corners before the inverse CDF blows them up.

@@ -40,7 +40,7 @@ from morsecount.quadrature import (
     QuadratureScheme,
     mc_integrate,
 )
-from morsecount.sphere import geodesic_distance, random_rotation, tangent_basis, unit
+from morsecount.sphere import geodesic_distance, random_rotation, sphere_area, tangent_basis, unit
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -85,6 +85,28 @@ def test_sobolev_constant_closed_forms():
     assert sobolev_constant(4) == pytest.approx(64 * math.pi**2 / 6, rel=1e-13)
     with pytest.raises(ValueError):
         sobolev_constant(2)
+
+
+# Bit patterns of scipy's gammaln route, frozen so a swap to math.lgamma (which
+# differs by 1 ulp on most half-integers) cannot pass quietly.
+SPHERE_AREA_HEX = {
+    1: "0x1.921fb54442d18p+2", 2: "0x1.921fb54442d19p+3", 3: "0x1.3bd3cc9be45dep+4",
+    4: "0x1.a51a6625307d3p+4", 5: "0x1.f019b59389d7bp+4", 6: "0x1.08963eb51650fp+5",
+    7: "0x1.03c1f081b5ac3p+5", 8: "0x1.dafc3b70d72c3p+4", 9: "0x1.9806b81531598p+4",
+    10: "0x1.4b9a2f342b5b6p+4", 11: "0x1.005ed5ead8ffcp+4", 12: "0x1.7ad251e2f6067p+3",
+}
+SOBOLEV_CONSTANT_HEX = {
+    3: "0x1.9a459171d3a05p+3", 4: "0x1.a51a6625307d7p+6", 5: "0x1.a62e1d27deee1p+9",
+    6: "0x1.be7d89d195a8dp+12", 7: "0x1.f6af840bc2aabp+15", 8: "0x1.2c939d9d682a5p+19",
+    9: "0x1.7c1c78f1d6a72p+22", 10: "0x1.f9fc2446faa86p+25", 11: "0x1.61017451c7eb5p+29",
+    12: "0x1.0131e4d28a62bp+33",
+}
+
+
+def test_gamma_constants_are_frozen_bit_for_bit():
+    assert {n: sphere_area(n).hex() for n in range(1, 13)} == SPHERE_AREA_HEX
+    # n = 1, 2 have no Sobolev constant (see above)
+    assert {n: sobolev_constant(n).hex() for n in range(3, 13)} == SOBOLEV_CONSTANT_HEX
 
 
 def test_eval_bubble_special_values():

@@ -229,6 +229,104 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
 
 
+# ---- cold start: which modules a fresh interpreter loads ----
+
+_PROBE_HEAD = """
+import contextlib, io, json, sys
+def run(*argv):
+    import morsecount.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert morsecount.cli.main(list(argv)) == 0
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+"""
+
+
+def probe(body: str):
+    """Run ``body`` in a fresh interpreter; returns what it prints as JSON."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _PROBE_HEAD + body], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "import morsecount",
+        "import morsecount.cli",
+        "from morsecount.presets import load_preset; load_preset('all-even-m3')",
+        "run('indices', '--preset', 'index-one-ell-2')",
+        "run('bounds', '--parities', '0,0,1', '--N', '3', '--eta', '0.01')",
+        "run('verify', '--exhaustive', '--max-m', '4')",
+    ],
+)
+def test_exact_side_loads_no_numpy_or_scipy(step):
+    assert probe(step + "\nprint(json.dumps(loaded('numpy', 'scipy')))") == []
+
+
+def test_curvature_preset_and_eval_K_load_no_scipy():
+    got = probe(
+        "import numpy as np\n"
+        "from morsecount.presets import load_preset\n"
+        "from morsecount.kfunc import eval_K\n"
+        "K = load_preset('three-bump-s3')\n"
+        "eval_K(K, np.array([[0.0, 0.0, 0.0, 1.0]]))\n"
+        "print(json.dumps(loaded('scipy')))"
+    )
+    assert got == []
+
+
+def test_cold_cli_patch_of_find_critical_points_is_what_flow_calls():
+    got = probe(
+        "import morsecount.cli as cli\n"
+        "cold = 'morsecount.kfunc' not in sys.modules\n"
+        "real = getattr(cli, 'find_critical_points')\n"
+        "seen = []\n"
+        "def spy(K):\n"
+        "    seen.append(K.n)\n"
+        "    raise ValueError('stop after the search')\n"
+        "cli.find_critical_points = spy\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(['flow', '--preset', 'three-bump-s3'])\n"
+        "print(json.dumps([cold, real.__module__, seen, code]))"
+    )
+    assert got == [True, "morsecount.kfunc", [3], 3]
+
+
+def test_every_export_resolves_on_a_cold_package():
+    got = probe(
+        "import morsecount\n"
+        "missing = [n for n in morsecount.__all__ if not hasattr(morsecount, n)]\n"
+        "ns = {}\n"
+        "exec('from morsecount import *', ns)\n"
+        "print(json.dumps([missing, sorted(set(morsecount.__all__) - set(ns))]))"
+    )
+    assert got == [[], []]
+
+
+def test_admissible_epsilon_is_one_function_on_every_path():
+    import morsecount
+    from morsecount import indexcount, kfunc
+
+    assert kfunc.admissible_epsilon is indexcount.admissible_epsilon
+    assert morsecount.admissible_epsilon is indexcount.admissible_epsilon
+
+
+def test_quadrature_nonconvergence_exits_4(capsys, monkeypatch):
+    from morsecount.quadrature import QuadratureConvergenceError
+
+    def fail(*args, **kwargs):
+        raise QuadratureConvergenceError("error estimate above tolerance")
+
+    monkeypatch.setattr(cli, "functional_J_detailed", fail)
+    code, _, err = run(capsys, "quadrature")
+    assert code == 4
+    assert stderr_error(err) == {"kind": "nonconvergence", "detail": "error estimate above tolerance"}
+
+
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
