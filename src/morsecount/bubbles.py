@@ -23,10 +23,11 @@ e_tau = 2(n-2)/(2n - tau(n-2)),
 is invariant under scaling of u, so the parameter chart fixes the first
 coefficient and works in (log(alpha_i/alpha_1), tangential offsets, log lam).
 Integrals dispatch to deterministic one-dimensional reductions whenever the
-configuration allows it (axisymmetric in any dimension; factorizable pairs
-of directions on the 3-sphere, where the joint law of two linear coordinates
-is flat) and to mixture importance sampling otherwise.  Every integral and
-every functional value carries an error estimate.
+configuration allows it (weighted integrals over (anti)parallel bubbles as
+one colatitude integral of the ring-averaged K; pair energies of aligned
+bubbles radially, and of any two on the 3-sphere through the flat joint law
+of two linear coordinates) and to mixture importance sampling otherwise.
+Every integral and every functional value carries an error estimate.
 """
 from __future__ import annotations
 
@@ -263,7 +264,11 @@ def eval_bubble_sum(u: BubbleSum, x: np.ndarray):
 
 
 def _power_primitive(lam: float, power: float, n: int) -> Callable:
-    """Antiderivative in u = cos(distance) of _profile(lam, u, n)**power."""
+    """Antiderivative in u = cos(distance) of _profile(lam, u, n)**power.
+
+    Needs beta = power*(n-2)/2 != 1; pair energies use power (n+2)/(n-2),
+    so beta = (n+2)/2 >= 5/2.
+    """
     amp = (c0(n) * lam ** ((n - 2) / 2.0)) ** power
     beta = power * (n - 2) / 2.0
     B = 1.0 + lam * lam
@@ -271,8 +276,6 @@ def _power_primitive(lam: float, power: float, n: int) -> Callable:
     if abs(C) < 1e-12:
         const = amp * 2.0 ** (-beta)
         return lambda u: const * np.asarray(u, dtype=float)
-    if abs(beta - 1.0) < 1e-12:  # unreachable for n >= 3, tau < 4/(n-2)
-        return lambda u: -amp * np.log(B - C * np.asarray(u, dtype=float)) / C
     scale = amp / ((beta - 1.0) * C)
     return lambda u: scale * (B - C * np.asarray(u, dtype=float)) ** (1.0 - beta)
 
@@ -424,22 +427,45 @@ def norm_squared(u: BubbleSum, scheme: QuadratureScheme | None = None):
     return total, err
 
 
-def _axis_K_profile(K: KFunction, axis: np.ndarray) -> Callable:
-    """K restricted to an orbit of rotation about `axis` as a function of
-    cos(colatitude); valid only when all bump centers are (anti)aligned."""
-    sgn_w_s = []
-    for t in K.terms:
-        c = np.asarray(t.center)
-        sgn_w_s.append((1.0 if float(c @ axis) > 0 else -1.0, t.weight, t.width))
+def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
+    """K averaged over each ring <x, axis> = t, as a function of t, and one
+    (colatitude, width) panel feature per bump.
+
+    By Funk-Hecke (the vMF normaliser on S^3), a bump w*exp((<x,c> - 1)/s^2)
+    with gamma = <axis, c> averages to w*exp((c_t - 1)/s^2)*(1 - e^{-2b})/(2b),
+    b = sqrt(1-t^2) sqrt(1-gamma^2)/s^2, where c_t = gamma*t + b*s^2 <= 1 is
+    the ring's largest <x, c>; sinh(b)/b is never formed, so narrow bumps
+    cannot overflow.  A bump on the axis keeps the exact axial factor
+    exp(-(1 - sgn*t)/s^2).  Off-axis bumps need n = 3: elsewhere the ring
+    average is a Bessel function.
+    """
+    w = np.array([term.weight for term in K.terms])
+    s2 = np.array([term.width * term.width for term in K.terms])[:, None]
+    gamma = np.einsum("ti,i->t", K.centers(), axis)
+    on_axis = np.abs(gamma) >= _ALIGNED
+    if n != 3 and not on_axis.all():
+        raise ValueError(
+            "deterministic weighted integrals with bumps off the bubble axis "
+            "need n = 3; use a monte-carlo scheme"
+        )
+    gamma = np.where(on_axis, np.sign(gamma), gamma)
+    sin_g = np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
+    features = [
+        (float(np.arccos(g)), term.width) for g, term in zip(gamma, K.terms)
+    ]
 
     def profile(t):
         t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t)
-        for sgn, w, s in sgn_w_s:
-            total += w * np.exp(-(1.0 - sgn * t) / (s * s))
+        sin_t = np.sqrt((1.0 - t) * (1.0 + t))
+        two_b = 2.0 * sin_t * sin_g / s2
+        ring = np.divide(
+            -np.expm1(-two_b), two_b, out=np.ones_like(two_b), where=two_b > 0
+        )
+        c_t = gamma[:, None] * t + sin_t * sin_g
+        total = np.sum(w[:, None] * np.exp((c_t - 1.0) / s2) * ring, axis=0)
         return K.scale * (1.0 + K.epsilon * total)
 
-    return profile
+    return profile, features
 
 
 def weighted_power_integral(
@@ -447,10 +473,11 @@ def weighted_power_integral(
 ):
     """int K |u|^{q_tau} dV with q_tau = 2n/(n-2) - tau.
 
-    Dispatch: fully axisymmetric configurations go through the colatitude
-    line in any dimension; a single bubble against a sum-of-bumps K on the
-    3-sphere splits into factorized two-direction integrals; anything else
-    needs a monte-carlo scheme.  Returns (value, error_estimate).
+    Bubbles whose centers are (anti)parallel make |u|^q zonal about their
+    axis, so the integral is one colatitude integral of the ring average of
+    K times |u|^q: in any dimension when every bump sits on the axis, and on
+    the 3-sphere for any bumps.  Anything else needs a monte-carlo scheme.
+    Returns (value, error_estimate).
     """
     scheme = scheme or QuadratureScheme()
     u = _canonical_sum(u)
@@ -471,77 +498,28 @@ def weighted_power_integral(
         F = lambda x: eval_K(K, x) * np.abs(eval_bubble_sum(u, x)) ** q
         return mc_integrate(F, comps, samples=scheme.samples, seed=scheme.seed)
 
-    directions = [np.asarray(b.center) for b in u.bubbles]
-    directions += [np.asarray(t.center) for t in K.terms]
-    aligned = _axis_signs(directions)
-    if aligned is not None:
-        axis, signs = aligned
-        bubble_signs = signs[: u.p]
-        k_profile = _axis_K_profile(K, axis)
-
-        def F(t):
-            t = np.asarray(t, dtype=float)
-            total = np.zeros_like(t)
-            for a, b, s in zip(u.alphas, u.bubbles, bubble_signs):
-                total += a * _profile(b.lam, s * t, n)
-            return k_profile(t) * np.abs(total) ** q
-
-        features = [
-            (0.0 if s > 0 else math.pi, _theta_scale(b.lam))
-            for b, s in zip(u.bubbles, bubble_signs)
-        ]
-        features += [
-            (0.0 if s > 0 else math.pi, t.width)
-            for t, s in zip(K.terms, signs[u.p :])
-        ]
-        return integrate_radial(F, n, nodes=scheme.nodes, features=features)
-
-    if n != 3 or u.p != 1:
+    aligned = _axis_signs([np.asarray(b.center) for b in u.bubbles])
+    if aligned is None:
         raise ValueError(
-            "deterministic weighted integrals need an axisymmetric "
-            "configuration, or a single bubble on the 3-sphere; "
-            "use a monte-carlo scheme"
+            "deterministic weighted integrals need (anti)parallel bubble "
+            "centers; use a monte-carlo scheme"
         )
+    axis, signs = aligned
+    k_profile, k_features = _ring_K_profile(K, axis, n)
 
-    # single bubble against K = scale*(1 + eps * sum of bumps) on the
-    # 3-sphere: constant part radially, each bump by the two-direction route
-    b = u.bubbles[0]
-    alpha = u.alphas[0]
-    a_dir = np.asarray(b.center)
-    bubble_pow = lambda t: _profile(b.lam, t, n) ** q
-    val, err = integrate_radial(
-        bubble_pow, n, nodes=scheme.nodes, features=[(0.0, _theta_scale(b.lam))]
-    )
-    for term in K.terms:
-        c = np.asarray(term.center)
-        gamma = float(np.dot(c, a_dir))
-        s2 = term.width * term.width
-        if abs(gamma) >= _ALIGNED:
-            sgn = 1.0 if gamma > 0 else -1.0
-            F = lambda t: np.exp(-(1.0 - sgn * t) / s2) * bubble_pow(t)
-            tval, terr = integrate_radial(
-                F,
-                n,
-                nodes=scheme.nodes,
-                features=[
-                    (0.0, _theta_scale(b.lam)),
-                    (0.0 if sgn > 0 else math.pi, term.width),
-                ],
-            )
-        else:
-            # u-variable: bump factor, whose antiderivative is closed-form;
-            # v-variable: the bubble power
-            primitive = lambda uu: s2 * np.exp(-(1.0 - np.asarray(uu)) / s2)
-            features = [
-                (1.0, _cos_scale(b.lam)),
-                (gamma, term.width * math.sqrt(max(1.0 - gamma * gamma, 1e-12))),
-            ]
-            tval, terr = integrate_two_point_s3(
-                primitive, bubble_pow, gamma, nodes=scheme.nodes, features=features
-            )
-        val += K.epsilon * term.weight * tval
-        err += K.epsilon * abs(term.weight) * terr
-    return K.scale * alpha**q * val, K.scale * alpha**q * err
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        total = np.zeros_like(t)
+        for a, b, s in zip(u.alphas, u.bubbles, signs):
+            total += a * _profile(b.lam, s * t, n)
+        return k_profile(t) * np.abs(total) ** q
+
+    features = [
+        (0.0 if s > 0 else math.pi, _theta_scale(b.lam))
+        for b, s in zip(u.bubbles, signs)
+    ]
+    features += k_features
+    return integrate_radial(F, n, nodes=scheme.nodes, features=features)
 
 
 # --------------------------------------------------------------------------
@@ -983,7 +961,16 @@ def flow_to_critical(
     message = ""
     steps_taken = 0
     step_size = opts.initial_step
-    grad = np.zeros(chart.dim)
+    grad, grad_at = np.zeros(chart.dim), None
+
+    def gradient() -> np.ndarray:
+        # x is rebound whenever it moves or the chart re-anchors, so a
+        # gradient taken at this very array is still current
+        nonlocal grad, grad_at
+        if grad_at is not x:
+            grad = reduced_gradient(u0, K, scheme, step=opts.fd_step, chart=chart, at=x)
+            grad_at = x
+        return grad
 
     def lam_exceeded(vec) -> bool:
         return any(
@@ -1002,9 +989,7 @@ def flow_to_critical(
             x = np.zeros(chart.dim)
 
     for k in range(1, opts.max_steps + 1):
-        grad = reduced_gradient(
-            u0, K, scheme, step=opts.fd_step, chart=chart, at=x
-        )
+        grad = gradient()
         gnorm = float(np.linalg.norm(grad))
         if gnorm < opts.grad_tol or (k == 1 and gnorm < opts.newton_threshold):
             status = "stationary"
@@ -1043,9 +1028,7 @@ def flow_to_critical(
 
     if status in ("stationary", "stalled", "non-convergence") and opts.newton_steps:
         for k in range(opts.newton_steps):
-            grad = reduced_gradient(
-                u0, K, scheme, step=opts.fd_step, chart=chart, at=x
-            )
+            grad = gradient()
             gnorm = float(np.linalg.norm(grad))
             if gnorm < opts.grad_tol:
                 break
@@ -1074,9 +1057,7 @@ def flow_to_critical(
                     f"a concentration scale crossed the cap {opts.lam_cap:g}"
                 )
                 break
-        grad = reduced_gradient(
-            u0, K, scheme, step=opts.fd_step, chart=chart, at=x
-        )
+        grad = gradient()
         gnorm = float(np.linalg.norm(grad))
         if status != "blow-up-escape":
             status = "converged" if gnorm < 10.0 * opts.grad_tol else "non-convergence"

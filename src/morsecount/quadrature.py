@@ -1,10 +1,11 @@
 """Deterministic quadrature on spheres.
 
 Two routes: panelled Gauss-Legendre for integrands reduced to one outer
-variable (axisymmetric, or the two-direction reduction on the 3-sphere),
-and mixture importance sampling for everything else.  Every integral comes
-back as (value, error_estimate); the deterministic route estimates error by
-node-count doubling, the stochastic one by a split-half comparison.
+variable (zonal integrands, and the two-direction reduction on the 3-sphere
+that pair energies use), and mixture importance sampling for everything
+else.  Every integral comes back as (value, error_estimate); the
+deterministic route estimates error by node-count doubling, the stochastic
+one by a split-half comparison.
 """
 from __future__ import annotations
 

@@ -47,6 +47,11 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
     for j in range(d):
         w = m[j] - sum(np.dot(m[j], c) * c for c in cols)
         nw = np.linalg.norm(w)
+        if nw < 0.5:
+            # cancellation left w skewed toward cols; a second pass restores
+            # orthogonality ("twice is enough", Daniel-Gragg-Kaufman-Stewart)
+            w = w - sum(np.dot(w, c) * c for c in cols)
+            nw = np.linalg.norm(w)
         if nw > 1e-8:
             cols.append(w / nw)
         if len(cols) == d:

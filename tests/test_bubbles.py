@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -34,10 +35,14 @@ from morsecount.bubbles import (
     sobolev_constant,
     weighted_power_integral,
 )
+from morsecount.bubbles import _ALIGNED, _cos_scale, _profile, _theta_scale
 from morsecount.kfunc import BumpTerm, KFunction
+from morsecount.presets import load_preset
 from morsecount.quadrature import (
     QuadratureConvergenceError,
     QuadratureScheme,
+    integrate_radial,
+    integrate_two_point_s3,
     mc_integrate,
 )
 from morsecount.sphere import geodesic_distance, random_rotation, sphere_area, tangent_basis, unit
@@ -441,6 +446,157 @@ def test_radial_scheme_rejects_irreducible_configuration():
         u, constant_one(3), QuadratureScheme(kind="monte-carlo", samples=50_000, seed=2)
     )
     assert val > 0 and err < 0.05 * val
+
+
+def two_point_oracle(u, K, nodes=64):
+    """The single-bubble route the ring average replaced: the constant part of
+    K radially, each bump off the axis by the two-direction reduction
+    (integrate_two_point_s3), each bump on it radially."""
+    n = u.n
+    q = 2.0 * n / (n - 2.0) - u.tau
+    (b,), (alpha,) = u.bubbles, u.alphas
+    bubble_pow = lambda t: _profile(b.lam, t, n) ** q
+    val, err = integrate_radial(
+        bubble_pow, n, nodes=nodes, features=[(0.0, _theta_scale(b.lam))]
+    )
+    for term in K.terms:
+        gamma = float(np.dot(term.center, b.center))
+        s2 = term.width * term.width
+        if abs(gamma) >= _ALIGNED:
+            sgn = math.copysign(1.0, gamma)
+            tval, terr = integrate_radial(
+                lambda t: np.exp(-(1.0 - sgn * t) / s2) * bubble_pow(t),
+                n,
+                nodes=nodes,
+                features=[(0.0, _theta_scale(b.lam)), (math.acos(sgn), term.width)],
+            )
+        else:
+            features = [
+                (1.0, _cos_scale(b.lam)),
+                (gamma, term.width * math.sqrt(1.0 - gamma * gamma)),
+            ]
+            tval, terr = integrate_two_point_s3(
+                lambda v: s2 * np.exp(-(1.0 - v) / s2),
+                bubble_pow,
+                gamma,
+                nodes=nodes,
+                features=features,
+            )
+        val += K.epsilon * term.weight * tval
+        err += K.epsilon * abs(term.weight) * terr
+    return K.scale * alpha**q * val, K.scale * alpha**q * err
+
+
+def preset_on_s3(name):
+    """A curvature preset on the 3-sphere; 2-sphere bumps gain a zero coordinate."""
+    K = load_preset(name)
+    if K.n == 3:
+        return K
+    terms = tuple(replace(t, center=(*t.center, 0.0)) for t in K.terms)
+    return KFunction(n=3, epsilon=K.epsilon, terms=terms, scale=K.scale)
+
+
+@pytest.mark.parametrize(
+    "name", ["three-bump-s3", "three-max-one-saddle", "two-bump-antipodal"]
+)
+def test_ring_route_matches_the_two_point_oracle(name):
+    K = preset_on_s3(name)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(40):
+        lam = float(np.exp(rng.uniform(0.0, math.log(200.0))))
+        u = single(unit(rng.standard_normal(4)), lam, tau=0.05)
+        val, err = weighted_power_integral(u, K)
+        ref, _ = two_point_oracle(u, K)
+        worst = max(worst, abs(val - ref) / ref)
+        assert err <= 1e-12 * val
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("width", [0.02, 0.33, 0.8])
+def test_ring_average_matches_the_vmf_normaliser(width):
+    """A lam = 1 bubble is constant, so int K B^q is (B^q times) the integral
+    of K: |S^3| + eps*w*4 pi^2 e^{-kappa} I_1(kappa)/kappa per bump,
+    kappa = 1/s^2.  At s = 0.02, sinh(kappa) would overflow."""
+    from scipy.special import ive
+
+    c = unit(np.array([0.3, -0.5, 0.2, 0.4]))
+    K = bump_candidate([(0.7, c, width)], epsilon=0.2)
+    u = single(E4, 1.0)
+    q = 6.0
+    kappa = 1.0 / width**2
+    exact = (c0(3) / math.sqrt(2.0)) ** q * (
+        2.0 * math.pi**2 + 0.2 * 0.7 * 4.0 * math.pi**2 * ive(1, kappa) / kappa
+    )
+    val, err = weighted_power_integral(u, K)
+    assert abs(val - exact) <= 1e-13 * exact
+    assert err <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ring_route_is_continuous_at_the_aligned_threshold(sign):
+    """gamma = +-1 takes the axial factor exactly, as does |gamma| = 1 - 1e-12
+    (inside the aligned threshold); just outside it the ring average takes
+    over and must continue the value along its slope in gamma."""
+    u = single(E4, 12.0, tau=0.05)
+
+    def at(gamma):
+        c = (math.sqrt((1.0 - gamma) * (1.0 + gamma)), 0.0, 0.0, sign * gamma)
+        return weighted_power_integral(u, bump_candidate([(0.45, c, 0.33)], 0.3))[0]
+
+    axial = at(1.0)
+    assert at(1.0 - 1e-12) == axial
+    slope = (at(1.0 - 1e-4) - axial) / 1e-4
+    for gap in (2e-9, 1e-8, 1e-6):
+        jump = at(1.0 - gap) - axial - slope * gap
+        assert abs(jump) <= 1e-3 * abs(slope) * gap + 1e-14 * axial
+
+
+def test_off_axis_bumps_need_the_3_sphere():
+    u = single(unit(np.array([0.0, 0.0, 0.0, 0.0, 1.0])), 6.0, n=4)
+    on_axis = bump_candidate([(0.5, (0.0, 0.0, 0.0, 0.0, -1.0), 0.5)], n=4)
+    assert weighted_power_integral(u, on_axis)[0] > 0.0
+    off_axis = bump_candidate([(0.5, unit(np.array([1.0, 0.0, 0.0, 0.0, 1.0])), 0.5)], n=4)
+    with pytest.raises(ValueError, match="n = 3"):
+        weighted_power_integral(u, off_axis)
+
+
+# (value, error, weighted integral, weighted error) as float.hex, frozen from
+# the route before the ring average: aligned configurations must not move
+ALIGNED_J_HEX = {
+    "tower": ["0x1.d93a7fd911ef0p+2", "0x1.a7b0eb29631dep-50",
+              "0x1.5692ee3de3da1p+4", "0x1.921fb54442d19p-47"],
+    "bumps-north": ["0x1.4f4f66a20a252p+2", "0x1.ee2fdd4dc1891p-49",
+                    "0x1.ca8fef86e56d2p+3", "0x1.f6a7a2955385fp-46"],
+    "bumps-south": ["0x1.68994e14d4eddp+2", "0x1.8be14948ea9cep-49",
+                    "0x1.715d404ad3886p+3", "0x1.2d97c7f3321d3p-46"],
+    "bumps-tower": ["0x1.c769e19b015fcp+2", "0x1.01069a8ee820ap-51",
+                    "0x1.8000465b0dc6dp+4", "0x1.921fb54442d19p-49"],
+}
+
+
+def test_aligned_configurations_are_frozen_bit_for_bit():
+    south = -E4
+    tower = BubbleSum(
+        n=3,
+        bubbles=(Bubble(tuple(E4), 12.0), Bubble(tuple(south), 30.0)),
+        alphas=(1.0, 0.7),
+        tau=0.05,
+    )
+    K = bump_candidate([(0.45, E4, 0.33), (-0.3, south, 0.5), (0.2, E4, 0.8)], 0.3)
+    cases = {
+        "tower": (tower, constant_one(3)),
+        "bumps-north": (single(E4, 9.0, tau=0.05), K),
+        "bumps-south": (single(south, 9.0, tau=0.05), K),
+        "bumps-tower": (tower, K),
+    }
+    got = {}
+    for name, (u, KK) in cases.items():
+        j = functional_J_detailed(u, KK)
+        got[name] = [
+            v.hex() for v in (j.value, j.error, j.weighted_integral, j.weighted_error)
+        ]
+    assert got == ALIGNED_J_HEX
 
 
 def test_functional_deterministic_reruns():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,46 @@ def test_flow_pins_every_admissible_point(tmp_path, capsys):
     assert "warning" not in out
     assert (tmp_path / "trajectory_0.csv").exists()
     assert (tmp_path / "targets.csv").exists()
+
+
+def test_flow_pins_the_three_maxima_of_three_max_one_saddle(tmp_path, capsys):
+    # a flow that ends a hair off a coordinate axis needs an orthonormal
+    # tangent frame there for its Morse index
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # its 308 degenerate points
+        code, _, _ = run(capsys, "flow", "--preset", "three-max-one-saddle",
+                         "--out", str(tmp_path))
+    assert code == 0
+    flows = json.loads((tmp_path / "report.json").read_text())["flows"]
+    assert [f["status"] for f in flows] == ["converged"] * 3
+    assert [(f["reduced_index"], f["indeterminate"]) for f in flows] == [(0, 0)] * 3
+
+
+def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
+    """No J is taken twice on one bubble sum, except at fd_hessian's centre,
+    which the flow has usually evaluated already."""
+    import numpy as np
+
+    from morsecount import bubbles
+
+    evaluated, centres = Counter(), Counter()
+    real_j, real_hessian = bubbles.functional_J_detailed, bubbles.fd_hessian
+
+    def counting_j(u, K, scheme=None):
+        evaluated[u] += 1
+        return real_j(u, K, scheme)
+
+    def noting_hessian(u, K, scheme=None, *, step=1e-3, chart=None, at=None):
+        frame = chart or bubbles.BubbleChart(u)
+        centres[frame.unpack(np.zeros(frame.dim) if at is None else at)] += 1
+        return real_hessian(u, K, scheme, step=step, chart=chart, at=at)
+
+    monkeypatch.setattr(bubbles, "functional_J_detailed", counting_j)
+    monkeypatch.setattr(bubbles, "fd_hessian", noting_hessian)
+    code, _, _ = run(capsys, "flow", "--preset", "three-bump-s3")
+    assert code == 0
+    assert sum(centres.values()) > 0
+    assert {u: k for u, k in evaluated.items() if k > 1 + centres[u]} == {}
 
 
 def test_flow_flags_an_inventory_that_fails_the_euler_check(tmp_path, capsys, monkeypatch):

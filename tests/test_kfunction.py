@@ -98,6 +98,26 @@ def test_laplacian_matches_finite_differences(seed):
         assert abs(lap - lap_fd) <= 1e-6 * max(1.0, abs(lap))
 
 
+def test_tangent_basis_is_orthonormal_next_to_the_axes():
+    # a point a hair off a coordinate axis: one Gram-Schmidt pass left
+    # columns 5e-5 out of the tangent space, and the chart's exp_map off
+    # the sphere (a flow on three-max-one-saddle ends at this center)
+    points = [np.array([0.9999998674180557, 5.149406488086283e-4,
+                        9.773322383279146e-12, -9.943815278185603e-12])]
+    rng = np.random.default_rng(5)
+    for d in (3, 4, 5):
+        for j in range(d):
+            for offset in (1e-3, 1e-6, 1e-9, 1e-12):
+                x = np.zeros(d)
+                x[j] = rng.choice([-1.0, 1.0])
+                points.append(unit(x + offset * rng.standard_normal(d)))
+    for x in points:
+        B = tangent_basis(x)
+        assert B.shape == (len(x), len(x) - 1)
+        assert np.abs(x @ B).max() < 1e-15
+        assert np.abs(B.T @ B - np.eye(len(x) - 1)).max() < 1e-15
+
+
 def test_hessian_is_tangent_and_traces_to_laplacian():
     K = sample_K()
     rng = np.random.default_rng(11)
