@@ -379,9 +379,8 @@ def _verify_one(pcfg: ParityConfig) -> dict:
     closed = mu_closed_form(pcfg)
     ok_routes = direct.mu == rec.mu and (closed is None or closed.mu == direct.mu)
     ok_euler = euler_poincare_check(direct)
-    ok_bounds = True
     try:
-        solution_bounds(pcfg)
+        ok_bounds = solution_bounds(pcfg).mu == direct.mu
     except ConsistencyError:
         ok_bounds = False
     return {

@@ -21,20 +21,26 @@ The two Euler-Poincare identities (``mu_1 + mu_{>=1}^{inf,1} = 1`` and
 ``mu_p + mu_{>=2}^{inf,p} = 0`` for all p) hold exactly on every computed table
 and are exposed as ``euler_poincare_check``.
 
-``|mu_p|`` lower-bounds the number of solutions with energy near ``p/n * S_n``;
-``solution_bounds`` turns a classified parity pattern into the sharpest published
-per-level bound and cross-checks it against ``|mu_p|``, failing loudly on any
-inconsistency.  All arithmetic uses Python's arbitrary-precision integers; the
-binomial growth in m and N can never overflow silently.  ``admissible_epsilon``
-evaluates the oscillation threshold of the perturbation for a level cap N and
-window eta.  The module needs only the standard library.
+The counts depend only on how many parities are even (a) and odd (b):
+``sum_p mu_p x^p = 1 - (1-x) / ((1-x)^a (1+x)^b)``, of which the three closed
+forms are the cases b = 0, a = 1 and a = b + 1.  ``|mu_p|`` lower-bounds the
+number of solutions with energy near ``p/n * S_n``; ``solution_bounds`` turns a
+classified parity pattern into the sharpest published per-level bound and
+cross-checks it against ``|mu_p|`` read from this generating function (no rank
+recursion), failing loudly on any inconsistency.  All arithmetic uses Python's
+arbitrary-precision integers; the binomial growth in m and N can never overflow
+silently.  ``admissible_epsilon`` evaluates the oscillation threshold of the
+perturbation for a level cap N and window eta.  The module needs only the
+standard library.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, expm1, log, log1p
+from operator import add
 from typing import Iterator, Literal, Optional
 
 CaseLabel = Literal["IndexOne", "Case1", "Case2", "Case3", "Case4"]
@@ -343,14 +349,19 @@ def euler_poincare_check(t: IndexTable) -> bool:
     at p = 1 and zero above).  Family two drops the rank-1 point:
     mu_p + mu_{>=2}^{inf,p} = 0 for every p.
     """
-    N = t.config.N
-    for p in range(1, N + 1):
-        expected = 1 if p == 1 else 0
-        if t.mu_of(p) + t.mu_geq_of(1, p) != expected:
-            return False
-        if t.mu_of(p) + t.mu_geq_of(2, p) != 0:
-            return False
-    return True
+    if list(map(add, t.mu, t.mu_geq[0])) != [1] + [0] * (t.config.N - 1):
+        return False
+    return not any(map(add, t.mu, t.mu_geq[1]))
+
+
+def _mu_row(par: tuple[int, ...], N: int) -> tuple[int, ...]:
+    """mu_p = -[x^p] (1-x)^{1-a} (1+x)^{-b} for p = 1..N, with a even and b odd
+    parities; a >= 1 because parities[0] == 0, and each (1-x)^{-1} is a running sum."""
+    b = sum(par)
+    row = [(-1) ** p * comb(p + b - 1, p) for p in range(N + 1)] if b else [1] + [0] * N
+    for _ in range(len(par) - b - 1):
+        row = list(accumulate(row))
+    return tuple(-c for c in row[1:])
 
 
 def _case_and_ell(cfg: ParityConfig) -> tuple[CaseLabel, Optional[int]]:
@@ -405,12 +416,12 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
     * ``Case3``/``Case4``: level 2p bound C(p+m-l-2, p), level 2p-1 bound
       C(p+m-l-3, p-1); no closed total, so the total is the sum of the rows.
 
-    Every bound is cross-checked against |mu_p| from the recursion; a bound
-    exceeding |mu_p| raises ConsistencyError.  Configurations with m = 1 get an
-    empty report (no theorem applies) and a warning.
+    Every bound is cross-checked against |mu_p| from the generating function; a
+    bound exceeding |mu_p| raises ConsistencyError.  Configurations with m = 1
+    get an empty report (no theorem applies) and a warning.
     """
     idx = index_K(cfg)
-    table = mu_recurrence(cfg)
+    mu = _mu_row(cfg.parities, cfg.N)
     if not cfg.satisfies_h3:
         warnings.warn(
             "m = 1: multiplicity theorems need m >= 2; emitting an empty bound report",
@@ -424,7 +435,7 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
             ell=None,
             rows=(),
             total_bound=0,
-            mu=table.mu,
+            mu=mu,
             h3_satisfied=False,
             outside_theorem_dimension=cfg.n < 7,
         )
@@ -457,10 +468,10 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
         for p, b in enumerate(bounds, start=1)
     )
     for row in rows:
-        if row.lower_bound > abs(table.mu_of(row.p)):
+        if row.lower_bound > abs(mu[row.p - 1]):
             raise ConsistencyError(
                 f"level {row.p}: bound {row.lower_bound} exceeds |mu| = "
-                f"{abs(table.mu_of(row.p))} for parities {cfg.parities}"
+                f"{abs(mu[row.p - 1])} for parities {cfg.parities}"
             )
 
     return SolutionBoundReport(
@@ -470,7 +481,7 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
         ell=ell,
         rows=rows,
         total_bound=total,
-        mu=table.mu,
+        mu=mu,
         h3_satisfied=True,
         outside_theorem_dimension=cfg.n < 7,
     )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,25 @@ def test_verify_exhaustive_sweep(tmp_path, capsys):
     assert report["failures"] == []
     pats = [tuple(r["parities"]) for r in report["results"]]
     assert pats == sorted(pats, key=lambda p: (len(p), p))
+
+
+def test_verify_flags_bounds_whose_mu_disagrees_with_direct(tmp_path, capsys, monkeypatch):
+    real = cli.solution_bounds
+
+    def off_by_one(pcfg):
+        report = real(pcfg)
+        if pcfg.parities != (0, 1, 0):
+            return report
+        return replace(report, mu=(report.mu[0] + 1,) + report.mu[1:])
+
+    monkeypatch.setattr(cli, "solution_bounds", off_by_one)
+    code, out, _ = run(capsys, "verify", "--exhaustive", "--max-m", "3",
+                       "--max-N", "4", "--out", str(tmp_path))
+    assert code == cli.EXIT_CONSISTENCY
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [(r["parities"], r["bounds_consistent"]) for r in report["failures"]] == [
+        ([0, 1, 0], False)
+    ]
 
 
 # ---- flow ----

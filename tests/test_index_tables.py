@@ -11,6 +11,7 @@ theorem the tests exercise.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from morsecount import (
     ConsistencyError,
     H3Warning,
-    IndexTable,
     ParityConfig,
     all_parity_patterns,
     classify_case,
@@ -31,6 +31,8 @@ from morsecount import (
     mu_recurrence,
     solution_bounds,
 )
+from morsecount import indexcount
+from morsecount.indexcount import _mu_row
 
 # ---------------------------------------------------------------------------
 # reference oracle
@@ -229,17 +231,56 @@ def test_boundary_rows(tail, N):
             assert t.mu_geq_of(k, 1) == expected
 
 
+def _bump(row: tuple[int, ...], p: int, delta: int) -> tuple[int, ...]:
+    return row[: p - 1] + (row[p - 1] + delta,) + row[p:]
+
+
 def test_perturbed_table_fails_check():
-    c = cfg((0, 0), N=3)
-    t = mu_recurrence(c)
-    broken = IndexTable(
-        config=c,
-        mu=(t.mu[0] + 1,) + t.mu[1:],
-        mu_geq=t.mu_geq,
-        mu_geq_at=t.mu_geq_at,
-    )
-    assert euler_poincare_check(t)
-    assert not euler_poincare_check(broken)
+    """A +-1 change to any one entry of mu, mu_{>=1} or mu_{>=2}, at any level,
+    breaks an identity; so does a mu row one level short."""
+    for parities in [(0, 0), (0, 1, 0), (0, 1, 1, 0, 1)]:
+        t = mu_recurrence(cfg(parities, N=6))
+        assert euler_poincare_check(t)
+        for p in range(1, t.config.N + 1):
+            for delta in (1, -1):
+                broken = [replace(t, mu=_bump(t.mu, p, delta))]
+                for k in (0, 1):
+                    rows = list(t.mu_geq)
+                    rows[k] = _bump(rows[k], p, delta)
+                    broken.append(replace(t, mu_geq=tuple(rows)))
+                assert not any(euler_poincare_check(b) for b in broken), (parities, p)
+        assert not euler_poincare_check(replace(t, mu=t.mu[:-1]))
+
+
+def test_mu_row_matches_direct_on_every_small_pattern():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", H3Warning)
+        for m in range(1, 11):
+            for parities in all_parity_patterns(m):
+                assert _mu_row(parities, 20) == mu_direct(cfg(parities, N=20)).mu, parities
+
+
+def test_mu_row_matches_the_closed_forms():
+    for m in range(3, 17):
+        patterns = [(0,) * m, (0,) + (1,) * (m - 1)]
+        if m % 2:
+            patterns.append(tuple(j % 2 for j in range(m)))
+        for parities in patterns:
+            closed = mu_closed_form(cfg(parities, N=64))
+            assert closed is not None and _mu_row(parities, 64) == closed.mu, parities
+
+
+def test_mu_row_vanishes_for_a_single_point():
+    assert _mu_row((0,), 9) == (0,) * 9
+
+
+def test_solution_bounds_runs_no_rank_recursion(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("solution_bounds ran the rank recursion")
+
+    c = cfg((0, 1, 0, 0, 1, 1, 0), N=12)
+    monkeypatch.setattr(indexcount, "_recurrence_rows", forbidden)
+    assert solution_bounds(c).mu == mu_direct(c).mu
 
 
 # ---------------------------------------------------------------------------
