@@ -28,12 +28,14 @@ one colatitude integral of the ring-averaged K; pair energies of aligned
 bubbles radially, and of any two on the 3-sphere through the flat joint law
 of two linear coordinates) and to mixture importance sampling otherwise.
 Every integral and every functional value carries an error estimate.
+Chart derivatives of J are exact for one bubble on the 3-sphere under a
+radial scheme (one multi-column integral) and finite differences elsewhere.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
 
@@ -47,6 +49,8 @@ from .quadrature import (
     integrate_radial,
     integrate_two_point_s3,
     mc_integrate,
+    panel_breakpoints,
+    panel_quadrature,
     uniform_component,
 )
 from .sphere import exp_map, geodesic_distance, sphere_area, tangent_basis, unit
@@ -437,7 +441,8 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
     the ring's largest <x, c>; sinh(b)/b is never formed, so narrow bumps
     cannot overflow.  A bump on the axis keeps the exact axial factor
     exp(-(1 - sgn*t)/s^2).  Off-axis bumps need n = 3: elsewhere the ring
-    average is a Bessel function.
+    average is a Bessel function.  Also returns each bump's gamma (+-1 on
+    the axis); ``profile(t, bumps=True)`` adds the per-bump terms w*R(t).
     """
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width * term.width for term in K.terms])[:, None]
@@ -454,7 +459,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
         (float(np.arccos(g)), term.width) for g, term in zip(gamma, K.terms)
     ]
 
-    def profile(t):
+    def profile(t, bumps=False):
         t = np.asarray(t, dtype=float)
         sin_t = np.sqrt((1.0 - t) * (1.0 + t))
         two_b = 2.0 * sin_t * sin_g / s2
@@ -462,10 +467,11 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
             -np.expm1(-two_b), two_b, out=np.ones_like(two_b), where=two_b > 0
         )
         c_t = gamma[:, None] * t + sin_t * sin_g
-        total = np.sum(w[:, None] * np.exp((c_t - 1.0) / s2) * ring, axis=0)
-        return K.scale * (1.0 + K.epsilon * total)
+        terms = w[:, None] * np.exp((c_t - 1.0) / s2) * ring
+        k_bar = K.scale * (1.0 + K.epsilon * np.sum(terms, axis=0))
+        return (k_bar, terms) if bumps else k_bar
 
-    return profile, features
+    return profile, features, gamma
 
 
 def weighted_power_integral(
@@ -505,7 +511,7 @@ def weighted_power_integral(
             "centers; use a monte-carlo scheme"
         )
     axis, signs = aligned
-    k_profile, k_features = _ring_K_profile(K, axis, n)
+    k_profile, k_features, _ = _ring_K_profile(K, axis, n)
 
     def F(t):
         t = np.asarray(t, dtype=float)
@@ -550,11 +556,16 @@ def functional_J_detailed(
     exceeds the scheme's declared tolerance relative to the value.
     """
     scheme = scheme or QuadratureScheme()
+    norm = norm_squared(u, scheme)
+    return _j_evaluation(u, norm, weighted_power_integral(u, K, scheme), scheme)
+
+
+def _j_evaluation(u: BubbleSum, norm, weighted, scheme: QuadratureScheme) -> JEvaluation:
+    """J from the (value, error) pairs of ||u||^2 and int K|u|^q dV."""
     n = u.n
     q = 2.0 * n / (n - 2.0) - u.tau
     e = 2.0 * (n - 2.0) / (2.0 * n - u.tau * (n - 2.0))
-    n2, n2_err = norm_squared(u, scheme)
-    d, d_err = weighted_power_integral(u, K, scheme)
+    (n2, n2_err), (d, d_err) = norm, weighted
     if not (d > 0.0):
         raise ValueError("weighted integral must be positive")
     value = n2 ** (0.5 * q * e) * d ** (-e)
@@ -803,12 +814,115 @@ def fd_hessian(
     return H, float(noise)
 
 
+# Taylor series in z = b^2 of T = sinh(b)/b, S = T'(b)/b, U = S'(b)/b (at
+# z = -r^2: sin(r)/r, its -r-derivative/r, ...); 1e-19 for |z| <= 1/4
+_SINC_SERIES = np.array([[1.0, 2 * m + 2, (2 * m + 2) * (2 * m + 4)] for m in range(8)])
+_SINC_SERIES /= [[math.factorial(2 * m + j) for j in (1, 3, 5)] for m in range(8)]
+
+
+def _ring_slopes(beta: np.ndarray):
+    """M = (coth b - 1/b)/b and M'(b)/b, from series below b = 1/2 (the
+    closed forms cancel there); log(sinh b / b) has slope b*M."""
+    m, dm = np.empty_like(beta), np.empty_like(beta)
+    small = beta < 0.5
+    T, S, U = np.polynomial.polynomial.polyval(beta[small] ** 2, _SINC_SERIES)
+    m[small], dm[small] = S / T, U / T
+    b = beta[~small]
+    coth = -2.0 / np.expm1(-2.0 * b) - 1.0
+    m[~small], dm[~small] = (coth - 1.0 / b) / b, (b * b - 3.0 * b * coth + 3.0) / b**4
+    return m, dm - m * m
+
+
+def _chart_sinc(r: float):
+    """g = sin(r)/r, h = g'(r)/r and k = h'(r)/r, by series below r = 1/2."""
+    if r < 0.5:
+        T, S, U = np.polynomial.polynomial.polyval(-r * r, _SINC_SERIES)
+        return T, -S, U
+    s, c = math.sin(r), math.cos(r)
+    return s / r, (r * c - s) / r**3, (3.0 * s - 3.0 * r * c - r * r * s) / r**5
+
+
+def _single_bubble_derivatives(
+    chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x: np.ndarray
+):
+    """(JEvaluation, gradient, Hessian, noise) at chart point ``x`` for one
+    bubble on S^3.  One radial integral has the columns D = int K B^q dV,
+    D_ell, D_ell,ell (ell = log lam) and per bump the gamma, gamma-gamma and
+    gamma-ell shares (gamma = <c, a>; g1, g2 are the gamma-derivatives of the
+    log ring factor, l1, l2 the ell-derivatives of log B^q).  The chain rule
+    through gamma(v) = <c, exp_a0(B0 v)> and J = ||u||^{qe} D^{-e} follows; a
+    mirrored bubble is integrated as its lam >= 1 twin, flipping gamma and
+    ell.  The noise is the largest Hessian entry change from nodes to 2*nodes
+    columns, plus rounding.
+    """
+    u = chart.unpack(x)
+    flip = -1.0 if u.bubbles[0].lam < 1.0 else 1.0
+    b, alpha = canonical_bubble(u.bubbles[0]), u.alphas[0]
+    lam, q = b.lam, 6.0 - u.tau
+    k_profile, k_features, gamma = _ring_K_profile(K, np.asarray(b.center), 3)
+    kap = np.array([1.0 / (term.width * term.width) for term in K.terms])[:, None]
+    gam, sin_g = gamma[:, None], np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
+
+    def columns(t):
+        k_bar, terms = k_profile(t, bumps=True)
+        bq = np.abs(alpha * _profile(lam, t, 3)) ** q
+        delta = lam * lam * (1.0 - t)
+        d = 1.0 + t + delta
+        l1, l2 = q * (0.5 - delta / d), -2.0 * q * delta * (1.0 + t) / (d * d)
+        one_t2 = (1.0 - t) * (1.0 + t)
+        m, dm = _ring_slopes(kap * np.sqrt(one_t2) * sin_g)
+        g1 = kap * (t - kap * gam * one_t2 * m)
+        g2 = -kap * kap * one_t2 * (m - kap * kap * gam * gam * one_t2 * dm)
+        base = k_bar * bq
+        share = K.scale * K.epsilon * bq * terms
+        return np.vstack([base, base * l1, base * (l1 * l1 + l2),
+                          share * g1, share * (g1 * g1 + g2), share * g1 * l1])
+
+    g = lambda theta: columns(np.cos(theta)) * np.sin(theta) ** 2  # integrate_radial's
+    breaks = panel_breakpoints(0.0, np.pi, [(0.0, _theta_scale(lam)), *k_features])
+    coarse, fine = (panel_quadrature(g, breaks, m) for m in (scheme.nodes, 2 * scheme.nodes))
+    ring = sphere_area(2)
+    weighted = (ring * fine[0], ring * abs(fine[0] - coarse[0]))
+    jev = _j_evaluation(u, norm_squared(u, scheme), weighted, scheme)
+
+    # gamma = <c, center(v)>, center(v) = cos(r) a0 + g(r) B0 v: its first and
+    # second v-derivatives, with g, h, k of r = |v|; flip maps them to the twin
+    a0, frame = np.asarray(chart.base.bubbles[0].center), chart.frames[0]
+    v = np.asarray(x, dtype=float)[:3]
+    sg, sh, sk = _chart_sinc(float(np.linalg.norm(v)))
+    w, vv, eye = frame @ v, np.outer(v, v), np.eye(3)
+    d_center = np.outer(sh * w - sg * a0, v) + sg * frame
+    dd_center = (
+        -a0[:, None, None] * (sg * eye + sh * vv) + w[:, None, None] * (sh * eye + sk * vv)
+        + sh * (frame[:, :, None] * v + frame[:, None, :] * v[:, None])
+    )
+    d_gam = flip * K.centers() @ d_center
+    dd_gam = flip * np.tensordot(K.centers(), dd_center, 1)
+    e = jev.e_exponent
+
+    def derivatives(cols):
+        D, D_l, D_ll = ring * cols[:3]
+        G1, G2, G3 = ring * cols[3:].reshape(3, -1)
+        grad_D = np.append(G1 @ d_gam, flip * D_l)
+        cross = flip * (G3 @ d_gam)[:, None]
+        vv_D = np.einsum("j,ja,jb->ab", G2, d_gam, d_gam) + np.tensordot(G1, dd_gam, 1)
+        H_D = np.block([[vv_D, cross], [cross.T, D_ll]])
+        J = jev.norm_squared ** (0.5 * jev.q_exponent * e) * D ** (-e)
+        H = J * (e * (e + 1.0) * np.outer(grad_D, grad_D) / (D * D) - e * H_D / D)
+        return -e * J * grad_D / D, H
+
+    (grad, H), (_, H_coarse) = derivatives(fine), derivatives(coarse)
+    noise = np.abs(H - H_coarse).max() + 64.0 * np.finfo(float).eps * np.abs(H).max()
+    return jev, grad, H, float(noise)
+
+
 @dataclass(frozen=True)
 class MorseIndexEstimate:
     """Count of negative chart-Hessian eigenvalues with a noise verdict.
 
-    Eigenvalues within ``band`` (= 10x the propagated noise) of zero are
-    neither negative nor positive but ``indeterminate``.
+    Eigenvalues within ``band`` (= 10x the noise) of zero are neither
+    negative nor positive but ``indeterminate``.  The noise is the exact
+    Hessian's change under node doubling, or the FD stencil's propagated error.
     """
 
     index: int
@@ -844,9 +958,15 @@ def reduced_morse_index(
     """Negative-eigenvalue count of the chart Hessian of J at u.
 
     ``u`` should be a converged critical point; eigenvalues inside the noise
-    band are reported as indeterminate rather than classified.
+    band are reported as indeterminate rather than classified.  Finite
+    differences with ``step`` are used unless the Hessian is exact (one
+    bubble on S^3 under a radial scheme).
     """
-    H, noise = fd_hessian(u, K, scheme, step=step)
+    scheme = scheme or QuadratureScheme()
+    if u.p == 1 and u.n == 3 and scheme.kind == "radial-1d":  # exact derivatives
+        *_, H, noise = _single_bubble_derivatives(BubbleChart(u), K, scheme, np.zeros(4))
+    else:
+        H, noise = fd_hessian(u, K, scheme, step=step)
     eigs = np.linalg.eigvalsh(H)
     band = 10.0 * noise
     index = int(np.sum(eigs < -band))
@@ -871,7 +991,9 @@ class FlowOptions:
 
     Seeds whose gradient norm is already below ``newton_threshold`` skip the
     descent phase and go straight to the Newton polish: descent would slide
-    off a saddle instead of converging to it.
+    off a saddle instead of converging to it.  ``fd_step`` and
+    ``hessian_step`` apply to finite-difference derivatives only, not to the
+    exact ones of one bubble on S^3 under a radial scheme.
     """
 
     max_steps: int = 200
@@ -954,23 +1076,35 @@ def flow_to_critical(
     scheme = scheme or QuadratureScheme()
     chart = BubbleChart(u0)
     j_of = _j_on_chart(chart, K, scheme)
+    exact = u0.p == 1 and u0.n == 3 and scheme.kind == "radial-1d"
+    # (point, gradient, Hessian) last taken; x is rebound on every move and re-anchor
+    held = [None, None, None]
+
+    def probe(vec: np.ndarray) -> JEvaluation:
+        # exact derivatives come with J and are held in case vec becomes x
+        if not exact:
+            return j_of(vec)
+        jev, *held[1:], _ = _single_bubble_derivatives(chart, K, scheme, vec)
+        held[0] = vec
+        return jev
+
+    def gradient() -> np.ndarray:
+        if held[0] is not x:
+            if exact:
+                probe(x)
+            else:
+                fd = reduced_gradient(u0, K, scheme, step=opts.fd_step, chart=chart, at=x)
+                held[:] = x, fd, None
+        return held[1]
+
     x = np.zeros(chart.dim)
-    current = j_of(x)
+    current = probe(x)
     rows = [_trajectory_row(0, current.value, _canonical_sum(u0, below=0.75))]
     status = "non-convergence"
     message = ""
     steps_taken = 0
     step_size = opts.initial_step
-    grad, grad_at = np.zeros(chart.dim), None
-
-    def gradient() -> np.ndarray:
-        # x is rebound whenever it moves or the chart re-anchors, so a
-        # gradient taken at this very array is still current
-        nonlocal grad, grad_at
-        if grad_at is not x:
-            grad = reduced_gradient(u0, K, scheme, step=opts.fd_step, chart=chart, at=x)
-            grad_at = x
-        return grad
+    grad = np.zeros(chart.dim)
 
     def lam_exceeded(vec) -> bool:
         return any(
@@ -998,10 +1132,11 @@ def flow_to_critical(
         direction = -grad / max(gnorm, 1.0)
         t = step_size
         moved = False
+        at_x = held[:]  # the trials overwrite held; a stall stays at x
         while t >= opts.min_step:
             trial = x + t * direction
             try:
-                cand = j_of(trial)
+                cand = probe(trial)
             except (ValueError, QuadratureConvergenceError):
                 t *= 0.5
                 continue
@@ -1012,6 +1147,7 @@ def flow_to_critical(
             t *= 0.5
         steps_taken = k
         if not moved:
+            held[:] = at_x
             status = "stalled"
             break
         step_size = min(2.0 * t, opts.initial_step)
@@ -1032,9 +1168,11 @@ def flow_to_critical(
             gnorm = float(np.linalg.norm(grad))
             if gnorm < opts.grad_tol:
                 break
-            H, _ = fd_hessian(
-                u0, K, scheme, step=opts.hessian_step, chart=chart, at=x
-            )
+            if held[2] is None:  # held[0] is x after gradient()
+                held[2], _ = fd_hessian(
+                    u0, K, scheme, step=opts.hessian_step, chart=chart, at=x
+                )
+            H = held[2]
             try:
                 delta = np.linalg.solve(H, -grad)
             except np.linalg.LinAlgError:
@@ -1044,7 +1182,7 @@ def flow_to_critical(
                 delta *= opts.newton_trust / dn
             x = x + delta
             maybe_reanchor()
-            current = j_of(x)
+            current = probe(x)
             steps_taken += 1
             rows.append(
                 _trajectory_row(

@@ -308,17 +308,17 @@ def run_indices(cfg: RunConfig) -> int:
     _at_most("N = ", pcfg.N, MAX_LEVEL_N, " levels")
     table = mu_direct(pcfg)
     cross = mu_recurrence(pcfg)
-    if table.mu != cross.mu:
+    closed = mu_closed_form(pcfg)
+    if table.mu != cross.mu or (closed is not None and closed.mu != table.mu):
         raise CLIFailure(
             EXIT_CONSISTENCY,
             "consistency",
-            f"direct and recurrence counts disagree for {pcfg.parities}",
+            f"counting routes disagree for {pcfg.parities}",
         )
     if not euler_poincare_check(table):
         raise CLIFailure(
             EXIT_CONSISTENCY, "consistency", "alternating-sum identity failed"
         )
-    closed = mu_closed_form(pcfg)
     payload = {
         "config": cfg.to_dict(),
         "parity_config": pcfg.to_dict(),

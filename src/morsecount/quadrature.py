@@ -115,15 +115,17 @@ def panel_breakpoints(
 
 def panel_quadrature(
     f: Callable[[np.ndarray], np.ndarray], breaks: np.ndarray, nodes: int
-) -> float:
-    """Sum of `nodes`-point Gauss-Legendre rules over consecutive panels."""
+) -> float | np.ndarray:
+    """Sum of `nodes`-point Gauss-Legendre rules over consecutive panels; an
+    integrand with several columns (shape (columns, points)) gets one each."""
     x, w = _gl_rule(nodes)
     lo, hi = breaks[:-1], breaks[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return float(np.sum(half * (vals @ w)))
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    total = np.sum(half * (vals.reshape(vals.shape[:-1] + pts.shape) @ w), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _doubled(f, breaks, nodes, tol):

@@ -35,8 +35,17 @@ from morsecount.bubbles import (
     sobolev_constant,
     weighted_power_integral,
 )
-from morsecount.bubbles import _ALIGNED, _cos_scale, _profile, _theta_scale
-from morsecount.kfunc import BumpTerm, KFunction
+from morsecount.bubbles import (
+    _ALIGNED,
+    _chart_sinc,
+    _cos_scale,
+    _profile,
+    _ring_slopes,
+    _single_bubble_derivatives,
+    _theta_scale,
+    fd_hessian,
+)
+from morsecount.kfunc import BumpTerm, KFunction, find_critical_points, k_infinity_points
 from morsecount.presets import load_preset
 from morsecount.quadrature import (
     QuadratureConvergenceError,
@@ -45,7 +54,14 @@ from morsecount.quadrature import (
     integrate_two_point_s3,
     mc_integrate,
 )
-from morsecount.sphere import geodesic_distance, random_rotation, sphere_area, tangent_basis, unit
+from morsecount.sphere import (
+    exp_map,
+    geodesic_distance,
+    random_rotation,
+    sphere_area,
+    tangent_basis,
+    unit,
+)
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -691,6 +707,166 @@ def test_gradient_noise_warning_on_coarse_stochastic_scheme():
         reduced_gradient(single(E4, 5.0, tau=0.1), constant_one(3), scheme, step=1e-8)
 
 
+# ---------------------------------------------------------------------------
+# exact chart derivatives for one bubble on S^3
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def preset_targets():
+    """(K, target, equilibrium scale) for every admissible critical point of
+    the two S^3 flow presets: 4 on three-bump-s3, 3 on three-max-one-saddle."""
+    out = []
+    for name in ("three-bump-s3", "three-max-one-saddle"):
+        K = load_preset(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a degenerate circle
+            points = k_infinity_points(find_critical_points(K))
+        for pt in points:
+            y = np.asarray(pt.location)
+            out.append((K, y, equilibrium_scale(K, y, 0.05)))
+    return out
+
+
+def exact_at(u, K, at=None, scheme=None):
+    chart = BubbleChart(u)
+    at = np.zeros(chart.dim) if at is None else at
+    return chart, _single_bubble_derivatives(chart, K, scheme or QuadratureScheme(), at)
+
+
+def fd_misfit(u, K, g, H, chart, at):
+    """Largest |exact - FD| over its bound, for the FD gradient at step 1e-4
+    and the FD Hessian at step 1e-3.  Both truncate at order h^2, so the
+    doubled step estimates the truncation as |FD(2h) - FD(h)|/3 (Richardson);
+    the bound takes 1.5x that, plus the FD rounding: 64 eps |J|/h for the
+    gradient and twice fd_hessian's propagated noise for the Hessian."""
+    g_fd = reduced_gradient(u, K, step=1e-4, chart=chart, at=at)
+    g_2h = reduced_gradient(u, K, step=2e-4, chart=chart, at=at)
+    H_fd, noise = fd_hessian(u, K, step=1e-3, chart=chart, at=at)
+    H_2h, _ = fd_hessian(u, K, step=2e-3, chart=chart, at=at)
+    j = functional_J(chart.unpack(at), K)
+    g_tol = 0.5 * np.abs(g_2h - g_fd) + 64 * np.finfo(float).eps * j / 1e-4
+    H_tol = 0.5 * np.abs(H_2h - H_fd) + 2.0 * noise
+    return max(np.max(np.abs(g - g_fd) / g_tol), np.max(np.abs(H - H_fd) / H_tol))
+
+
+def test_exact_derivatives_match_finite_differences_at_every_target(preset_targets):
+    """At every target and the same centre moved 0.05 rad, for lam in
+    {3, lam-bar, 40}: J is bit-identical to functional_J_detailed, and the
+    gradient and Hessian sit inside the FD bound of fd_misfit (worst measured
+    misfit 0.66 of the bound; worst differences 8.7e-9 for the gradient and
+    5.2e-6 for the Hessian, against |H| up to 1.9).  The Hessian's noise
+    (node doubling) measured 3.7e-15 to 1.9e-13.  The one target whose
+    origin snaps onto a bump (|gamma| >= _ALIGNED, 7e-6 rad away) is left to
+    the off-origin test: there J jumps by ~4e-11 across the FD stencil."""
+    worst, snapped = 0.0, 0
+    for K, y, lam_bar in preset_targets:
+        for center in (y, exp_map(y, 0.05 * tangent_basis(y)[:, 0])):
+            if np.max(np.abs(K.centers() @ center)) >= _ALIGNED:
+                snapped += 1
+                continue
+            for lam in (3.0, lam_bar, 40.0):
+                u = single(center, lam, tau=0.05)
+                chart, (jev, g, H, noise) = exact_at(u, K)
+                assert jev == functional_J_detailed(u, K)
+                assert 0.0 < noise < 1e-12
+                worst = max(worst, fd_misfit(u, K, g, H, chart, np.zeros(4)))
+    assert snapped == 1
+    assert worst < 1.0
+
+
+@pytest.mark.parametrize("r", [1e-4, 0.1, 0.45, 0.55])
+def test_exact_derivatives_off_the_chart_origin(preset_targets, r):
+    """Chart points at |v| = r (and log-scale offset 0.1) on both sides of
+    _chart_sinc's series switch at r = 1/2, around the snapped three-bump-s3
+    target and one three-max-one-saddle target, at lam-bar and mirrored
+    (lam = 1/3, integrated as the twin at the antipode).  Worst measured
+    misfit 0.64 of the bound; worst differences 1.9e-9 (gradient) and
+    4.5e-7 (Hessian)."""
+    direction = unit(np.array([0.3, -0.5, 0.8]))
+    at = np.append(r * direction, 0.1)
+    worst = 0.0
+    for K, y, lam_bar in (preset_targets[2], preset_targets[4]):
+        for lam in (lam_bar, 1.0 / 3.0):
+            u = single(y, lam, tau=0.05)
+            chart, (jev, g, H, _) = exact_at(u, K, at)
+            assert jev == functional_J_detailed(chart.unpack(at), K)
+            worst = max(worst, fd_misfit(u, K, g, H, chart, at))
+    assert worst < 1.0
+
+
+def test_exact_and_fd_morse_indices_agree_at_the_targets(preset_targets):
+    """The exact Hessian's verdict equals the FD one, with a narrower band."""
+    for K, y, lam_bar in preset_targets:
+        u = single(y, lam_bar, tau=0.05)
+        exact = reduced_morse_index(u, K)
+        H, noise = fd_hessian(u, K)
+        eigs = np.linalg.eigvalsh(H)
+        assert exact.index == int(np.sum(eigs < -10 * noise))
+        assert exact.indeterminate == 0 == int(np.sum(np.abs(eigs) <= 10 * noise))
+        assert exact.band < 1e-3 * 10 * noise
+
+
+def test_ring_slopes_match_mpmath_and_join_at_the_series_switch():
+    """M = (coth b - 1/b)/b and M'(b)/b: series below b = 1/2, closed forms
+    above.  Both within 1e-12 (relative) of 40-digit values (worst measured
+    4.8e-14, M'/b just above the switch), and the step across the switch,
+    b = 1/2 -+ 5e-13, is the functions' own change to 1e-15."""
+    betas = [1e-8, 1e-3, 0.2, 0.5 * (1 - 1e-12), 0.5, 0.5 * (1 + 1e-12), 0.7, 3.0, 40.0, 2500.0]
+    m, dm = _ring_slopes(np.array(betas))
+    M = lambda x: (mpmath.coth(x) - 1 / x) / x
+    with mpmath.workdps(40):
+        ref_m = [M(mpmath.mpf(b)) for b in betas]
+        ref_dm = [mpmath.diff(M, mpmath.mpf(b)) / b for b in betas]
+    for got, ref in ((m, ref_m), (dm, ref_dm)):
+        for val, want in zip(got, ref):
+            assert abs(val - want) <= 1e-12 * abs(want)
+        assert abs((got[5] - got[3]) - float(ref[5] - ref[3])) <= 1e-15
+    assert m[0] == pytest.approx(1 / 3, abs=1e-16) and dm[0] == pytest.approx(-2 / 45, abs=1e-16)
+
+
+def test_chart_sinc_matches_mpmath():
+    assert _chart_sinc(0.0) == (1.0, -1.0 / 3.0, 1.0 / 15.0)
+    with mpmath.workdps(40):
+        for r in [1e-4, 0.3, 0.5 * (1 - 1e-12), 0.5, 0.9, 2.0]:
+            g, h, k = _chart_sinc(r)
+            x = mpmath.mpf(r)
+            ref = (
+                mpmath.sin(x) / x,
+                (x * mpmath.cos(x) - mpmath.sin(x)) / x**3,
+                (3 * mpmath.sin(x) - 3 * x * mpmath.cos(x) - x**2 * mpmath.sin(x)) / x**5,
+            )
+            for val, want in zip((g, h, k), ref):
+                assert abs(val - want) <= 1e-13 * abs(want)
+
+
+def test_exact_hessian_noise_covers_the_node_count():
+    """The noise is the Hessian's change from nodes to 2*nodes columns: at
+    16 nodes on a lam = 1000 bubble it covers the change to 64 nodes
+    (measured 3.8e-11 against 1.1e-11), far above the rounding floor."""
+    K = load_preset("three-bump-s3")
+    u = single(K.terms[0].center, 1000.0, tau=0.05)
+    _, (_, _, H16, noise) = exact_at(u, K, scheme=QuadratureScheme(nodes=16))
+    _, (_, _, H64, _) = exact_at(u, K, scheme=QuadratureScheme(nodes=64))
+    assert np.max(np.abs(H16 - H64)) <= noise
+    assert noise > 100 * 64 * np.finfo(float).eps * np.max(np.abs(H16))
+
+
+def test_exact_derivatives_enforce_the_scheme_tolerance():
+    """16 nodes per panel leave a lam = 400 bubble about 4e-13 (relative) off
+    its doubled value: both routes refuse a 1e-14 tolerance alike."""
+    K = load_preset("three-bump-s3")
+    u = single(K.terms[0].center, 400.0, tau=0.05)
+    tight = QuadratureScheme(nodes=16, tol=1e-14)
+    with pytest.raises(QuadratureConvergenceError):
+        functional_J_detailed(u, K, tight)
+    with pytest.raises(QuadratureConvergenceError):
+        exact_at(u, K, scheme=tight)
+    assert exact_at(u, K, scheme=replace(tight, tol=1e-12))[1][0] == functional_J_detailed(
+        u, K, replace(tight, tol=1e-12)
+    )
+
+
 def test_reduced_index_zero_at_equilibrium_over_a_max():
     K = bump_candidate([(1.0, E4, 0.4)])
     u0 = single(E4, 10.0, tau=0.05)
@@ -726,6 +902,29 @@ def test_flow_descends_and_recenters_on_the_max():
     drops = np.diff(j_values)
     assert np.all(drops < 1e-6)  # non-increasing up to noise
     assert report.grad_norm < 2e-5
+
+
+def test_stalled_flow_evaluates_no_bubble_sum_twice(monkeypatch):
+    """A line search whose one trial (t = 10) is rejected stalls at its
+    start; the Newton polish must reuse the derivatives held there instead
+    of taking that bubble sum again."""
+    from collections import Counter
+
+    from morsecount import bubbles
+
+    seen, real = Counter(), bubbles._single_bubble_derivatives
+
+    def counting(chart, K, scheme, x):
+        seen[chart.unpack(x)] += 1
+        return real(chart, K, scheme, x)
+
+    monkeypatch.setattr(bubbles, "_single_bubble_derivatives", counting)
+    K = bump_candidate([(1.0, E4, 0.4)])
+    start = unit(np.array([math.sin(0.35), 0.0, 0.0, math.cos(0.35)]))
+    opts = FlowOptions(max_steps=1, initial_step=10.0, min_step=10.0)
+    final, report = flow_to_critical(single(start, 8.0, tau=0.05), K, opts)
+    assert report.converged
+    assert len(seen) > 2 and max(seen.values()) == 1
 
 
 def test_flow_constant_candidate_flattens_in_place():

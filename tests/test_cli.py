@@ -68,6 +68,27 @@ def test_indices_report_embeds_resolved_config(tmp_path, capsys):
     assert report["table"]["mu"] == [-2, -3, -4, -5, -6]
 
 
+def test_indices_checks_the_closed_form_it_reports(tmp_path, capsys, monkeypatch):
+    real = cli.mu_closed_form
+
+    def off_by_one(pcfg):
+        table = real(pcfg)
+        if table is None:
+            return None
+        return replace(table, mu=(table.mu[0] + 1,) + table.mu[1:])
+
+    monkeypatch.setattr(cli, "mu_closed_form", off_by_one)
+    code, _, err = run(capsys, "indices", "--parities", "0,0,0", "--N", "5",
+                       "--out", str(tmp_path))
+    assert code == cli.EXIT_CONSISTENCY
+    assert stderr_error(err)["kind"] == "consistency"
+    assert "disagree" in stderr_error(err)["detail"]
+    assert not (tmp_path / "report.json").exists()
+    # a pattern no closed form covers is not checked against one
+    code, _, _ = run(capsys, "indices", "--parities", "0,1,0,0", "--N", "5")
+    assert code == 0
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"parities": [0, 1], "N": 3}))
@@ -177,30 +198,45 @@ def test_flow_pins_the_three_maxima_of_three_max_one_saddle(tmp_path, capsys):
 
 
 def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
-    """No J is taken twice on one bubble sum, except at fd_hessian's centre,
-    which the flow has usually evaluated already."""
-    import numpy as np
-
+    """No J is taken twice on one bubble sum, whether functional_J_detailed
+    takes it or the exact-derivative kernel takes it with the gradient and
+    Hessian.  The one repeat allowed is the Morse index's kernel call on the
+    sum each flow ended at."""
     from morsecount import bubbles
 
-    evaluated, centres = Counter(), Counter()
-    real_j, real_hessian = bubbles.functional_J_detailed, bubbles.fd_hessian
+    evaluated, kernel_calls, at_index, indexing = Counter(), [], [], []
+    real_j, real_kernel = bubbles.functional_J_detailed, bubbles._single_bubble_derivatives
+    real_index = cli.reduced_morse_index
 
     def counting_j(u, K, scheme=None):
         evaluated[u] += 1
         return real_j(u, K, scheme)
 
-    def noting_hessian(u, K, scheme=None, *, step=1e-3, chart=None, at=None):
-        frame = chart or bubbles.BubbleChart(u)
-        centres[frame.unpack(np.zeros(frame.dim) if at is None else at)] += 1
-        return real_hessian(u, K, scheme, step=step, chart=chart, at=at)
+    def counting_kernel(chart, K, scheme, x):
+        u = chart.unpack(x)
+        if indexing:
+            at_index.append(u)
+        else:
+            evaluated[u] += 1
+            kernel_calls.append(u)
+        return real_kernel(chart, K, scheme, x)
+
+    def noting_index(u, K, scheme=None, **kwargs):
+        indexing.append(u)
+        try:
+            return real_index(u, K, scheme, **kwargs)
+        finally:
+            indexing.pop()
 
     monkeypatch.setattr(bubbles, "functional_J_detailed", counting_j)
-    monkeypatch.setattr(bubbles, "fd_hessian", noting_hessian)
+    monkeypatch.setattr(bubbles, "_single_bubble_derivatives", counting_kernel)
+    monkeypatch.setattr(cli, "reduced_morse_index", noting_index, raising=False)
     code, _, _ = run(capsys, "flow", "--preset", "three-bump-s3")
     assert code == 0
-    assert sum(centres.values()) > 0
-    assert {u: k for u, k in evaluated.items() if k > 1 + centres[u]} == {}
+    assert kernel_calls
+    assert {u: k for u, k in evaluated.items() if k > 1} == {}
+    assert len(at_index) == 4
+    assert all(evaluated[u] == 1 for u in at_index)
 
 
 def test_flow_flags_an_inventory_that_fails_the_euler_check(tmp_path, capsys, monkeypatch):
