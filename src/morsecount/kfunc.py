@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indexcount import H3Warning, ParityConfig, admissible_epsilon  # noqa: F401 (re-export)
-from .sphere import check_unit, quasi_uniform_points, tangent_basis, unit
+from .sphere import check_unit, quasi_uniform_points, unit
 
 
 class H1ViolationError(ValueError):
@@ -246,9 +246,10 @@ def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
     Newton iteration on the tangential gradient runs from a quasi-uniform seed
     set augmented with the bump centers, their antipodes, and normalized
     center pair sums/differences (cheap insurance for ridges and cols).
-    Results are deduplicated by geodesic distance and classified through the
-    tangent-frame Hessian.  Completeness is best effort; see
-    ``euler_characteristic_diagnostic`` for the sanity check.
+    Results are deduplicated by geodesic distance and classified in one
+    batch: the tangent Hessian's eigenvalues are those of the covariant
+    Hessian with its normal direction shifted below them.  Completeness is
+    best effort; see ``euler_characteristic_diagnostic`` for the sanity check.
 
     Degenerate candidates (f identically zero) raise H1ViolationError; points
     whose Hessian fails the nondegeneracy ratio or whose Laplacian is
@@ -276,44 +277,44 @@ def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
     converged = _newton_batch(K, all_seeds)
 
     # greedy first-seen dedup by geodesic distance (the cross-norm atan2 form,
-    # accurate at small angles), each point against the few kept so far
-    distinct = converged[:0]
+    # accurate at small angles), each point against the rows kept so far
+    kept, m = np.empty_like(converged), 0
     for x in converged:
-        c = np.clip(distinct @ x, -1.0, 1.0)
-        s = np.linalg.norm(distinct - x, axis=1) * np.linalg.norm(distinct + x, axis=1)
+        c = np.clip(kept[:m] @ x, -1.0, 1.0)
+        s = np.linalg.norm(kept[:m] - x, axis=1) * np.linalg.norm(kept[:m] + x, axis=1)
         if np.all(np.arctan2(s / 2.0, c) > 1e-6):
-            distinct = np.vstack([distinct, x])
+            kept[m], m = x, m + 1
+    distinct = kept[:m]
 
+    # H x = 0: shifting x's direction down by sigma = 2 sum|H| > |H| sorts it
+    # below the tangent eigenvalues, no frame needed, rounding relative to |H|
+    grads, hess = _derivs(K, distinct)
+    sigma = 2.0 * np.abs(hess).sum(axis=(1, 2))
+    shifted = hess - sigma[:, None, None] * distinct[:, :, None] * distinct[:, None, :]
+    eigs = np.linalg.eigvalsh(shifted)[:, 1:]
+    laps = np.trace(hess, axis1=1, axis2=2)
+    floor = NONDEGENERACY_RATIO * np.abs(eigs).max(axis=1)
+    good = (np.abs(eigs).min(axis=1) > floor) & (np.abs(laps) > floor)
     points: list[CriticalPoint] = []
-    dropped = 0
-    for x in distinct:
-        B = tangent_basis(x)
-        hess = hess_K(K, x)
-        eigs = np.linalg.eigvalsh(B.T @ hess @ B)
-        emax = float(np.max(np.abs(eigs)))
-        if emax == 0.0 or float(np.min(np.abs(eigs))) <= NONDEGENERACY_RATIO * emax:
-            dropped += 1
-            continue
-        lap = float(np.trace(hess))  # the Laplacian
-        if abs(lap) <= NONDEGENERACY_RATIO * emax:
-            dropped += 1
-            continue
-        mi = int(np.sum(eigs < 0))
+    for x, g, lap, ev, value in zip(
+        distinct[good], grads[good], laps[good], eigs[good], eval_K(K, distinct[good])
+    ):
+        mi = int(np.sum(ev < 0))
         points.append(
             CriticalPoint(
                 location=tuple(float(v) for v in x),
-                value=float(eval_K(K, x)),
+                value=float(value),
                 morse_index_K=mi,
                 co_index=K.n - mi,
                 laplacian=float(lap),
                 laplacian_sign=1 if lap > 0 else -1,
-                grad_norm=float(np.linalg.norm(grad_K(K, x))),
-                hess_eigenvalues=tuple(float(v) for v in eigs),
+                grad_norm=float(np.linalg.norm(g)),
+                hess_eigenvalues=tuple(float(v) for v in ev),
             )
         )
-    if dropped:
+    if not good.all():
         warnings.warn(
-            f"dropped {dropped} degenerate critical point(s); the candidate "
+            f"dropped {np.sum(~good)} degenerate critical point(s); the candidate "
             "violates the nondegeneracy hypotheses there",
             stacklevel=2,
         )

@@ -132,12 +132,17 @@ def _doubled(f, breaks, nodes, tol):
     coarse = panel_quadrature(f, breaks, nodes)
     fine = panel_quadrature(f, breaks, 2 * nodes)
     err = abs(fine - coarse)
-    if tol is not None and err > tol * max(abs(fine), 1e-300):
-        raise QuadratureConvergenceError(
-            f"doubling {nodes}->{2 * nodes} nodes moved the value by {err:.3e} "
-            f"(relative {err / max(abs(fine), 1e-300):.3e} > tol {tol:.1e}); "
-            "increase nodes or add refinement features"
-        )
+    if tol is not None:
+        scale = np.maximum(abs(fine), 1e-300)
+        if np.any(err > tol * scale):  # column by column; name the worst
+            rel = np.ravel(err / scale)
+            worst = int(np.argmax(rel))
+            raise QuadratureConvergenceError(
+                f"doubling {nodes}->{2 * nodes} nodes moved the value"
+                f"{f' in column {worst}' if np.ndim(fine) else ''} by "
+                f"{np.ravel(err)[worst]:.3e} (relative {rel[worst]:.3e} > tol {tol:.1e}); "
+                "increase nodes or add refinement features"
+            )
     return fine, err
 
 
@@ -153,12 +158,15 @@ def integrate_radial(
     nodes: int = 64,
     features: Sequence[tuple[float, float]] = (),
     tol: float | None = None,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Integral over the n-sphere of F(<x, axis>) for any fixed axis.
 
     Reduces to the colatitude line: integral = |S^{n-1}| * int_0^pi
     F(cos t) sin^{n-1} t dt.  ``features`` are (colatitude, scale) pairs
     marking concentration points, e.g. (0, 1/lam) for a peak at the axis.
+    An F with several columns (shape (columns, points)) returns the values
+    and the errors as arrays, one entry per column, all on the same panels;
+    ``tol`` then holds for each column.
     """
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")

@@ -992,3 +992,119 @@ def test_equilibrium_scale_pins_only_genuine_wells():
     assert equilibrium_scale(constant_one(3), E4, 0.05) is None
     with pytest.raises(ValueError):
         equilibrium_scale(K, E4, 0.0)
+
+
+def per_scale_line(K, center, tau, scheme=None, *, window=(2.0, 64.0), points=31):
+    """The scale line as it was: one functional_J_detailed per grid scale,
+    then the same local-minimum rule and log-scale parabola.  Returns
+    (the J evaluations, the scale or None)."""
+    lams = np.geomspace(window[0], window[1], points)
+    line = [functional_J_detailed(single(center, lam, K.n, tau), K, scheme) for lam in lams]
+    js = [jev.value for jev in line]
+    inner = [i for i in range(1, points - 1) if js[i] < js[i - 1] and js[i] <= js[i + 1]]
+    if not inner:
+        return line, None
+    best = min(inner, key=lambda i: (js[i], i))
+    x0, x1, x2 = np.log(lams[best - 1 : best + 2])
+    y0, y1, y2 = js[best - 1 : best + 2]
+    num = (y0 - y1) * (x2 - x1) ** 2 - (y2 - y1) * (x1 - x0) ** 2
+    den = (y0 - y1) * (x2 - x1) + (y2 - y1) * (x1 - x0)
+    return line, float(lams[best] if den == 0.0 else np.exp(x1 + 0.5 * num / den))
+
+
+def scale_line(monkeypatch, K, center, tau, scheme=None, **grid):
+    """equilibrium_scale's result and the J evaluation of each grid scale."""
+    from morsecount import bubbles
+
+    seen, real = [], bubbles._j_evaluation
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(bubbles, "_j_evaluation", recording)
+        lam = equilibrium_scale(K, center, tau, scheme, **grid)
+    return seen, lam
+
+
+def scale_line_cases(preset_targets):
+    """(K, center, tau, window) at every preset target, with the default
+    window and one straddling lam = 1, and an n = 4 candidate whose bump
+    sits on the bubble axis."""
+    E5 = (0.0, 0.0, 0.0, 0.0, 1.0)
+    K4 = bump_candidate([(1.0, E5, 0.4)], epsilon=0.1, n=4)
+    cases = [(K, y, 0.05, w) for K, y, _ in preset_targets for w in ({}, {"window": (0.5, 8.0)})]
+    return cases + [(K4, E5, 0.05, {}), (K4, E5, 0.1, {"window": (0.5, 8.0)})]
+
+
+def test_scale_line_matches_the_per_scale_oracle(preset_targets, monkeypatch):
+    """Each grid scale's J is the per-scale functional_J_detailed within
+    1e-13 (relative; measured up to 7.9e-15, with doubling errors up to
+    1.0e-14 on either side), and the scale is the per-scale loop's within
+    1e-12 (measured up to 2.8e-13).  The panels differ: one set serves the whole
+    line, refined for its largest scale."""
+    pinned = straddled = 0
+    for K, center, tau, window in scale_line_cases(preset_targets):
+        line, lam = scale_line(monkeypatch, K, center, tau, **window)
+        want_line, want = per_scale_line(K, center, tau, **window)
+        assert len(line) == len(want_line) == 31
+        for jev, ref in zip(line, want_line):
+            assert abs(jev.value - ref.value) <= 1e-13 * ref.value
+            assert jev.norm_squared == ref.norm_squared and jev.error <= 1e-13 * jev.value
+        assert (lam is None) == (want is None)
+        if lam is not None:
+            assert abs(lam - want) <= 1e-12 * want
+            pinned += 1
+            straddled += bool(window)
+    assert pinned == 11 and straddled == 3
+
+
+def test_monte_carlo_scale_line_is_the_per_scale_loop(monkeypatch):
+    K = bump_candidate([(1.0, E4, 0.4)], epsilon=0.3)
+    scheme = QuadratureScheme(kind="monte-carlo", samples=2000, seed=3, tol=1.0)
+    line, lam = scale_line(monkeypatch, K, E4, 0.05, scheme, window=(2.0, 40.0), points=9)
+    want_line, want = per_scale_line(K, E4, 0.05, scheme, window=(2.0, 40.0), points=9)
+    assert len(line) == 9 and line == want_line
+    assert lam is not None and lam == want
+
+
+def test_scale_line_enforces_the_scheme_tolerance():
+    """At 16 nodes the large scales sit about 6e-14 (relative) off their
+    doubled values: a 1e-14 tolerance is refused, as per scale, and a 1e-10
+    one passes."""
+    K = load_preset("three-bump-s3")
+    tight = QuadratureScheme(nodes=16, tol=1e-14)
+    with pytest.raises(QuadratureConvergenceError):
+        equilibrium_scale(K, K.terms[0].center, 0.05, tight, window=(2.0, 400.0))
+    with pytest.raises(QuadratureConvergenceError):
+        per_scale_line(K, K.terms[0].center, 0.05, tight, window=(2.0, 400.0))
+    loose = replace(tight, tol=1e-10)
+    lam = equilibrium_scale(K, K.terms[0].center, 0.05, loose, window=(2.0, 400.0))
+    assert lam == pytest.approx(per_scale_line(K, K.terms[0].center, 0.05, loose,
+                                               window=(2.0, 400.0))[1], rel=1e-11)
+
+
+def test_scale_line_is_one_integral(monkeypatch):
+    """On the radial route one equilibrium_scale call makes one
+    integrate_radial call and takes no per-scale J."""
+    from collections import Counter
+
+    from morsecount import bubbles
+
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(bubbles, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("integrate_radial", "functional_J_detailed"):
+        monkeypatch.setattr(bubbles, name, counting(name))
+    K = load_preset("three-bump-s3")
+    assert equilibrium_scale(K, K.terms[0].center, 0.05) is not None
+    assert calls == Counter(integrate_radial=1)

@@ -311,6 +311,105 @@ def test_newton_survives_an_exactly_singular_hessian():
     np.testing.assert_allclose(kfunc._newton_batch(K, seeds[:1]), [[0, 0, 0, -1.0]], atol=1e-12)
 
 
+def classify_per_point_oracle(K, converged):
+    """find_critical_points' tail as it was: dedup growing the kept rows with
+    vstack, then one tangent frame, hess_K, eigvalsh, eval_K and grad_K per
+    distinct point.  Returns (the sorted points, the dropped count)."""
+    distinct = converged[:0]
+    for x in converged:
+        c = np.clip(distinct @ x, -1.0, 1.0)
+        s = np.linalg.norm(distinct - x, axis=1) * np.linalg.norm(distinct + x, axis=1)
+        if np.all(np.arctan2(s / 2.0, c) > 1e-6):
+            distinct = np.vstack([distinct, x])
+    points, dropped = [], 0
+    for x in distinct:
+        B = tangent_basis(x)
+        hess = hess_K(K, x)
+        eigs = np.linalg.eigvalsh(B.T @ hess @ B)
+        emax = float(np.max(np.abs(eigs)))
+        lap = float(np.trace(hess))
+        floor = kfunc.NONDEGENERACY_RATIO * emax
+        if emax == 0.0 or float(np.min(np.abs(eigs))) <= floor or abs(lap) <= floor:
+            dropped += 1
+            continue
+        mi = int(np.sum(eigs < 0))
+        points.append(kfunc.CriticalPoint(
+            location=tuple(float(v) for v in x), value=float(eval_K(K, x)),
+            morse_index_K=mi, co_index=K.n - mi, laplacian=lap,
+            laplacian_sign=1 if lap > 0 else -1,
+            grad_norm=float(np.linalg.norm(grad_K(K, x))),
+            hess_eigenvalues=tuple(float(v) for v in eigs),
+        ))
+    points.sort(key=lambda p: (-p.value, tuple(round(v, 9) for v in p.location)))
+    return points, dropped
+
+
+def random_bump_candidate(seed):
+    """2 to 5 bumps of either sign on S^2, S^3 or S^4."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    centers = unit(rng.standard_normal((m, n + 1)))
+    terms = tuple(
+        bump(c, weight=float(w), width=float(s))
+        for c, w, s in zip(centers, rng.uniform(-1.0, 1.0, m), rng.uniform(0.3, 0.8, m))
+    )
+    return KFunction(n=n, epsilon=0.1, terms=terms)
+
+
+CLASSIFIED = [load_preset(name) for name in
+              ("three-bump-s3", "three-max-one-saddle", "two-bump-antipodal")]
+CLASSIFIED += [random_bump_candidate(seed) for seed in range(20)]
+
+
+@pytest.mark.parametrize(
+    "K", CLASSIFIED,
+    ids=["three-bump-s3", "three-max-one-saddle", "two-bump-antipodal"]
+    + [f"random-{seed}" for seed in range(20)],
+)
+def test_batched_classification_matches_the_per_point_oracle(K, monkeypatch):
+    """Same points in the same order, the same indices, drop count and
+    warning; location, value, Laplacian and gradient norm bit for bit, and
+    the tangent eigenvalues within 1e-13 of the largest (measured 3.6e-15)."""
+    newton = []
+    real = kfunc._newton_batch
+    monkeypatch.setattr(kfunc, "_newton_batch", lambda *a: newton.append(real(*a)) or newton[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = find_critical_points(K, seeds=256)
+    want, dropped = classify_per_point_oracle(K, newton[0])
+    assert [str(w.message) for w in caught] == (
+        [f"dropped {dropped} degenerate critical point(s); the candidate violates "
+         "the nondegeneracy hypotheses there"] if dropped else []
+    )
+    assert len(got) == len(want) > 0
+    for p, q in zip(got, want):
+        assert (p.location, p.value, p.laplacian, p.grad_norm) == (
+            q.location, q.value, q.laplacian, q.grad_norm)
+        assert (p.morse_index_K, p.co_index, p.laplacian_sign) == (
+            q.morse_index_K, q.co_index, q.laplacian_sign)
+        scale = max(abs(v) for v in q.hess_eigenvalues)
+        assert np.max(np.abs(np.subtract(p.hess_eigenvalues, q.hess_eigenvalues))) <= 1e-13 * scale
+
+
+def test_classification_takes_no_tangent_frames(monkeypatch):
+    from collections import Counter
+
+    from morsecount import sphere
+
+    calls = Counter()
+    for module, name in ((sphere, "tangent_basis"), (kfunc, "hess_K")):
+        def counting(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    assert not hasattr(kfunc, "tangent_basis")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # its degenerate circle
+        assert len(find_critical_points(load_preset("three-max-one-saddle"))) == 6
+    assert calls == Counter()
+
+
 def grid_search_extrema(K, samples=1_000_000):
     """Dense-grid oracle: local extrema among sampled values via best-in-cap."""
     grid = quasi_uniform_points(K.n, samples)

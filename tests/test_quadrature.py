@@ -90,6 +90,25 @@ def test_radial_unresolved_peak_raises():
         )
 
 
+def test_radial_columns_come_back_as_arrays_under_a_tolerance():
+    """Several columns share the panels; ``tol`` is checked column by column
+    and each column's value and error match its own one-column integral."""
+    peak = lambda u: np.exp(-(1.0 - u) / 0.05**2)
+    cols = lambda u: np.vstack([np.ones_like(u), u * u, peak(u)])
+    features = ((0.0, 0.05),)
+    vals, errs = integrate_radial(cols, 3, nodes=32, features=features, tol=1e-9)
+    assert isinstance(vals, np.ndarray) and vals.shape == errs.shape == (3,)
+    for k, f in enumerate((np.ones_like, lambda u: u * u, peak)):
+        val, err = integrate_radial(f, 3, nodes=32, features=features, tol=1e-9)
+        assert vals[k] == pytest.approx(val, rel=1e-14)
+        assert errs[k] <= 1e-9 * abs(vals[k]) and err <= 1e-9 * abs(val)
+    # only the unresolved peak (column 1) fails, and the message names it
+    with pytest.raises(QuadratureConvergenceError, match="in column 1 "):
+        integrate_radial(
+            lambda u: np.vstack([np.ones_like(u), peak(u), u * u]), 3, nodes=16, tol=1e-9
+        )
+
+
 # ---- two-direction reduction on the 3-sphere ----
 
 
