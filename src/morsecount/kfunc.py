@@ -33,6 +33,10 @@ NONDEGENERACY_RATIO = 1e-6
 #: Absolute tangential-gradient norm required of a reported critical point.
 GRAD_NORM_TOL = 1e-10
 
+#: A Newton seed whose gradient norm has not halved in this many iterations
+#: stops: inside a nondegenerate basin Newton at least halves it every step.
+STALL_ITERS = 8
+
 
 @dataclass(frozen=True)
 class BumpTerm:
@@ -203,32 +207,35 @@ def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80) -> np.ndarra
     when the tangent Hessian B^T H B is (B any orthonormal tangent frame), and
     the solution of A delta = -g is the tangent Newton step
     B (B^T H B)^{-1} (-B^T g) with zero x-component.  One stacked solve thus
-    replaces the per-seed frames.  If the stack holds a singular A, the rows
-    are solved one by one and a singular row takes the gradient step -g.
+    replaces the per-seed frames.  One batched slogdet finds the exactly
+    singular A (sign 0); those rows take the gradient step -g and the rest
+    are solved as one stack.  A seed stops when its gradient norm is below
+    the convergence threshold, when it has not halved in ``STALL_ITERS``
+    iterations, or at the ``iters`` cap; an abandoned seed fails the final
+    ``GRAD_NORM_TOL`` filter unless it had already converged.
     """
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
     # characteristic gradient magnitude, for the convergence threshold
     gscale = K.scale * K.epsilon * sum(abs(t.weight) / t.width**2 for t in K.terms)
     tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
+    # each seed's gradient norm at its last halving, and that iteration
+    ref, last = np.full(len(X), np.inf), np.zeros(len(X), dtype=int)
 
-    for _ in range(iters):
+    for it in range(iters):
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
         pts = X[idx]
         grads, hess = _derivs(K, pts)
-        done = np.linalg.norm(grads, axis=1) < tol
+        gnorm = np.linalg.norm(grads, axis=1)
+        halved = gnorm <= 0.5 * ref[idx]
+        ref[idx[halved]], last[idx[halved]] = gnorm[halved], it
+        done = (gnorm < tol) | (it - last[idx] >= STALL_ITERS)
         A = hess + pts[:, :, None] * pts[:, None, :]
-        try:
-            steps = np.linalg.solve(A, -grads[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            steps = np.empty_like(grads)
-            for j in range(len(idx)):
-                try:
-                    steps[j] = np.linalg.solve(A[j], -grads[j])
-                except np.linalg.LinAlgError:
-                    steps[j] = -grads[j]  # gradient fallback at singular Hessians
+        regular = np.linalg.slogdet(A)[0] != 0
+        steps = -grads  # gradient fallback at singular Hessians
+        steps[regular] = np.linalg.solve(A[regular], steps[regular, :, None])[..., 0]
         nrm = np.linalg.norm(steps, axis=1)
         # trust region: cap the geodesic step
         steps *= np.minimum(1.0, 0.5 / np.maximum(nrm, 1e-300))[:, None]
@@ -240,16 +247,37 @@ def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80) -> np.ndarra
     return X[np.linalg.norm(_derivs(K, X)[0], axis=1) < GRAD_NORM_TOL]
 
 
+def _distinct(points: np.ndarray) -> np.ndarray:
+    """Greedy first-seen dedup by geodesic distance (the cross-norm atan2 form,
+    accurate at small angles): each kept point, in order, drops the later rows
+    within 1e-6 rad of it.  One matrix-vector product per kept point and no N x N
+    one; only rows with cosine above 1 - 1e-10 (within 1.5e-5 rad) can be that
+    close, so only they take the atan2 form."""
+    keep = np.ones(len(points), dtype=bool)
+    for i in range(len(points)):
+        if keep[i]:
+            x = points[i]
+            c = points[i + 1:] @ x
+            near = i + 1 + np.flatnonzero(c > 1.0 - 1e-10)
+            if len(near):
+                rest, c = points[near], np.clip(c[near - i - 1], -1.0, 1.0)
+                s = np.linalg.norm(rest - x, axis=1) * np.linalg.norm(rest + x, axis=1)
+                keep[near] &= np.arctan2(s / 2.0, c) > 1e-6
+    return points[keep]
+
+
 def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
     """Locate and classify critical points of K.
 
     Newton iteration on the tangential gradient runs from a quasi-uniform seed
     set augmented with the bump centers, their antipodes, and normalized
-    center pair sums/differences (cheap insurance for ridges and cols).
-    Results are deduplicated by geodesic distance and classified in one
-    batch: the tangent Hessian's eigenvalues are those of the covariant
-    Hessian with its normal direction shifted below them.  Completeness is
-    best effort; see ``euler_characteristic_diagnostic`` for the sanity check.
+    center pair sums/differences (cheap insurance for ridges and cols).  A
+    seed is abandoned by the stall rule (``STALL_ITERS``) or the 80-iteration
+    cap, so completeness is best effort: ``euler_characteristic_diagnostic``
+    is the alarm for a missed point.  Results are deduplicated by geodesic
+    distance and classified in one batch: the tangent Hessian's eigenvalues
+    are those of the covariant Hessian with its normal direction shifted
+    below them.
 
     Degenerate candidates (f identically zero) raise H1ViolationError; points
     whose Hessian fails the nondegeneracy ratio or whose Laplacian is
@@ -274,17 +302,7 @@ def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
                     seed_pts.append((combo / nrm).reshape(1, d))
     all_seeds = np.vstack(seed_pts)
 
-    converged = _newton_batch(K, all_seeds)
-
-    # greedy first-seen dedup by geodesic distance (the cross-norm atan2 form,
-    # accurate at small angles), each point against the rows kept so far
-    kept, m = np.empty_like(converged), 0
-    for x in converged:
-        c = np.clip(kept[:m] @ x, -1.0, 1.0)
-        s = np.linalg.norm(kept[:m] - x, axis=1) * np.linalg.norm(kept[:m] + x, axis=1)
-        if np.all(np.arctan2(s / 2.0, c) > 1e-6):
-            kept[m], m = x, m + 1
-    distinct = kept[:m]
+    distinct = _distinct(_newton_batch(K, all_seeds))
 
     # H x = 0: shifting x's direction down by sigma = 2 sum|H| > |H| sorts it
     # below the tangent eigenvalues, no frame needed, rounding relative to |H|

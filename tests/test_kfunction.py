@@ -232,15 +232,18 @@ def test_degenerate_candidate_raises():
         find_critical_points(KFunction(n=3, epsilon=0.05, terms=terms))
 
 
-def newton_per_seed_oracle(K, seeds, iters=80):
+def newton_per_seed_oracle(K, seeds, iters=80, stall=None):
     """The per-seed Newton loop the batched search replaced: one tangent frame,
-    one frame Hessian and one solve per live seed per iteration."""
+    one frame Hessian and one solve per live seed per iteration.  With `stall`
+    set, a seed whose gradient norm has not halved in that many iterations
+    stops where it stands, as in the batched search."""
     d = K.dim
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
     gscale = K.scale * K.epsilon * sum(abs(t.weight) / t.width**2 for t in K.terms)
     tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
-    for _ in range(iters):
+    ref, last = [math.inf] * len(X), [0] * len(X)
+    for it in range(iters):
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
@@ -249,7 +252,10 @@ def newton_per_seed_oracle(K, seeds, iters=80):
         done = np.zeros(len(idx), dtype=bool)
         for j, x in enumerate(pts):
             g = grad_K(K, x)
-            if float(np.linalg.norm(g)) < tol:
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= 0.5 * ref[idx[j]]:
+                ref[idx[j]], last[idx[j]] = gnorm, it
+            if gnorm < tol or (stall is not None and it - last[idx[j]] >= stall):
                 done[j] = True
                 steps[j] = 0.0
                 continue
@@ -278,9 +284,11 @@ def newton_per_seed_oracle(K, seeds, iters=80):
     ids=["three-bump-s3", "three-max-one-saddle", "two-bump-antipodal", "sample-3"],
 )
 def test_batched_newton_matches_the_per_seed_oracle(K, monkeypatch):
+    """Seed by seed against the per-seed loop under the same stall rule; the
+    inventory against the per-seed loop without it (all 80 iterations)."""
     seeds = np.vstack([quasi_uniform_points(K.n, 128), K.centers(), -K.centers()])
     got = kfunc._newton_batch(K, seeds)
-    want = newton_per_seed_oracle(K, seeds)
+    want = newton_per_seed_oracle(K, seeds, stall=kfunc.STALL_ITERS)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -294,10 +302,41 @@ def test_batched_newton_matches_the_per_seed_oracle(K, monkeypatch):
         assert np.max(np.abs(np.subtract(p.location, q.location))) < 1e-10
 
 
-def test_newton_survives_an_exactly_singular_hessian():
+def count_search_work(monkeypatch, K):
+    """(derivative rows, derivative calls, solve calls, exactly singular rows)
+    of one default find_critical_points search."""
+    work = dict(rows=0, calls=0, solves=0, singular=0)
+    derivs, solve, slogdet = kfunc._derivs, np.linalg.solve, np.linalg.slogdet
+
+    def counting_derivs(K, X):
+        work["rows"] += len(X)
+        work["calls"] += 1
+        return derivs(K, X)
+
+    def counting_solve(*args):
+        work["solves"] += 1
+        return solve(*args)
+
+    def counting_slogdet(A):
+        sign, logdet = slogdet(A)
+        work["singular"] += int(np.sum(sign == 0))
+        return sign, logdet
+
+    monkeypatch.setattr(kfunc, "_derivs", counting_derivs)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # degenerate circle and equator
+        find_critical_points(K)
+    monkeypatch.undo()
+    return work["rows"], work["calls"], work["solves"], work["singular"]
+
+
+def test_newton_survives_an_exactly_singular_hessian(monkeypatch):
     """On the equator of a single bump the Hessian is rank one, so the
-    augmented system is exactly singular and the batched solve raises; that
-    seed must take the gradient step while its batch-mate keeps Newton."""
+    augmented system is exactly singular; that seed must take the gradient
+    step while its batch-mates keep Newton, each on the path it follows
+    alone, bit for bit.  Singular rows cost no solves of their own."""
     K = KFunction(n=3, epsilon=0.1, terms=(bump([0.0, 0.0, 0.0, 1.0]),))
     seeds = np.array([[1.0, 0.0, 0.0, 0.0], unit(np.array([0.1, 0.0, 0.0, 1.0]))])
     A = hess_K(K, seeds[0]) + np.outer(seeds[0], seeds[0])
@@ -305,24 +344,40 @@ def test_newton_survives_an_exactly_singular_hessian():
         np.linalg.solve(A, -grad_K(K, seeds[0]))
     got = kfunc._newton_batch(K, seeds)
     np.testing.assert_allclose(got, [[0, 0, 0, -1.0], [0, 0, 0, 1.0]], atol=1e-12)
+    batch = np.vstack([quasi_uniform_points(3, 32), seeds[:1]])
+    alone = np.vstack([kfunc._newton_batch(K, seed[None]) for seed in batch])
+    assert len(alone) > 30
+    assert np.array_equal(kfunc._newton_batch(K, batch), alone)
     # a strong, wide bump: the capped descent step -g leaves the equator for
     # the minimum's basin, where an ascent step would reach the maximum's
     K = KFunction(n=3, epsilon=1.0, terms=(bump([0.0, 0.0, 0.0, 1.0], 10.0, 1.5),))
     np.testing.assert_allclose(kfunc._newton_batch(K, seeds[:1]), [[0, 0, 0, -1.0]], atol=1e-12)
+    # three-max-one-saddle meets exactly singular rows, yet takes at most one
+    # solve per Newton iteration; the search makes one derivative call per
+    # iteration, one for the final gradient filter and one for the classification
+    _, calls, solves, singular = count_search_work(monkeypatch, load_preset("three-max-one-saddle"))
+    assert singular > 0
+    assert solves <= calls - 2
 
 
-def classify_per_point_oracle(K, converged):
-    """find_critical_points' tail as it was: dedup growing the kept rows with
-    vstack, then one tangent frame, hess_K, eigvalsh, eval_K and grad_K per
-    distinct point.  Returns (the sorted points, the dropped count)."""
+def dedup_per_point_oracle(converged):
+    """The greedy dedup as it was: each converged point, in order, against every
+    row kept so far, kept when all of them are more than 1e-6 rad away."""
     distinct = converged[:0]
     for x in converged:
         c = np.clip(distinct @ x, -1.0, 1.0)
         s = np.linalg.norm(distinct - x, axis=1) * np.linalg.norm(distinct + x, axis=1)
         if np.all(np.arctan2(s / 2.0, c) > 1e-6):
             distinct = np.vstack([distinct, x])
+    return distinct
+
+
+def classify_per_point_oracle(K, converged):
+    """find_critical_points' tail as it was: dedup growing the kept rows with
+    vstack, then one tangent frame, hess_K, eigvalsh, eval_K and grad_K per
+    distinct point.  Returns (the sorted points, the dropped count)."""
     points, dropped = [], 0
-    for x in distinct:
+    for x in dedup_per_point_oracle(converged):
         B = tangent_basis(x)
         hess = hess_K(K, x)
         eigs = np.linalg.eigvalsh(B.T @ hess @ B)
@@ -359,13 +414,11 @@ def random_bump_candidate(seed):
 CLASSIFIED = [load_preset(name) for name in
               ("three-bump-s3", "three-max-one-saddle", "two-bump-antipodal")]
 CLASSIFIED += [random_bump_candidate(seed) for seed in range(20)]
+CLASSIFIED_IDS = ["three-bump-s3", "three-max-one-saddle", "two-bump-antipodal"] + [
+    f"random-{seed}" for seed in range(20)]
 
 
-@pytest.mark.parametrize(
-    "K", CLASSIFIED,
-    ids=["three-bump-s3", "three-max-one-saddle", "two-bump-antipodal"]
-    + [f"random-{seed}" for seed in range(20)],
-)
+@pytest.mark.parametrize("K", CLASSIFIED, ids=CLASSIFIED_IDS)
 def test_batched_classification_matches_the_per_point_oracle(K, monkeypatch):
     """Same points in the same order, the same indices, drop count and
     warning; location, value, Laplacian and gradient norm bit for bit, and
@@ -391,6 +444,26 @@ def test_batched_classification_matches_the_per_point_oracle(K, monkeypatch):
         assert np.max(np.abs(np.subtract(p.hess_eigenvalues, q.hess_eigenvalues))) <= 1e-13 * scale
 
 
+@pytest.mark.filterwarnings("ignore:dropped")
+@pytest.mark.parametrize("K", CLASSIFIED, ids=CLASSIFIED_IDS)
+def test_dedup_matches_the_per_point_greedy_loop(K, monkeypatch):
+    newton = []
+    real = kfunc._newton_batch
+    monkeypatch.setattr(kfunc, "_newton_batch", lambda *a: newton.append(real(*a)) or newton[0])
+    find_critical_points(K)
+    assert np.array_equal(kfunc._distinct(newton[0]), dedup_per_point_oracle(newton[0]))
+
+
+def test_dedup_is_greedy_along_a_chain():
+    """A-B and B-C are 0.8e-6 rad apart, A-C 1.6e-6: closeness is not
+    transitive, and first-seen greedy keeps A and C."""
+    angles = np.array([0.0, 0.8e-6, 1.6e-6])
+    chain = np.zeros((3, 4))
+    chain[:, 0], chain[:, 1] = np.cos(angles), np.sin(angles)
+    for route in (kfunc._distinct, dedup_per_point_oracle):
+        assert np.array_equal(route(chain), chain[[0, 2]])
+
+
 def test_classification_takes_no_tangent_frames(monkeypatch):
     from collections import Counter
 
@@ -408,6 +481,64 @@ def test_classification_takes_no_tangent_frames(monkeypatch):
         warnings.simplefilter("ignore", UserWarning)  # its degenerate circle
         assert len(find_critical_points(load_preset("three-max-one-saddle"))) == 6
     assert calls == Counter()
+
+
+def search_with_warnings(K, seeds):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = find_critical_points(K, seeds=seeds)
+    return points, [str(w.message) for w in caught]
+
+
+STALL_CANDIDATES = CLASSIFIED[:3] + [random_bump_candidate(seed) for seed in range(200)]
+
+
+@pytest.mark.parametrize("seeds", [128, 256, 512])
+def test_stall_rule_keeps_the_inventory(seeds, monkeypatch):
+    """Against the same search with every seed run to the 80-iteration cap:
+    the same points in the same order with the same indices, Laplacian signs
+    and drop warnings, on the presets every field bit for bit.  A point may
+    keep another seed as its representative: both are within GRAD_NORM_TOL /
+    min|eig| of the true point."""
+    for k, K in enumerate(STALL_CANDIDATES):
+        got, got_warnings = search_with_warnings(K, seeds)
+        with monkeypatch.context() as m:
+            m.setattr(kfunc, "STALL_ITERS", 80)
+            want, want_warnings = search_with_warnings(K, seeds)
+        assert got_warnings == want_warnings
+        if k < 3:
+            assert got == want
+            continue
+        assert len(got) == len(want) > 0
+        for p, q in zip(got, want):
+            assert (p.morse_index_K, p.co_index, p.laplacian_sign) == (
+                q.morse_index_K, q.co_index, q.laplacian_sign)
+            bound = 2 * GRAD_NORM_TOL / min(abs(v) for v in q.hess_eigenvalues)
+            assert np.linalg.norm(np.subtract(p.location, q.location)) <= bound
+
+
+@pytest.mark.parametrize("K", CLASSIFIED, ids=CLASSIFIED_IDS)
+def test_stall_rule_keeps_k_range(K, monkeypatch):
+    got = k_range(K)
+    monkeypatch.setattr(kfunc, "STALL_ITERS", 80)
+    assert got == k_range(K)
+
+
+# (derivative rows, solve calls) of one default search, as measured; the
+# guard at +10% catches a regression in work that timing noise would hide
+SEARCH_WORK = {
+    "three-bump-s3": (5502, 19),
+    "three-max-one-saddle": (4012, 8),
+    "two-bump-antipodal": (5234, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_WORK))
+def test_search_work_stays_within_its_measured_budget(name, monkeypatch):
+    rows, _, solves, _ = count_search_work(monkeypatch, load_preset(name))
+    max_rows, max_solves = SEARCH_WORK[name]
+    assert rows <= 1.1 * max_rows
+    assert solves <= 1.1 * max_solves
 
 
 def grid_search_extrema(K, samples=1_000_000):
