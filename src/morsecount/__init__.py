@@ -34,7 +34,7 @@ _EXPORTS = {
     "presets": ("available_presets", "load_preset", "preset_description"),
     "quadrature": (
         "QuadratureConvergenceError", "QuadratureScheme", "integrate_radial",
-        "integrate_two_point_s3", "mc_integrate",
+        "mc_integrate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,12 +22,13 @@ e_tau = 2(n-2)/(2n - tau(n-2)),
 
 is invariant under scaling of u, so the parameter chart fixes the first
 coefficient and works in (log(alpha_i/alpha_1), tangential offsets, log lam).
-Integrals dispatch to deterministic one-dimensional reductions whenever the
-configuration allows it (weighted integrals over (anti)parallel bubbles as
-one colatitude integral of the ring-averaged K; pair energies of aligned
-bubbles radially, and of any two on the 3-sphere through the flat joint law
-of two linear coordinates) and to mixture importance sampling otherwise.
-Every integral and every functional value carries an error estimate.
+Pair energies are deterministic one-dimensional integrals under every
+scheme and in every dimension: aligned pairs along their common axis, any
+other pair through its Lorentz invariant (one radial integral of one
+profile).  Weighted integrals over (anti)parallel bubbles are one colatitude
+integral of the ring-averaged K; anything else goes to mixture importance
+sampling.  Every integral and every functional value carries an error
+estimate.
 Chart derivatives of J are exact for one bubble on the 3-sphere under a
 radial scheme (one multi-column integral) and finite differences elsewhere.
 """
@@ -37,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureScheme,
     integrate_radial,
-    integrate_two_point_s3,
     mc_integrate,
     panel_breakpoints,
     panel_quadrature,
@@ -253,7 +253,10 @@ def constant_one(n: int) -> KFunction:
 def _profile(lam: float, cosine, n: int):
     """Bubble value as a function of the cosine of the distance to its center."""
     amp = c0(n) * lam ** ((n - 2) / 2.0)
-    return amp * (2.0 + (lam * lam - 1.0) * (1.0 - cosine)) ** (-(n - 2) / 2.0)
+    base = 2.0 + (lam * lam - 1.0) * (1.0 - cosine)  # new array: power, amp in place
+    base **= -(n - 2) / 2.0
+    base *= amp
+    return base
 
 
 def eval_bubble(b: Bubble, x: np.ndarray, n: int):
@@ -267,31 +270,9 @@ def eval_bubble_sum(u: BubbleSum, x: np.ndarray):
     return sum(a * eval_bubble(b, x, u.n) for a, b in zip(u.alphas, u.bubbles))
 
 
-def _power_primitive(lam: float, power: float, n: int) -> Callable:
-    """Antiderivative in u = cos(distance) of _profile(lam, u, n)**power.
-
-    Needs beta = power*(n-2)/2 != 1; pair energies use power (n+2)/(n-2),
-    so beta = (n+2)/2 >= 5/2.
-    """
-    amp = (c0(n) * lam ** ((n - 2) / 2.0)) ** power
-    beta = power * (n - 2) / 2.0
-    B = 1.0 + lam * lam
-    C = lam * lam - 1.0
-    if abs(C) < 1e-12:
-        const = amp * 2.0 ** (-beta)
-        return lambda u: const * np.asarray(u, dtype=float)
-    scale = amp / ((beta - 1.0) * C)
-    return lambda u: scale * (B - C * np.asarray(u, dtype=float)) ** (1.0 - beta)
-
-
 def _theta_scale(lam: float) -> float:
     # colatitude half-width of the bubble peak
     return min(math.pi / 4.0, 2.0 / max(lam, 1.0))
-
-
-def _cos_scale(lam: float) -> float:
-    # width of the peak measured in the cosine variable
-    return min(0.5, 2.0 / max(lam * lam - 1.0, 4.0))
 
 
 # --------------------------------------------------------------------------
@@ -352,72 +333,58 @@ def _pair_energy(
 ) -> tuple[float, float]:
     """<B_i, B_j> = int B_i B_j^{(n+2)/(n-2)} dV for distinct bubbles.
 
-    The high power goes on the more concentrated bubble, whose closed-form
-    antiderivative makes the inner integral exact in the factorized route.
+    Deterministic under every scheme, which lends only its node count:
+    aligned pairs are one colatitude integral of both profiles (the high
+    power on the more concentrated one), other pairs go through their
+    Lorentz invariant.
     """
     bi, bj = canonical_bubble(bi), canonical_bubble(bj)
     power = (n + 2.0) / (n - 2.0)
     # outer carries power 1, inner carries the high power
     outer, inner = (bi, bj) if bj.lam >= bi.lam else (bj, bi)
-    a_out = np.asarray(outer.center)
-    a_in = np.asarray(inner.center)
-
-    if scheme.kind == "monte-carlo":
-        f_out = lambda x: eval_bubble(outer, x, n)
-        f_in = lambda x: eval_bubble(inner, x, n) ** power
-        comps = [
-            uniform_component(n, weight=0.2),
-            bubble_component(outer, n, weight=0.4),
-            bubble_component(inner, n, weight=0.4),
-        ]
-        if n >= 7:
-            warnings.warn(
-                f"Monte Carlo pair integral in dimension n={n}: expect slow "
-                "convergence and high cost",
-                QuadratureNoiseWarning,
-                stacklevel=3,
-            )
-        return mc_integrate(
-            lambda x: f_out(x) * f_in(x),
-            comps,
-            samples=scheme.samples,
-            seed=scheme.seed,
-        )
-
-    aligned = _axis_signs([a_out, a_in])
-    if aligned is not None:
-        _, (s_out, s_in) = aligned
-        F = lambda t: _profile(outer.lam, s_out * t, n) * _profile(
-            inner.lam, s_in * t, n
-        ) ** power
-        features = [
-            (0.0 if s_out > 0 else math.pi, _theta_scale(outer.lam)),
-            (0.0 if s_in > 0 else math.pi, _theta_scale(inner.lam)),
-        ]
-        return integrate_radial(F, n, nodes=scheme.nodes, features=features)
-
-    if n != 3:
-        raise ValueError(
-            "deterministic pair integrals need aligned centers or n = 3; "
-            "use a monte-carlo scheme"
-        )
-    gamma = float(np.dot(a_in, a_out))
-    primitive = _power_primitive(inner.lam, power, n)
-    weight_v = lambda v: _profile(outer.lam, v, n)
+    aligned = _axis_signs([np.asarray(outer.center), np.asarray(inner.center)])
+    if aligned is None:
+        return _invariant_pair_energy(bi, bj, n, scheme.nodes)
+    _, (s_out, s_in) = aligned
+    F = lambda t: _profile(outer.lam, s_out * t, n) * _profile(
+        inner.lam, s_in * t, n
+    ) ** power
     features = [
-        (gamma, math.sqrt(max(1.0 - gamma * gamma, 1e-12)) / max(inner.lam, 1.0)),
-        (1.0, _cos_scale(outer.lam)),
+        (0.0 if s_out > 0 else math.pi, _theta_scale(outer.lam)),
+        (0.0 if s_in > 0 else math.pi, _theta_scale(inner.lam)),
     ]
-    return integrate_two_point_s3(
-        primitive, weight_v, gamma, nodes=scheme.nodes, features=features
-    )
+    return integrate_radial(F, n, nodes=scheme.nodes, features=features)
+
+
+def _invariant_pair_energy(bi: Bubble, bj: Bubble, n: int, nodes: int):
+    """<B_i, B_j> (Bahri-Coron's eps_ij) in any dimension from one invariant.
+
+    As (A, V) = ((lam^2+1)/(2 lam), (lam^2-1)/(2 lam) a), a bubble is a unit
+    timelike vector with B = k (A - <V, x>)^{-(n-2)/2}, k = c0 2^{-(n-2)/2}.
+    Moebius maps act on it as Lorentz maps (Ratcliffe, Foundations of
+    Hyperbolic Manifolds), so the pair energy depends on rho = A_i A_j -
+    <V_i, V_j> alone; moving B_j to lam = 1 makes it k^{(n+2)/(n-2)} int B_lam'
+    with lam' = rho + sqrt(rho^2 - 1).  At scales >= 1, with d = |a_i-a_j|^2/2,
+    r = rho - 1 = (d (lam_i^2-1)(lam_j^2-1) + 2 (lam_i-lam_j)^2)/(4 lam_i lam_j)
+    is a sum of non-negative terms: close pairs lose nothing to cancellation.
+    """
+    bi, bj = canonical_bubble(bi), canonical_bubble(bj)
+    li, lj = bi.lam, bj.lam
+    d = 0.5 * sum((x - y) ** 2 for x, y in zip(bi.center, bj.center))
+    r = (d * (li * li - 1.0) * (lj * lj - 1.0) + 2.0 * (li - lj) ** 2) / (4.0 * li * lj)
+    lam = 1.0 + r + math.sqrt(r * (r + 2.0))
+    F = lambda t: _profile(lam, t, n)
+    val, err = integrate_radial(F, n, nodes=nodes, features=[(0.0, _theta_scale(lam))])
+    k = (c0(n) * 2.0 ** (-(n - 2) / 2.0)) ** ((n + 2.0) / (n - 2.0))
+    return k * val, k * err
 
 
 def norm_squared(u: BubbleSum, scheme: QuadratureScheme | None = None):
     """Energy norm squared of the sum: sum_ij alpha_i alpha_j <B_i, B_j>.
 
     Diagonal terms are the exact constant S_n; off-diagonal pair energies are
-    integrated.  Returns (value, error_estimate).
+    deterministic radial integrals under every scheme (``_pair_energy``), so
+    the error is their node-doubling error.  Returns (value, error_estimate).
     """
     scheme = scheme or QuadratureScheme()
     s_n = sobolev_constant(u.n)
@@ -650,7 +617,13 @@ def equilibrium_scale(
         if min(window) < 1.0:
             features.append((math.pi, _theta_scale(1.0 / min(window))))
         q = 2.0 * n / (n - 2.0) - tau
-        F = lambda t: k_profile(t) * np.abs(_profile(lams[:, None], t, n)) ** q
+
+        def F(t):  # power and weight reuse the positive (scales, points) profile
+            line = _profile(lams[:, None], t, n)
+            line **= q
+            line *= k_profile(t)
+            return line
+
         line = integrate_radial(F, n, nodes=scheme.nodes, features=features)
         norm = norm_squared(u, scheme)
         js = [_j_evaluation(u, norm, weighted, scheme).value for weighted in zip(*line)]

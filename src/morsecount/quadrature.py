@@ -1,11 +1,10 @@
 """Deterministic quadrature on spheres.
 
-Two routes: panelled Gauss-Legendre for integrands reduced to one outer
-variable (zonal integrands, and the two-direction reduction on the 3-sphere
-that pair energies use), and mixture importance sampling for everything
-else.  Every integral comes back as (value, error_estimate); the
-deterministic route estimates error by node-count doubling, the stochastic
-one by a split-half comparison.
+Two routes: panelled Gauss-Legendre for zonal integrands, reduced to one
+colatitude integral, and mixture importance sampling for everything else.
+Every integral comes back as (value, error_estimate); the deterministic
+route estimates error by node-count doubling, the stochastic one by a
+split-half comparison.
 """
 from __future__ import annotations
 
@@ -178,61 +177,6 @@ def integrate_radial(
     breaks = panel_breakpoints(0.0, np.pi, features)
     fine, err = _doubled(g, breaks, nodes, tol)
     return ring * fine, ring * err
-
-
-def integrate_two_point_s3(
-    primitive_u: Callable[[np.ndarray], np.ndarray],
-    weight_v: Callable[[np.ndarray], np.ndarray],
-    gamma: float,
-    *,
-    nodes: int = 64,
-    features: Sequence[tuple[float, float]] = (),
-    tol: float | None = None,
-) -> tuple[float, float]:
-    """Integral over the 3-sphere of G(u) H(v), u = <x,a>, v = <x,b>.
-
-    The pushforward of the volume to (u, v) is the constant
-    2*pi/sqrt(1-gamma^2) on the region u^2 - 2*gamma*u*v + v^2 <= 1-gamma^2
-    (gamma = <a,b>), so with an antiderivative of G in hand only the outer
-    v-integral needs quadrature:
-
-        integral = 2*pi/sqrt(1-g^2) * int_{-1}^{1} H(v) [Gprim(u+) - Gprim(u-)] dv,
-        u+-(v) = gamma*v +- sqrt((1-gamma^2)(1-v^2)).
-
-    ``features`` are (v-location, scale) pairs for panel refinement.
-    """
-    if abs(gamma) >= 1.0 - 1e-9:
-        raise ValueError(
-            "directions are (anti)parallel; use the axisymmetric reduction"
-        )
-    s2 = 1.0 - gamma * gamma
-    root_s2 = np.sqrt(s2)
-
-    # substitute v = cos(phi): the square-root half-width becomes
-    # sqrt(1-g^2)*sin(phi), analytic in phi, so the panels converge
-    # geometrically instead of stalling on the endpoint singularity
-    def outer(phi):
-        v = np.cos(phi)
-        sin_phi = np.sin(phi)
-        halfwidth = root_s2 * sin_phi
-        hi = gamma * v + halfwidth
-        lo = gamma * v - halfwidth
-        band = np.asarray(primitive_u(hi), dtype=float) - np.asarray(
-            primitive_u(lo), dtype=float
-        )
-        return np.asarray(weight_v(v), dtype=float) * band * sin_phi
-
-    phi_features = []
-    for loc, scale in features:
-        if not np.isfinite(scale) or scale <= 0:
-            continue
-        phi0 = float(np.arccos(np.clip(loc, -1.0, 1.0)))
-        phi_scale = scale / np.sqrt(scale + np.sin(phi0) ** 2)
-        phi_features.append((phi0, phi_scale))
-    breaks = panel_breakpoints(0.0, np.pi, phi_features)
-    fine, err = _doubled(outer, breaks, nodes, tol)
-    factor = 2.0 * np.pi / root_s2
-    return factor * fine, factor * err
 
 
 # --------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from morsecount.quadrature import (
     QuadratureConvergenceError,
     QuadratureScheme,
     integrate_radial,
-    integrate_two_point_s3,
     mc_integrate,
     panel_breakpoints,
     uniform_component,
 )
 from morsecount.sphere import sphere_area, unit
+from oracles import integrate_two_point_s3
 
 
 # ---- scheme plumbing ----
