@@ -2,7 +2,8 @@
 
 Exact blow-up index tables and multiplicity bounds from co-index parities, plus
 a numerical lab for the variational side: analytic curvature candidates, bubble
-energies, reduced gradient flows, and finite-difference Morse indices.
+energies, reduced gradient flows, and Morse indices (from exact chart
+derivatives for one bubble on S^3, finite differences elsewhere).
 
 Exports load on first access (PEP 562), so the exact side runs without
 importing numpy or scipy.
@@ -32,10 +33,7 @@ _EXPORTS = {
         "k_infinity_points", "k_range", "laplace_K",
     ),
     "presets": ("available_presets", "load_preset", "preset_description"),
-    "quadrature": (
-        "QuadratureConvergenceError", "QuadratureScheme", "integrate_radial",
-        "mc_integrate",
-    ),
+    "quadrature": ("QuadratureConvergenceError", "QuadratureScheme", "integrate_radial"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {"cli", "reports", "sphere", *_EXPORTS}

@@ -42,18 +42,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kfunc import KFunction, eval_K
+from .kfunc import KFunction
 from .quadrature import (
-    MixtureComponent,
     QuadratureConvergenceError,
     QuadratureScheme,
+    _allocate,
+    _split_half,
     integrate_radial,
-    mc_integrate,
     panel_breakpoints,
     panel_quadrature,
-    uniform_component,
 )
-from .sphere import exp_map, geodesic_distance, sphere_area, tangent_basis, unit
+from .sphere import exp_map, geodesic_distance, sphere_area, tangent_basis
 
 __all__ = [
     "Bubble",
@@ -64,7 +63,6 @@ __all__ = [
     "JEvaluation",
     "MorseIndexEstimate",
     "QuadratureNoiseWarning",
-    "bubble_component",
     "c0",
     "constant_one",
     "eval_bubble",
@@ -276,39 +274,86 @@ def _theta_scale(lam: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Monte Carlo proposals
+# Monte Carlo: one pass over a mixture of proposals
 # --------------------------------------------------------------------------
 
+_UNIFORM_SHARE = 0.2  # of the sample budget; the bubbles split the rest evenly
 
-def bubble_component(b: Bubble, n: int, weight: float = 1.0) -> MixtureComponent:
-    """Proposal with density B^{2n/(n-2)}/S_n, sampled exactly.
 
-    The conformal dilation toward the center, tan(t'/2) = tan(t/2)/lam in
+def _dilate(X: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
+    """Push uniform unit points toward a bubble, in place; one point per
+    column of ``X``.
+
+    The conformal dilation toward the center a, tan(t'/2) = tan(t/2)/lam in
     colatitude, pushes the uniform measure exactly onto the normalized
-    bubble-power density, so single-bubble integrands get constant weights.
-    In half-angle form, with c = <x,a> and D = lam^2(1+c) + (1-c), it maps x
-    to k*x + (cos t' - k*c)*a, k = 2*lam/D, cos t' = (lam^2(1+c) - (1-c))/D:
-    a rational map that needs no tangent frame, because D >= min(2, 2*lam^2)
-    keeps it regular at x = +-a, where it fixes both poles.
+    bubble-power density B^{2n/(n-2)}/S_n.  In half-angle form, with
+    c = <x,a> and D = lam^2(1+c) + (1-c), it maps x to k*x + (cos t' - k*c)*a,
+    k = 2*lam/D, cos t' = (lam^2(1+c) - (1-c))/D: a rational map that needs
+    no tangent frame, because D >= min(2, 2*lam^2) keeps it regular at
+    x = +-a, where it fixes both poles.
     """
-    b = canonical_bubble(b)
-    a = np.asarray(b.center, dtype=float)
-    lam = float(b.lam)
-    s_n = sobolev_constant(n)
+    c = np.einsum("i,im->m", a, X)
+    near, far = lam * lam * (1.0 + c), 1.0 - c
+    D = near + far
+    k = 2.0 * lam / D
+    shift = (near - far) / D - k * c
+    X *= k
+    for a_i, row in zip(a, X):
+        row += a_i * shift
+    return X
+
+
+def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, seed: int):
+    """int K|u|^q dV by deterministic-mixture importance sampling, in one
+    pass over the points.  ``u`` has every scale >= 1.
+
+    Fixed quotas (largest-remainder split of ``samples``) go to a uniform
+    proposal and to each bubble's exact sampler (``_dilate``), all from one
+    stream of ``seed``, and the balance-heuristic estimator
+
+        I_hat = sum_i F(x_i) / sum_j M_j q_j(x_i)
+
+    is unbiased for any quotas (Veach & Guibas 1995).  One profile per bubble
+    serves both F, through sum alpha_k B_k, and the mixture density, through
+    M_k B_k^{2n/(n-2)}/S_n.  Points are held coordinate-major, (n+1, M), so
+    every array op runs over all points; products are einsum, never threaded
+    BLAS, so a point rounds alike in any batch.
+    """
+    n, p = u.n, u.p
+    counts = _allocate(
+        np.array([_UNIFORM_SHARE] + [(1.0 - _UNIFORM_SHARE) / p] * p), samples
+    )
+    # the same numbers as one draw per proposal block, one row per point
+    X = np.random.default_rng(seed).standard_normal((int(counts.sum()), n + 1)).T.copy()
+    norm = X[0] * X[0]
+    for row in X[1:]:
+        norm += row * row
+    np.sqrt(norm, out=norm)
+    X /= norm
+    ends = np.cumsum(counts)
+    for b, lo, hi in zip(u.bubbles, ends[:-1], ends[1:]):
+        _dilate(X[:, lo:hi], np.asarray(b.center), b.lam)
+
+    cos = np.einsum("ci,im->cm", np.vstack([[b.center for b in u.bubbles], K.centers()]), X)
     q_crit = 2.0 * n / (n - 2.0)
-
-    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = unit(rng.standard_normal((m, n + 1)))
-        c = np.einsum("bi,i->b", x, a)
-        near, far = lam * lam * (1.0 + c), 1.0 - c
-        D = near + far
-        k = 2.0 * lam / D
-        return k[:, None] * x + ((near - far) / D - k * c)[:, None] * a
-
-    def density(x: np.ndarray) -> np.ndarray:
-        return _profile(lam, np.einsum("bi,i->b", x, a), n) ** q_crit / s_n
-
-    return MixtureComponent(weight=weight, sample=sample, density=density)
+    terms = np.zeros(X.shape[1])  # sum alpha_k B_k, then F/mix in place
+    mix = np.full(X.shape[1], counts[0] * (1.0 / sphere_area(n)))
+    for alpha, b, c, m in zip(u.alphas, u.bubbles, cos, counts[1:]):
+        B = _profile(b.lam, c, n)
+        terms += alpha * B
+        B **= q_crit
+        B *= m / sobolev_constant(n)
+        mix += B
+    bumps = cos[p:]
+    bumps -= 1.0
+    bumps /= np.array([term.width**2 for term in K.terms])[:, None]
+    np.exp(bumps, out=bumps)
+    f = np.einsum("tm,t->m", bumps, np.array([term.weight for term in K.terms]))
+    np.abs(terms, out=terms)
+    terms **= q
+    terms *= K.scale * (1.0 + K.epsilon * f)
+    terms /= mix
+    return _split_half(terms, counts)
 
 
 # --------------------------------------------------------------------------
@@ -465,11 +510,7 @@ def weighted_power_integral(
                 QuadratureNoiseWarning,
                 stacklevel=2,
             )
-        comps = [uniform_component(n, weight=0.2)]
-        for b in u.bubbles:
-            comps.append(bubble_component(b, n, weight=0.8 / u.p))
-        F = lambda x: eval_K(K, x) * np.abs(eval_bubble_sum(u, x)) ** q
-        return mc_integrate(F, comps, samples=scheme.samples, seed=scheme.seed)
+        return _mc_weighted_integral(u, K, q, scheme.samples, scheme.seed)
 
     aligned = _axis_signs([np.asarray(b.center) for b in u.bubbles])
     if aligned is None:

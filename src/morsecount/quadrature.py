@@ -1,13 +1,14 @@
-"""Deterministic quadrature on spheres.
+"""Quadrature on spheres.
 
-Two routes: panelled Gauss-Legendre for zonal integrands, reduced to one
-colatitude integral, and mixture importance sampling for everything else.
-Every integral comes back as (value, error_estimate); the deterministic
-route estimates error by node-count doubling, the stochastic one by a
-split-half comparison.
+Panelled Gauss-Legendre for zonal integrands, reduced to one colatitude
+integral, with its error estimated by node-count doubling.  Integrals with
+no such reduction are mixture Monte Carlo sums (``bubbles`` draws and
+weights the points); this module splits their sample budget over the
+proposals and reduces the weighted terms to a value and a split-half error.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .sphere import sphere_area, unit
+from .sphere import sphere_area
 
 KINDS = ("radial-1d", "monte-carlo")
 
@@ -41,11 +42,17 @@ class QuadratureScheme:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("nodes", "samples", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if int(self.nodes) < 16:
+        if self.nodes < 16:
             raise ValueError("node count must be at least 16")
-        if int(self.samples) < 16:
+        if self.samples < 16:
             raise ValueError("sample count must be at least 16")
         if not (float(self.tol) > 0):
             raise ValueError("tolerance must be positive")
@@ -180,34 +187,8 @@ def integrate_radial(
 
 
 # --------------------------------------------------------------------------
-# mixture Monte Carlo
+# Monte Carlo bookkeeping
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MixtureComponent:
-    """One proposal in a deterministic mixture.
-
-    ``sample(rng, m)`` draws m points (rows); ``density(points)`` is its
-    probability density with respect to the sphere volume measure.
-    """
-
-    weight: float
-    sample: Callable[[np.random.Generator, int], np.ndarray]
-    density: Callable[[np.ndarray], np.ndarray]
-
-
-def uniform_component(n: int, weight: float = 1.0) -> MixtureComponent:
-    """Uniform proposal on the n-sphere."""
-    inv_area = 1.0 / sphere_area(n)
-
-    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        return unit(rng.standard_normal((m, n + 1)))
-
-    def density(x: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(x).shape[0], inv_area)
-
-    return MixtureComponent(weight=weight, sample=sample, density=density)
 
 
 def _allocate(weights: np.ndarray, total: int) -> np.ndarray:
@@ -222,40 +203,11 @@ def _allocate(weights: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def mc_integrate(
-    F: Callable[[np.ndarray], np.ndarray],
-    components: Sequence[MixtureComponent],
-    *,
-    samples: int = 20_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Deterministic-mixture importance sampling of integral F dV.
-
-    Draws a fixed quota from each proposal (largest-remainder split of the
-    budget by weight) and evaluates the balance-heuristic estimator
-
-        I_hat = sum_i F(x_i) / sum_j M_j q_j(x_i),
-
-    which is unbiased for any component weights.  The reported error is the
-    half-difference of the interleaved split-half estimates.  Everything is
-    reproducible from ``seed``: fixed quotas, one stream, fixed reduction
-    order.
-    """
-    if not components:
-        raise ValueError("at least one mixture component is required")
-    weights = np.asarray([c.weight for c in components], dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("component weights must be positive")
-    counts = _allocate(weights, samples)
-    rng = np.random.default_rng(seed)
-    blocks = [c.sample(rng, m) for c, m in zip(components, counts)]
-    points = np.concatenate(blocks, axis=0)
-    mix_density = np.zeros(points.shape[0])
-    for c, m in zip(components, counts):
-        mix_density += m * np.asarray(c.density(points), dtype=float)
-    terms = np.asarray(F(points), dtype=float) / mix_density
+def _split_half(terms: np.ndarray, counts: Sequence[int]) -> tuple[float, float]:
+    """Sum of importance-weighted terms drawn in proposal blocks of the given
+    sizes, with its split-half error: the half-difference of the interleaved
+    half estimates, to which each block contributes equally."""
     value = float(np.sum(terms))
-    # interleaved halves: each proposal block contributes equally to both
     half_a = 0.0
     half_b = 0.0
     start = 0

@@ -1,22 +1,39 @@
 """Independent integration routes that the tests check the library against.
 
-Neither is used by ``morsecount`` itself:
+None is used by ``morsecount`` itself:
 
 - ``integrate_two_point_s3``: the two-direction reduction on the 3-sphere,
   which integrates G(<x,a>) H(<x,b>) through the flat joint law of the two
   linear coordinates; ``two_point_pair_energy`` applies it to a pair energy.
-- ``mc_pair_energy``: the pair energy by mixture importance sampling over
-  a uniform proposal and both bubbles' exact samplers.
+- ``mc_integrate``: generic deterministic-mixture importance sampling over
+  ``MixtureComponent`` proposals (``uniform_component``, and
+  ``bubble_component``, a bubble's exact sampler with its density), the
+  reference for ``bubbles``' one-pass Monte Carlo weighted integral;
+  ``mc_weighted_integral`` applies it to int K|u|^q dV and
+  ``mc_pair_energy`` to a pair energy.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from morsecount.bubbles import Bubble, _profile, bubble_component, c0, canonical_bubble, eval_bubble
-from morsecount.quadrature import _doubled, mc_integrate, panel_breakpoints, uniform_component
+from morsecount.bubbles import (
+    Bubble,
+    BubbleSum,
+    _canonical_sum,
+    _profile,
+    c0,
+    canonical_bubble,
+    eval_bubble,
+    eval_bubble_sum,
+    sobolev_constant,
+)
+from morsecount.kfunc import KFunction, eval_K
+from morsecount.quadrature import _allocate, _doubled, panel_breakpoints
+from morsecount.sphere import sphere_area, unit
 
 
 def integrate_two_point_s3(
@@ -118,6 +135,113 @@ def two_point_pair_energy(bi: Bubble, bj: Bubble, nodes: int = 64) -> tuple[floa
     return integrate_two_point_s3(primitive, weight_v, gamma, nodes=nodes, features=features)
 
 
+# --------------------------------------------------------------------------
+# generic mixture Monte Carlo
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MixtureComponent:
+    """One proposal in a deterministic mixture.
+
+    ``sample(rng, m)`` draws m points (rows); ``density(points)`` is its
+    probability density with respect to the sphere volume measure.
+    """
+
+    weight: float
+    sample: Callable[[np.random.Generator, int], np.ndarray]
+    density: Callable[[np.ndarray], np.ndarray]
+
+
+def uniform_component(n: int, weight: float = 1.0) -> MixtureComponent:
+    """Uniform proposal on the n-sphere."""
+    inv_area = 1.0 / sphere_area(n)
+
+    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+        return unit(rng.standard_normal((m, n + 1)))
+
+    def density(x: np.ndarray) -> np.ndarray:
+        return np.full(np.asarray(x).shape[0], inv_area)
+
+    return MixtureComponent(weight=weight, sample=sample, density=density)
+
+
+def bubble_component(b: Bubble, n: int, weight: float = 1.0) -> MixtureComponent:
+    """Proposal with density B^{2n/(n-2)}/S_n, sampled exactly.
+
+    The conformal dilation toward the center, tan(t'/2) = tan(t/2)/lam in
+    colatitude, pushes the uniform measure exactly onto the normalized
+    bubble-power density, so single-bubble integrands get constant weights.
+    In half-angle form, with c = <x,a> and D = lam^2(1+c) + (1-c), it maps x
+    to k*x + (cos t' - k*c)*a, k = 2*lam/D, cos t' = (lam^2(1+c) - (1-c))/D:
+    a rational map that needs no tangent frame, because D >= min(2, 2*lam^2)
+    keeps it regular at x = +-a, where it fixes both poles.
+    """
+    b = canonical_bubble(b)
+    a = np.asarray(b.center, dtype=float)
+    lam = float(b.lam)
+    s_n = sobolev_constant(n)
+    q_crit = 2.0 * n / (n - 2.0)
+
+    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+        x = unit(rng.standard_normal((m, n + 1)))
+        c = np.einsum("bi,i->b", x, a)
+        near, far = lam * lam * (1.0 + c), 1.0 - c
+        D = near + far
+        k = 2.0 * lam / D
+        return k[:, None] * x + ((near - far) / D - k * c)[:, None] * a
+
+    def density(x: np.ndarray) -> np.ndarray:
+        return _profile(lam, np.einsum("bi,i->b", x, a), n) ** q_crit / s_n
+
+    return MixtureComponent(weight=weight, sample=sample, density=density)
+
+
+def mc_integrate(
+    F: Callable[[np.ndarray], np.ndarray],
+    components: Sequence[MixtureComponent],
+    *,
+    samples: int = 20_000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Deterministic-mixture importance sampling of integral F dV.
+
+    Draws a fixed quota from each proposal (largest-remainder split of the
+    budget by weight) and evaluates the balance-heuristic estimator
+
+        I_hat = sum_i F(x_i) / sum_j M_j q_j(x_i),
+
+    which is unbiased for any component weights.  The reported error is the
+    half-difference of the interleaved split-half estimates.  Everything is
+    reproducible from ``seed``: fixed quotas, one stream, fixed reduction
+    order.
+    """
+    if not components:
+        raise ValueError("at least one mixture component is required")
+    weights = np.asarray([c.weight for c in components], dtype=float)
+    if np.any(weights <= 0):
+        raise ValueError("component weights must be positive")
+    counts = _allocate(weights, samples)
+    rng = np.random.default_rng(seed)
+    blocks = [c.sample(rng, m) for c, m in zip(components, counts)]
+    points = np.concatenate(blocks, axis=0)
+    mix_density = np.zeros(points.shape[0])
+    for c, m in zip(components, counts):
+        mix_density += m * np.asarray(c.density(points), dtype=float)
+    terms = np.asarray(F(points), dtype=float) / mix_density
+    value = float(np.sum(terms))
+    # interleaved halves: each proposal block contributes equally to both
+    half_a = 0.0
+    half_b = 0.0
+    start = 0
+    for m in counts:
+        block = terms[start : start + m]
+        half_a += 2.0 * float(np.sum(block[0::2]))
+        half_b += 2.0 * float(np.sum(block[1::2]))
+        start += m
+    return value, 0.5 * abs(half_a - half_b)
+
+
 def mc_pair_energy(
     bi: Bubble, bj: Bubble, n: int, *, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -136,3 +260,18 @@ def mc_pair_energy(
         samples=samples,
         seed=seed,
     )
+
+
+def mc_weighted_integral(
+    u: BubbleSum, K: KFunction, *, samples: int, seed: int
+) -> tuple[float, float]:
+    """int K|u|^q dV, q = 2n/(n-2) - tau, by mixture importance sampling: a
+    uniform proposal (weight 0.2) and each bubble's exact sampler (0.8/p
+    each), the quotas and stream of ``weighted_power_integral``."""
+    u = _canonical_sum(u)
+    q = 2.0 * u.n / (u.n - 2.0) - u.tau
+    comps = [uniform_component(u.n, weight=0.2)]
+    for b in u.bubbles:
+        comps.append(bubble_component(b, u.n, weight=0.8 / u.p))
+    F = lambda x: eval_K(K, x) * np.abs(eval_bubble_sum(u, x)) ** q
+    return mc_integrate(F, comps, samples=samples, seed=seed)

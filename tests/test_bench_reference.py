@@ -1,10 +1,12 @@
 """The energy-scan benchmark's correctness gate, run as a test.
 
-``bench/workloads.py`` checks every pair energy, antipodal tower and Monte
-Carlo ``J`` it times against ``bench/reference.json`` by its ``_within``
-allowance.  Here every pooled entry goes through the benchmark's own ops and
-checks (the file is read, never written), so a change to a pair or Monte
-Carlo route that would fail the benchmark fails this test first.
+``bench/workloads.py`` checks every single-bubble level, pair energy,
+antipodal tower and Monte Carlo ``J`` it times against ``bench/reference.json``
+by its ``_within`` allowance, and every pinned equilibrium scale and Morse
+index exactly.  Here every pooled entry, every pin and single bubbles at
+fixed scales across the benchmark's range go through the benchmark's own ops
+and checks (the file is read, never written), so a change that would fail the
+benchmark's gate fails this test first.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ from pathlib import Path
 import morsecount
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the benchmark draws its single-bubble scales log-uniformly from [1.5, 2000]
+SINGLE_SCALES = (1.5, 4.0, 30.0, 250.0, 2000.0)
 
 
 def bench_workloads():
@@ -31,13 +35,14 @@ def test_every_energy_scan_reference_passes_the_bench_allowance(tmp_path):
     ref = json.loads((BENCH / "reference.json").read_text())
     es = ref["energy-scan"]
     inputs = {
-        "single": [],
+        "single": [(n, lam) for n in range(3, 8) for lam in SINGLE_SCALES],
         "pairs": list(range(len(es["pairs"]))),
         "mc": list(range(len(es["mc"]))),
-        "pins": [],
+        "pins": list(range(len(es["pins"]))),
     }
     ops = workloads.energy_scan_ops(morsecount, inputs, ref, tmp_path)
     kinds = [op.label.split()[0] for op in ops]
-    assert (kinds.count("pair"), kinds.count("mc")) == (64, 48)
+    counts = {kind: kinds.count(kind) for kind in ("single", "tower", "pair", "mc", "pin")}
+    assert counts == {"single": 25, "tower": len(es["towers"]), "pair": 64, "mc": 48, "pin": 7}
     failed = [op.label for op in ops if not op.check(op.run())]
     assert failed == []

@@ -3,9 +3,11 @@ functional values, conformal-invariance identities, two-route agreement,
 gradient stencil consistency, and qualitative flow behavior."""
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,7 +21,6 @@ from morsecount.bubbles import (
     I_from_J,
     MorseIndexEstimate,
     QuadratureNoiseWarning,
-    bubble_component,
     c0,
     canonical_bubble,
     constant_one,
@@ -38,6 +39,7 @@ from morsecount.bubbles import (
 from morsecount.bubbles import (
     _ALIGNED,
     _chart_sinc,
+    _dilate,
     _invariant_pair_energy,
     _pair_energy,
     _profile,
@@ -52,7 +54,6 @@ from morsecount.quadrature import (
     QuadratureConvergenceError,
     QuadratureScheme,
     integrate_radial,
-    mc_integrate,
 )
 from morsecount.sphere import (
     exp_map,
@@ -63,9 +64,16 @@ from morsecount.sphere import (
     unit,
 )
 
-from oracles import cos_scale, integrate_two_point_s3, mc_pair_energy, two_point_pair_energy
+from oracles import (
+    cos_scale,
+    integrate_two_point_s3,
+    mc_pair_energy,
+    mc_weighted_integral,
+    two_point_pair_energy,
+)
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def single(center, lam, n=3, tau=0.0, alpha=1.0):
@@ -405,15 +413,78 @@ def test_invariant_keeps_the_interaction_of_near_coincident_pairs(n):
 
 
 def test_bubble_component_density_matches_sampler():
-    """Zero-variance check: under its own proposal, the critical bubble power
-    has constant importance weight, so the estimate equals S_n to roundoff."""
-    b = Bubble(center=tuple(unit(np.array([0.3, -1.0, 0.2, 0.8]))), lam=12.0)
-    comp = bubble_component(b, 3)
-    val, err = mc_integrate(
-        lambda x: eval_bubble(b, x, 3) ** 6.0, [comp], samples=4000, seed=5
+    """The bubble proposal's density B^{2n/(n-2)}/S_n is exactly the law of
+    dilated uniform points.  The dilation is conformal and maps the ring at
+    colatitude t onto the ring at t', so it stretches volume by
+    (sin t'/sin t)^n at every point: the importance weight
+    1/(|S^n| * density) of each dilated point equals that stretch to
+    roundoff, a zero-variance identity."""
+    rng = np.random.default_rng(5)
+    for n in range(3, 8):
+        a = unit(rng.standard_normal(n + 1))
+        for lam in (1.0, 1.3, 12.0, 400.0):
+            x = unit(rng.standard_normal((4000, n + 1)))
+            y = _dilate(x.T.copy(), a, lam).T
+            sin_t = np.linalg.norm(x - np.outer(x @ a, a), axis=1)
+            sin_t2 = np.linalg.norm(y - np.outer(y @ a, a), axis=1)
+            density = _profile(lam, y @ a, n) ** (2.0 * n / (n - 2.0)) / sobolev_constant(n)
+            weight = 1.0 / (sphere_area(n) * density)
+            assert np.max(np.abs(weight / (sin_t2 / sin_t) ** n - 1.0)) < 1e-9
+
+
+def _assert_pass_matches_oracle(u, K, samples, seed):
+    got = weighted_power_integral(
+        u, K, QuadratureScheme(kind="monte-carlo", samples=samples, seed=seed)
     )
-    assert val == pytest.approx(sobolev_constant(3), rel=1e-12)
-    assert err < 1e-10
+    want = mc_weighted_integral(u, K, samples=samples, seed=seed)
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(want[1], rel=1e-9, abs=0.0)
+
+
+def test_monte_carlo_pass_matches_the_oracle_route_on_the_bench_pool():
+    """Every Monte Carlo sum of energy-scan's pool, at its seed and sample
+    count: the one-pass kernel draws the same points and weights them alike,
+    so only roundoff separates it from the generic mixture route."""
+    pool = json.loads(BENCH_REFERENCE.read_text())["energy-scan"]["mc"]
+    K = load_preset("three-bump-s3")
+    assert len(pool) == 48
+    for entry in pool:
+        u = BubbleSum(
+            n=3,
+            bubbles=tuple(Bubble(tuple(c), lam) for c, lam in zip(entry["centers"], entry["lams"])),
+            alphas=(1.0, 1.0),
+            tau=entry["tau"],
+        )
+        _assert_pass_matches_oracle(u, K, 50_000, entry["seed"])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_monte_carlo_pass_matches_the_oracle_route_on_a_grid(n, p):
+    """Seeded sums in n = 3..6 with p = 1..3 bubbles (some below scale 1,
+    which the pass mirrors), tau = 0 and 0.1, under K = 1 (no bump rows)
+    and under a two-bump candidate."""
+    rng = np.random.default_rng(100 * n + p)
+    bumps = KFunction(
+        n=n,
+        epsilon=0.3,
+        terms=tuple(
+            BumpTerm(center=tuple(unit(rng.standard_normal(n + 1))), weight=w, width=s)
+            for w, s in ((1.0, 0.4), (-0.5, 0.25))
+        ),
+    )
+    for tau in (0.0, 0.1):
+        u = BubbleSum(
+            n=n,
+            bubbles=tuple(
+                Bubble(tuple(unit(rng.standard_normal(n + 1))), math.exp(rng.uniform(-1.0, 4.0)))
+                for _ in range(p)
+            ),
+            alphas=tuple(rng.uniform(0.5, 2.0, p)),
+            tau=tau,
+        )
+        for K in (constant_one(n), bumps):
+            _assert_pass_matches_oracle(u, K, 6000, int(rng.integers(1 << 31)))
 
 
 def trig_sampler_oracle(a, lam, n, rng, m):
@@ -437,22 +508,12 @@ def trig_sampler_oracle(a, lam, n, rng, m):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("lam", [1.0, 1.3, 40.0, 1e4])
 def test_bubble_sampler_matches_the_trigonometric_oracle(n, lam):
-    b = Bubble(center=tuple(unit(np.random.default_rng(n).standard_normal(n + 1))), lam=lam)
-    got = bubble_component(b, n).sample(np.random.default_rng(99), 20_000)
-    want = trig_sampler_oracle(np.asarray(b.center), lam, n, np.random.default_rng(99), 20_000)
+    a = unit(np.random.default_rng(n).standard_normal(n + 1))
+    x = unit(np.random.default_rng(99).standard_normal((20_000, n + 1)))
+    got = _dilate(x.T.copy(), a, lam).T
+    want = trig_sampler_oracle(a, lam, n, np.random.default_rng(99), 20_000)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) < 1e-12
-
-
-class _FixedRows:
-    """Generator stand-in whose standard_normal returns the given rows."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-
-    def standard_normal(self, shape):
-        assert shape == self.rows.shape
-        return self.rows.copy()
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.3, 40.0, 1e4])
@@ -461,8 +522,7 @@ def test_bubble_sampler_fixes_both_poles_and_dilates_the_equator(lam):
     at colatitude pi/2, which lands where tan(t'/2) = 1/lam."""
     a = np.array([0.5, 0.5, 0.5, 0.5])
     w = np.array([0.5, -0.5, 0.5, -0.5])
-    comp = bubble_component(Bubble(center=tuple(a), lam=lam), 3)
-    got = comp.sample(_FixedRows([a, -a, w]), 3)
+    got = _dilate(np.array([a, -a, w]).T.copy(), a, lam).T
     dilated = ((lam * lam - 1.0) * a + 2.0 * lam * w) / (lam * lam + 1.0)
     assert np.max(np.abs(got - np.array([a, -a, dilated]))) < 1e-12
 

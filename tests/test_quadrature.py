@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 
 from morsecount.quadrature import (
-    MixtureComponent,
     QuadratureConvergenceError,
     QuadratureScheme,
     integrate_radial,
-    mc_integrate,
     panel_breakpoints,
-    uniform_component,
 )
 from morsecount.sphere import sphere_area, unit
-from oracles import integrate_two_point_s3
+from oracles import MixtureComponent, integrate_two_point_s3, mc_integrate, uniform_component
 
 
 # ---- scheme plumbing ----
@@ -33,6 +30,22 @@ def test_scheme_validation():
         QuadratureScheme(samples=4)
     with pytest.raises(ValueError):
         QuadratureScheme(tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("nodes", 20.5), ("samples", 20_000.5), ("seed", 1.5), ("nodes", 64.0), ("seed", "7")]
+)
+def test_scheme_rejects_non_integral_counts(field, value):
+    """A count that is not an integer fails where it is given, not later
+    inside ``leggauss`` or a slice."""
+    with pytest.raises(ValueError, match=field):
+        QuadratureScheme(kind="monte-carlo", **{field: value})
+
+
+def test_scheme_keeps_integer_counts_as_python_ints():
+    s = QuadratureScheme(nodes=np.int64(32), samples=np.int32(4096), seed=np.uint8(7))
+    assert s == QuadratureScheme(nodes=32, samples=4096, seed=7)
+    assert all(type(getattr(s, f)) is int for f in ("nodes", "samples", "seed"))
 
 
 def test_scheme_roundtrip():
@@ -178,7 +191,7 @@ def test_two_point_rejects_parallel_directions():
         integrate_two_point_s3(lambda u: u, lambda v: v, 1.0)
 
 
-# ---- mixture Monte Carlo ----
+# ---- mixture Monte Carlo (the oracle route of tests/oracles.py) ----
 
 
 def test_mc_uniform_constant_is_exact():
