@@ -27,12 +27,12 @@ _EXPORTS = {
         "mu_direct", "mu_recurrence", "solution_bounds",
     ),
     "kfunc": (
-        "BumpTerm", "CriticalPoint", "H1ViolationError", "KFunction", "check_positive",
+        "BumpTerm", "CriticalPoint", "H1ViolationError", "KFunction",
         "epsilon_membership", "eval_K", "euler_characteristic_diagnostic",
         "extract_K_infinity", "find_critical_points", "grad_K", "hess_K",
         "k_infinity_points", "k_range", "laplace_K",
     ),
-    "presets": ("available_presets", "load_preset", "preset_description"),
+    "presets": ("available_presets", "load_preset"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme", "integrate_radial"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -30,14 +30,16 @@ integral of the ring-averaged K; anything else goes to mixture importance
 sampling.  Every integral and every functional value carries an error
 estimate.
 Chart derivatives of J are exact for one bubble on the 3-sphere under a
-radial scheme (one multi-column integral) and finite differences elsewhere.
+radial scheme (one multi-column integral) and finite differences elsewhere;
+one chart-point evaluator makes that choice for flows and Morse indices alike
+and holds J with the derivatives taken at its point.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -738,13 +740,6 @@ class BubbleChart:
 # --------------------------------------------------------------------------
 
 
-def _j_on_chart(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme):
-    def j_of(vec: np.ndarray) -> JEvaluation:
-        return functional_J_detailed(chart.unpack(vec), K, scheme)
-
-    return j_of
-
-
 def reduced_gradient(
     u: BubbleSum,
     K: KFunction,
@@ -763,15 +758,12 @@ def reduced_gradient(
     scheme = scheme or QuadratureScheme()
     chart = chart or BubbleChart(u)
     x0 = np.zeros(chart.dim) if at is None else np.asarray(at, dtype=float)
-    j_of = _j_on_chart(chart, K, scheme)
     grad = np.zeros(chart.dim)
     noisy = 0
     worst = 0.0
-    for i in range(chart.dim):
-        e_i = np.zeros(chart.dim)
-        e_i[i] = step
-        jp = j_of(x0 + e_i)
-        jm = j_of(x0 - e_i)
+    for i, e_i in enumerate(step * np.eye(chart.dim)):
+        jp = functional_J_detailed(chart.unpack(x0 + e_i), K, scheme)
+        jm = functional_J_detailed(chart.unpack(x0 - e_i), K, scheme)
         grad[i] = (jp.value - jm.value) / (2.0 * step)
         spread = abs(jp.value - jm.value)
         noise = jp.error + jm.error
@@ -810,31 +802,26 @@ def fd_hessian(
     scheme = scheme or QuadratureScheme()
     chart = chart or BubbleChart(u)
     x0 = np.zeros(chart.dim) if at is None else np.asarray(at, dtype=float)
-    j_of = _j_on_chart(chart, K, scheme)
-    d = chart.dim
-    H = np.zeros((d, d))
-    j0 = j_of(x0)
+    j0 = functional_J_detailed(chart.unpack(x0), K, scheme)
+    return _hessian_stencil(chart, K, scheme, x0, j0, step)
+
+
+def _hessian_stencil(chart, K, scheme, x0, j0: JEvaluation, step: float = 1e-3):
+    """``fd_hessian`` around chart point x0, where J is already ``j0``."""
+    j_of = lambda vec: functional_J_detailed(chart.unpack(vec), K, scheme)
+    E = step * np.eye(chart.dim)
+    H = np.zeros((chart.dim, chart.dim))
     worst_err = j0.error
-    for i in range(d):
-        e_i = np.zeros(d)
-        e_i[i] = step
-        jp = j_of(x0 + e_i)
-        jm = j_of(x0 - e_i)
+    for i, e_i in enumerate(E):
+        jp, jm = j_of(x0 + e_i), j_of(x0 - e_i)
         worst_err = max(worst_err, jp.error, jm.error)
         H[i, i] = (jp.value - 2.0 * j0.value + jm.value) / (step * step)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e_i = np.zeros(d)
-            e_j = np.zeros(d)
-            e_i[i] = step
-            e_j[j] = step
-            jpp = j_of(x0 + e_i + e_j)
-            jpm = j_of(x0 + e_i - e_j)
-            jmp = j_of(x0 - e_i + e_j)
-            jmm = j_of(x0 - e_i - e_j)
-            worst_err = max(
-                worst_err, jpp.error, jpm.error, jmp.error, jmm.error
-            )
+    for i, e_i in enumerate(E):
+        for j in range(i + 1, chart.dim):
+            e_j = E[j]
+            jpp, jpm = j_of(x0 + e_i + e_j), j_of(x0 + e_i - e_j)
+            jmp, jmm = j_of(x0 - e_i + e_j), j_of(x0 - e_i - e_j)
+            worst_err = max(worst_err, jpp.error, jpm.error, jmp.error, jmm.error)
             H[i, j] = H[j, i] = (jpp.value - jpm.value - jmp.value + jmm.value) / (
                 4.0 * step * step
             )
@@ -945,6 +932,36 @@ def _single_bubble_derivatives(
     return jev, grad, H, float(noise)
 
 
+class _ChartPoint:
+    """J at chart point ``x``, with its chart gradient ``grad`` and its
+    ``hessian`` = (H, noise); the one place that picks how they are taken.
+
+    One bubble on S^3 under a radial scheme gets all of them with J from one
+    multi-column integral (``_single_bubble_derivatives``).  Anything else
+    gets central finite differences, each taken on first use: the gradient
+    by ``reduced_gradient``, the Hessian by ``fd_hessian``'s stencil around
+    the J held here.
+    """
+
+    def __init__(self, chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x):
+        self.chart, self.K, self.scheme, self.x = chart, K, scheme, x
+        base = chart.base
+        if base.p == 1 and base.n == 3 and scheme.kind == "radial-1d":
+            # instance values shadow the finite-difference cached properties
+            self.j, self.grad, H, noise = _single_bubble_derivatives(chart, K, scheme, x)
+            self.hessian = H, noise
+        else:
+            self.j = functional_J_detailed(chart.unpack(x), K, scheme)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return reduced_gradient(self.chart.base, self.K, self.scheme, chart=self.chart, at=self.x)
+
+    @cached_property
+    def hessian(self) -> tuple[np.ndarray, float]:
+        return _hessian_stencil(self.chart, self.K, self.scheme, self.x, self.j)
+
+
 @dataclass(frozen=True)
 class MorseIndexEstimate:
     """Count of negative chart-Hessian eigenvalues with a noise verdict.
@@ -978,24 +995,18 @@ class MorseIndexEstimate:
 
 
 def reduced_morse_index(
-    u: BubbleSum,
-    K: KFunction,
-    scheme: QuadratureScheme | None = None,
-    *,
-    step: float = 1e-3,
+    u: BubbleSum, K: KFunction, scheme: QuadratureScheme | None = None
 ) -> MorseIndexEstimate:
     """Negative-eigenvalue count of the chart Hessian of J at u.
 
     ``u`` should be a converged critical point; eigenvalues inside the noise
-    band are reported as indeterminate rather than classified.  Finite
-    differences with ``step`` are used unless the Hessian is exact (one
-    bubble on S^3 under a radial scheme).
+    band are reported as indeterminate rather than classified.  The Hessian
+    is exact for one bubble on S^3 under a radial scheme and a finite
+    difference (``fd_hessian``) otherwise.
     """
     scheme = scheme or QuadratureScheme()
-    if u.p == 1 and u.n == 3 and scheme.kind == "radial-1d":  # exact derivatives
-        *_, H, noise = _single_bubble_derivatives(BubbleChart(u), K, scheme, np.zeros(4))
-    else:
-        H, noise = fd_hessian(u, K, scheme, step=step)
+    chart = BubbleChart(u)
+    H, noise = _ChartPoint(chart, K, scheme, np.zeros(chart.dim)).hessian
     eigs = np.linalg.eigvalsh(H)
     band = 10.0 * noise
     index = int(np.sum(eigs < -band))
@@ -1013,6 +1024,9 @@ def reduced_morse_index(
 # descent flow
 # --------------------------------------------------------------------------
 
+GRAD_TOL = 2e-6  # a flow has converged when its chart gradient is this small
+NEWTON_TRUST = 0.5  # longest Newton step in the chart
+
 
 @dataclass(frozen=True)
 class FlowOptions:
@@ -1020,28 +1034,23 @@ class FlowOptions:
 
     Seeds whose gradient norm is already below ``newton_threshold`` skip the
     descent phase and go straight to the Newton polish: descent would slide
-    off a saddle instead of converging to it.  ``fd_step`` and
-    ``hessian_step`` apply to finite-difference derivatives only, not to the
-    exact ones of one bubble on S^3 under a radial scheme.
+    off a saddle instead of converging to it.
     """
 
     max_steps: int = 200
     initial_step: float = 0.25
     min_step: float = 1e-9
-    grad_tol: float = 2e-6
     newton_threshold: float = 5e-3
     lam_cap: float = 1e4
     newton_steps: int = 40
-    newton_trust: float = 0.5
-    fd_step: float = 1e-4
-    hessian_step: float = 1e-3
 
 
 @dataclass(frozen=True)
 class FlowReport:
     """Outcome of flow_to_critical.
 
-    ``status`` is one of converged / blow-up-escape / non-convergence.
+    ``status`` is one of converged / blow-up-escape / non-convergence, or
+    the descent's stationary / stalled when ``newton_steps`` is 0.
     Trajectory rows are (step, J, then per bubble: center components, lam).
     ``nearest`` gives, per bubble, the index of the closest reference point
     and the geodesic distance to it (empty when no references were given).
@@ -1073,14 +1082,6 @@ class FlowReport:
         }
 
 
-def _trajectory_row(step: int, jval: float, u: BubbleSum) -> tuple[float, ...]:
-    row: list[float] = [float(step), float(jval)]
-    for b in u.bubbles:
-        row.extend(float(c) for c in b.center)
-        row.append(float(b.lam))
-    return tuple(row)
-
-
 def flow_to_critical(
     u0: BubbleSum,
     K: KFunction,
@@ -1093,157 +1094,111 @@ def flow_to_critical(
     Backtracking gradient descent finds the right basin; a damped Newton
     polish then converges to the stationary point itself (which descent
     alone cannot do at saddles, so near-stationary seeds skip descent).
-    The subcritical defect must be positive, otherwise concentration can
-    run away; scales crossing ``opts.lam_cap`` classify the run as
-    "blow-up-escape".  A scale sinking through 1 re-anchors the chart at
-    the mirrored representative (B_{a,lam} = B_{-a,1/lam}), so reported
-    centers always mark the concentration point.
+    Each point the flow visits is one chart-point evaluator: J with the
+    gradient and Hessian there, exact for one bubble on S^3 under a radial
+    scheme and finite differences taken on first use otherwise, so no
+    bubble sum's J is taken twice.  The subcritical defect must be positive,
+    otherwise concentration can run away; scales crossing ``opts.lam_cap``
+    classify the run as "blow-up-escape".  A scale sinking through 1
+    re-anchors the chart at the mirrored representative
+    (B_{a,lam} = B_{-a,1/lam}), so reported centers always mark the
+    concentration point.
     """
     if u0.tau <= 0:
         raise ValueError("flows need a positive subcritical defect tau")
     opts = opts or FlowOptions()
     scheme = scheme or QuadratureScheme()
-    chart = BubbleChart(u0)
-    j_of = _j_on_chart(chart, K, scheme)
-    exact = u0.p == 1 and u0.n == 3 and scheme.kind == "radial-1d"
-    # (point, gradient, Hessian) last taken; x is rebound on every move and re-anchor
-    held = [None, None, None]
 
-    def probe(vec: np.ndarray) -> JEvaluation:
-        # exact derivatives come with J and are held in case vec becomes x
-        if not exact:
-            return j_of(vec)
-        jev, *held[1:], _ = _single_bubble_derivatives(chart, K, scheme, vec)
-        held[0] = vec
-        return jev
-
-    def gradient() -> np.ndarray:
-        if held[0] is not x:
-            if exact:
-                probe(x)
-            else:
-                fd = reduced_gradient(u0, K, scheme, step=opts.fd_step, chart=chart, at=x)
-                held[:] = x, fd, None
-        return held[1]
-
-    x = np.zeros(chart.dim)
-    current = probe(x)
-    rows = [_trajectory_row(0, current.value, _canonical_sum(u0, below=0.75))]
-    status = "non-convergence"
-    message = ""
-    steps_taken = 0
-    step_size = opts.initial_step
-    grad = np.zeros(chart.dim)
-
-    def lam_exceeded(vec) -> bool:
-        return any(
-            chart.lam_of(vec, i) > opts.lam_cap for i in range(chart.base.p)
-        )
-
-    def maybe_reanchor() -> None:
+    def point_at(chart: BubbleChart, x: np.ndarray) -> _ChartPoint:
         # a scale sinking well below 1 switches to the mirrored twin before
         # it can shrink toward 0 while the center points at the antipode;
         # the threshold leaves a hysteresis band so flows settling at
-        # lam = 1 (a near-constant function) never teleport their center
-        nonlocal chart, j_of, x
+        # lam = 1 (a near-constant function) never teleport their center.
+        # J is the same in either chart: it integrates the lam >= 1 twins
         if any(chart.lam_of(x, i) < 0.75 for i in range(chart.base.p)):
             chart = BubbleChart(_canonical_sum(chart.unpack(x)))
-            j_of = _j_on_chart(chart, K, scheme)
             x = np.zeros(chart.dim)
+        return _ChartPoint(chart, K, scheme, x)
+
+    def record(step: int, point: _ChartPoint) -> bool:
+        """Append a trajectory row; True when a scale crossed the cap."""
+        u = _canonical_sum(point.chart.unpack(point.x), below=0.75)
+        centers_lams = [v for b in u.bubbles for v in (*b.center, b.lam)]
+        rows.append(tuple(float(v) for v in (step, point.j.value, *centers_lams)))
+        return any(b.lam > opts.lam_cap for b in u.bubbles)
+
+    chart = BubbleChart(u0)
+    here = _ChartPoint(chart, K, scheme, np.zeros(chart.dim))
+    rows: list[tuple[float, ...]] = []
+    record(0, here)
+    status = "non-convergence"
+    message = ""
+    steps = 0
+    gnorm = 0.0
+    step_size = opts.initial_step
 
     for k in range(1, opts.max_steps + 1):
-        grad = gradient()
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < opts.grad_tol or (k == 1 and gnorm < opts.newton_threshold):
-            status = "stationary"
-            steps_taken = k - 1
+        gnorm = float(np.linalg.norm(here.grad))
+        if gnorm < GRAD_TOL or (k == 1 and gnorm < opts.newton_threshold):
+            status, steps = "stationary", k - 1
             break
-        direction = -grad / max(gnorm, 1.0)
+        steps = k
+        direction = -here.grad / max(gnorm, 1.0)
         t = step_size
-        moved = False
-        at_x = held[:]  # the trials overwrite held; a stall stays at x
         while t >= opts.min_step:
-            trial = x + t * direction
             try:
-                cand = probe(trial)
+                trial = point_at(here.chart, here.x + t * direction)
             except (ValueError, QuadratureConvergenceError):
                 t *= 0.5
                 continue
-            if cand.value < current.value - 1e-4 * t * gnorm:
-                x, current = trial, cand
-                moved = True
+            if trial.j.value < here.j.value - 1e-4 * t * gnorm:
                 break
             t *= 0.5
-        steps_taken = k
-        if not moved:
-            held[:] = at_x
+        else:  # no trial accepted: stay where the descent stalled
             status = "stalled"
             break
         step_size = min(2.0 * t, opts.initial_step)
-        maybe_reanchor()
-        rows.append(
-            _trajectory_row(k, current.value, _canonical_sum(chart.unpack(x), below=0.75))
-        )
-        if lam_exceeded(x):
+        here = trial
+        if record(k, here):
             status = "blow-up-escape"
-            message = f"a concentration scale crossed the cap {opts.lam_cap:g}"
             break
     if status == "non-convergence" and opts.max_steps > 0:
         message = f"descent budget of {opts.max_steps} steps exhausted"
 
-    if status in ("stationary", "stalled", "non-convergence") and opts.newton_steps:
-        for k in range(opts.newton_steps):
-            grad = gradient()
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < opts.grad_tol:
+    if status != "blow-up-escape" and opts.newton_steps:
+        for _ in range(opts.newton_steps):
+            gnorm = float(np.linalg.norm(here.grad))
+            if gnorm < GRAD_TOL:
                 break
-            if held[2] is None:  # held[0] is x after gradient()
-                held[2], _ = fd_hessian(
-                    u0, K, scheme, step=opts.hessian_step, chart=chart, at=x
-                )
-            H = held[2]
+            H, _ = here.hessian
             try:
-                delta = np.linalg.solve(H, -grad)
+                delta = np.linalg.solve(H, -here.grad)
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(H, -grad, rcond=None)[0]
+                delta = np.linalg.lstsq(H, -here.grad, rcond=None)[0]
             dn = float(np.linalg.norm(delta))
-            if dn > opts.newton_trust:
-                delta *= opts.newton_trust / dn
-            x = x + delta
-            maybe_reanchor()
-            current = probe(x)
-            steps_taken += 1
-            rows.append(
-                _trajectory_row(
-                    steps_taken, current.value, _canonical_sum(chart.unpack(x), below=0.75)
-                )
-            )
-            if lam_exceeded(x):
+            if dn > NEWTON_TRUST:
+                delta *= NEWTON_TRUST / dn
+            here = point_at(here.chart, here.x + delta)
+            steps += 1
+            if record(steps, here):
                 status = "blow-up-escape"
-                message = (
-                    f"a concentration scale crossed the cap {opts.lam_cap:g}"
-                )
                 break
-        grad = gradient()
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = float(np.linalg.norm(here.grad))
         if status != "blow-up-escape":
-            status = "converged" if gnorm < 10.0 * opts.grad_tol else "non-convergence"
+            status = "converged" if gnorm < 10.0 * GRAD_TOL else "non-convergence"
             if status == "converged":
                 message = ""
             elif not message:
                 message = f"final gradient norm {gnorm:.3e} above tolerance"
+    if status == "blow-up-escape":
+        message = f"a concentration scale crossed the cap {opts.lam_cap:g}"
 
-    final = _canonical_sum(chart.unpack(x), below=0.75)
-    if (
-        status == "converged"
-        and not message
-        and any(b.lam < 1.25 for b in final.bubbles)
-    ):
+    final = _canonical_sum(here.chart.unpack(here.x), below=0.75)
+    if status == "converged" and any(b.lam < 1.25 for b in final.bubbles):
         message = (
             "a scale settled near 1: the configuration is nearly constant "
             "there and the recorded center is pure gauge"
         )
-    gnorm = float(np.linalg.norm(grad))
     nearest: list[tuple[int, float]] = []
     refs = [np.asarray(r, dtype=float) for r in reference_points]
     if refs:
@@ -1254,9 +1209,9 @@ def flow_to_critical(
             nearest.append((idx, float(dists[idx])))
     report = FlowReport(
         status=status,
-        steps=steps_taken,
-        j_value=float(current.value),
-        j_error=float(current.error),
+        steps=steps,
+        j_value=float(here.j.value),
+        j_error=float(here.j.error),
         grad_norm=gnorm,
         trajectory=tuple(rows),
         nearest=tuple(nearest),

@@ -14,7 +14,7 @@ import importlib
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .indexcount import (
@@ -124,12 +124,11 @@ class RunConfig:
     exhaustive: bool = False
     max_m: int = 8
     max_N: int = 12
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         # the output directory is where results go, not an input that shapes
         # them; leaving it out keeps reports byte-identical across locations
-        d = {
+        return {
             "mode": self.mode,
             "parities": list(self.parities) if self.parities is not None else None,
             "preset": self.preset,
@@ -143,8 +142,6 @@ class RunConfig:
             "max_m": self.max_m,
             "max_N": self.max_N,
         }
-        d.update(self.extras)
-        return d
 
 
 def _parse_parities(text: str) -> tuple[int, ...]:

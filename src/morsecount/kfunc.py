@@ -412,13 +412,6 @@ def k_range(K: KFunction, samples: int = 1 << 16, polish: bool = True) -> tuple[
     return kmin, kmax
 
 
-def check_positive(K: KFunction, samples: int = 1 << 16) -> None:
-    """Raise if K is not positive on a dense sample."""
-    kmin, _ = k_range(K, samples)
-    if kmin <= 0:
-        raise ValueError(f"K must be positive; sampled minimum is {kmin:.6g}")
-
-
 def epsilon_membership(K: KFunction, samples: int = 1 << 16) -> tuple[float, bool]:
     """(K_max/K_min - 1, within declared epsilon?)."""
     kmin, kmax = k_range(K, samples)

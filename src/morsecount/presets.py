@@ -17,7 +17,7 @@ from .indexcount import ParityConfig
 if TYPE_CHECKING:
     from .kfunc import KFunction
 
-__all__ = ["available_presets", "load_preset", "preset_description"]
+__all__ = ["available_presets", "load_preset"]
 
 
 def _preset_dir():
@@ -60,7 +60,3 @@ def load_preset(name: str) -> ParityConfig | KFunction:
     raise ValueError(
         f"preset {name!r} has neither 'parities' nor 'terms'; cannot load"
     )
-
-
-def preset_description(name: str) -> str:
-    return str(_read(name).get("description", ""))

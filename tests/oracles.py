@@ -43,7 +43,6 @@ def integrate_two_point_s3(
     *,
     nodes: int = 64,
     features: Sequence[tuple[float, float]] = (),
-    tol: float | None = None,
 ) -> tuple[float, float]:
     """Integral over the 3-sphere of G(u) H(v), u = <x,a>, v = <x,b>.
 
@@ -86,7 +85,7 @@ def integrate_two_point_s3(
         phi_scale = scale / np.sqrt(scale + np.sin(phi0) ** 2)
         phi_features.append((phi0, phi_scale))
     breaks = panel_breakpoints(0.0, np.pi, phi_features)
-    fine, err = _doubled(outer, breaks, nodes, tol)
+    fine, err = _doubled(outer, breaks, nodes)
     factor = 2.0 * np.pi / root_s2
     return factor * fine, factor * err
 

@@ -1122,6 +1122,104 @@ def test_stalled_flow_evaluates_no_bubble_sum_twice(monkeypatch):
     assert len(seen) > 2 and max(seen.values()) == 1
 
 
+MC_FLOW_SCHEME = QuadratureScheme(kind="monte-carlo", samples=4000, seed=5, tol=1.0)
+
+
+def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
+    """A Monte Carlo scheme sends the flow down the finite-difference route:
+    one bubble on three-bump-s3 from its first bump center (lam = 8).  A
+    fixed-seed J is deterministic, so the run is pinned bit for bit; it takes
+    4 FD gradients and 3 FD Hessians, each Hessian stencil around the J the
+    flow already holds, and no bubble sum's J twice (132 calls)."""
+    from collections import Counter
+
+    from morsecount import bubbles
+
+    evaluated, calls = Counter(), Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            if name == "J":
+                evaluated[args[0]] += 1
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bubbles, real.__name__, wrapper)
+
+    counting("J", bubbles.functional_J_detailed)
+    counting("gradient", bubbles.reduced_gradient)
+    counting("hessian", bubbles._hessian_stencil)
+    counting("exact", bubbles._single_bubble_derivatives)
+    K = load_preset("three-bump-s3")
+    u0 = single(K.terms[0].center, 8.0, tau=0.05)
+    opts = FlowOptions(max_steps=20, newton_threshold=0.1, newton_steps=5)
+    with pytest.warns(QuadratureNoiseWarning):
+        final, report = flow_to_critical(u0, K, opts, MC_FLOW_SCHEME)
+    assert calls == {"J": 132, "gradient": 4, "hessian": 3}
+    assert len(evaluated) == 132
+    assert final == single(
+        (0.029331545879812928, 0.012924445470106752, 0.0024021726380739853, 0.9994832908519319),
+        15.621558372734091,
+        tau=0.05,
+    )
+    assert report == bubbles.FlowReport(
+        status="converged",
+        steps=3,
+        j_value=5.3092240926776455,
+        j_error=0.004987980660164958,
+        grad_norm=1.615177730533395e-06,
+        trajectory=(
+            (0.0, 5.323257251120221, 0.0, 0.0, 0.0, 1.0, 8.0),
+            (1.0, 5.309968820917774, 0.03425996360983955, 0.011091616463716565,
+             0.0012120092206766458, 0.9993506701710483, 13.172628130519417),
+            (2.0, 5.309226365259598, 0.0285536494222337, 0.013070067218891368,
+             0.0021792309565824277, 0.9995044339071256, 15.495196346591591),
+            (3.0, 5.3092240926776455, 0.029331545879812928, 0.012924445470106752,
+             0.0024021726380739853, 0.9994832908519319, 15.621558372734091),
+        ),
+        nearest=(),
+        message="",
+    )
+
+
+def test_monte_carlo_morse_index_reads_the_fd_hessian():
+    """Off the exact route the Morse index classifies fd_hessian's matrix."""
+    K = load_preset("three-bump-s3")
+    u = single((0.029331545879812928, 0.012924445470106752, 0.0024021726380739853,
+                0.9994832908519319), 15.621558372734091, tau=0.05)
+    est = reduced_morse_index(u, K, MC_FLOW_SCHEME)
+    H, noise = fd_hessian(u, K, MC_FLOW_SCHEME)
+    assert est.eigenvalues == tuple(np.linalg.eigvalsh(H))
+    assert est.noise == noise and est.band == 10 * noise
+
+
+def test_flow_refuses_bubbles_off_a_common_axis_under_a_radial_scheme(monkeypatch):
+    """Bubbles that are not (anti)parallel have no radial reduction.  An
+    antipodal pair has a J, but its first gradient's stencil moves a center
+    off the axis, and the flow raises there instead of guessing; a pair that
+    starts off the axis raises at its first J."""
+    from morsecount import bubbles
+
+    gradients, real = [], bubbles.reduced_gradient
+
+    def noting(*args, **kwargs):
+        gradients.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bubbles, "reduced_gradient", noting)
+    K = load_preset("three-bump-s3")
+    for center in (-E4, (0.0, 0.0, math.sin(0.5), math.cos(0.5))):
+        u0 = BubbleSum(
+            n=3,
+            bubbles=(Bubble(tuple(E4), 5.0), Bubble(tuple(center), 3.0)),
+            alphas=(1.0, 0.7),
+            tau=0.05,
+        )
+        with pytest.raises(ValueError, match="monte-carlo"):
+            flow_to_critical(u0, K)
+    assert len(gradients) == 1
+
+
 def test_flow_constant_candidate_flattens_in_place():
     u0 = single(E4, 3.0, tau=0.2)
     final, report = flow_to_critical(u0, constant_one(3))

@@ -201,10 +201,16 @@ def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
     """No J is taken twice on one bubble sum, whether functional_J_detailed
     takes it or the exact-derivative kernel takes it with the gradient and
     Hessian.  The one repeat allowed is the Morse index's kernel call on the
-    sum each flow ended at."""
+    sum each flow ended at.  Every derivative is exact: 12 kernel calls in
+    the flows and 4 in the Morse indices, no finite difference."""
     from morsecount import bubbles
 
     evaluated, kernel_calls, at_index, indexing = Counter(), [], [], []
+    finite_differences = []
+    for name in ("reduced_gradient", "fd_hessian", "_hessian_stencil"):
+        monkeypatch.setattr(
+            bubbles, name, lambda *args, name=name, **kwargs: finite_differences.append(name)
+        )
     real_j, real_kernel = bubbles.functional_J_detailed, bubbles._single_bubble_derivatives
     real_index = cli.reduced_morse_index
 
@@ -233,9 +239,9 @@ def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
     monkeypatch.setattr(cli, "reduced_morse_index", noting_index, raising=False)
     code, _, _ = run(capsys, "flow", "--preset", "three-bump-s3")
     assert code == 0
-    assert kernel_calls
+    assert finite_differences == []
+    assert len(kernel_calls) == 12 and len(at_index) == 4
     assert {u: k for u, k in evaluated.items() if k > 1} == {}
-    assert len(at_index) == 4
     assert all(evaluated[u] == 1 for u in at_index)
 
 
