@@ -1183,15 +1183,16 @@ def flow_to_critical(
             if record(steps, here):
                 status = "blow-up-escape"
                 break
-        gnorm = float(np.linalg.norm(here.grad))
-        if status != "blow-up-escape":
-            status = "converged" if gnorm < 10.0 * GRAD_TOL else "non-convergence"
-            if status == "converged":
-                message = ""
-            elif not message:
-                message = f"final gradient norm {gnorm:.3e} above tolerance"
+    # the reported norm belongs to the returned sum, whatever ended the flow
+    gnorm = float(np.linalg.norm(here.grad))
     if status == "blow-up-escape":
         message = f"a concentration scale crossed the cap {opts.lam_cap:g}"
+    elif opts.newton_steps:
+        status = "converged" if gnorm < 10.0 * GRAD_TOL else "non-convergence"
+        if status == "converged":
+            message = ""
+        elif not message:
+            message = f"final gradient norm {gnorm:.3e} above tolerance"
 
     final = _canonical_sum(here.chart.unpack(here.x), below=0.75)
     if status == "converged" and any(b.lam < 1.25 for b in final.bubbles):

@@ -14,11 +14,12 @@ import importlib
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .indexcount import (
     ConsistencyError,
+    IndexTable,
     ParityConfig,
     admissible_epsilon,
     all_parity_patterns,
@@ -41,7 +42,9 @@ from .reports import (
 
 #: Subcommands of the numerical lab.  The names they use are bound in this
 #: module on first use (``_load_numerics``), so the exact subcommands never
-#: import numpy or scipy.
+#: import numpy or scipy.  The subcommands call these bindings, so patching
+#: one on ``cli`` changes what they call: tests do, and the bench's pin-flow
+#: workload wraps ``cli.find_critical_points`` to capture the inventory.
 _NUMERICAL_MODES = ("flow", "quadrature")
 _NUMERICS = {
     "bubbles": (
@@ -49,10 +52,7 @@ _NUMERICS = {
         "equilibrium_scale", "flow_to_critical", "functional_J_detailed",
         "reduced_morse_index", "sobolev_constant",
     ),
-    "kfunc": (
-        "KFunction", "euler_characteristic_diagnostic", "find_critical_points",
-        "k_infinity_points",
-    ),
+    "kfunc": ("euler_characteristic_diagnostic", "find_critical_points", "k_infinity_points"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme"),
 }
 
@@ -128,20 +128,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         # the output directory is where results go, not an input that shapes
         # them; leaving it out keeps reports byte-identical across locations
-        return {
-            "mode": self.mode,
-            "parities": list(self.parities) if self.parities is not None else None,
-            "preset": self.preset,
-            "N": self.N,
-            "eta": self.eta,
-            "tau": self.tau,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "samples": self.samples,
-            "exhaustive": self.exhaustive,
-            "max_m": self.max_m,
-            "max_N": self.max_N,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "out"}
 
 
 def _parse_parities(text: str) -> tuple[int, ...]:
@@ -155,48 +142,45 @@ def _parse_parities(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> _Parser:
+    """One subparser per subcommand, each declaring only the flags it reads."""
     parser = _Parser(prog="morsecount", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p, n_help="energy level cap"):
-        p.add_argument("--config", type=Path, help="JSON file with defaults for any flag")
+    def subcommand(mode: str, help_text: str) -> _Parser:
+        p = sub.add_parser(mode, help=help_text)
+        p.add_argument("--config", type=Path, help="JSON file with defaults for any key")
         p.add_argument("--out", type=Path, help="directory for report files")
-        p.add_argument("--preset", help="bundled preset name")
-        p.add_argument("--N", type=int, help=n_help)
-        p.add_argument("--eta", type=float, help="level-window half-width")
-        p.add_argument("--tau", type=float, help="subcritical defect")
-        p.add_argument("--seed", type=int, help="random seed for sampling schemes")
+        return p
 
-    p_idx = sub.add_parser("indices", help="signed blow-up counts mu_p for one configuration")
-    common(p_idx, n_help=f"energy level cap, at most {MAX_LEVEL_N}")
-    p_idx.add_argument(
+    preset = {"help": "bundled preset name"}
+
+    p = subcommand("indices", "signed blow-up counts mu_p for one configuration")
+    p.add_argument("--preset", **preset)
+    p.add_argument("--N", type=int, help=f"energy level cap, at most {MAX_LEVEL_N}")
+    p.add_argument(
         "--parities", help=f"comma-separated co-index parities, e.g. 0,0,1 (m <= {MAX_INDICES_M})"
     )
 
-    p_bnd = sub.add_parser("bounds", help="classified case and solution-count lower bounds")
-    common(p_bnd)
-    p_bnd.add_argument("--parities", help="comma-separated co-index parities")
+    p = subcommand("bounds", "classified case and solution-count lower bounds")
+    p.add_argument("--preset", **preset)
+    p.add_argument("--N", type=int, help="energy level cap")
+    p.add_argument("--eta", type=float, help="level-window half-width")
+    p.add_argument("--parities", help="comma-separated co-index parities")
 
-    p_ver = sub.add_parser("verify", help="cross-route equivalence sweep over parity patterns")
-    common(p_ver)
-    p_ver.add_argument(
-        "--exhaustive",
-        action="store_true",
-        default=None,
-        help="all patterns up to --max-m",
+    p = subcommand("verify", "cross-route equivalence sweep over parity patterns")
+    p.add_argument("--exhaustive", action="store_true", default=None, help="all patterns up to --max-m")
+    p.add_argument(
+        "--max-m", type=int, dest="max_m", help=f"default 8, at most {MAX_VERIFY_M}"
     )
-    p_ver.add_argument(
-        "--max-m", type=int, default=None, dest="max_m", help=f"default 8, at most {MAX_VERIFY_M}"
-    )
-    p_ver.add_argument(
-        "--max-N", type=int, default=None, dest="max_N", help=f"default 12, at most {MAX_LEVEL_N}"
+    p.add_argument(
+        "--max-N", type=int, dest="max_N", help=f"default 12, at most {MAX_LEVEL_N}"
     )
 
-    p_flow = sub.add_parser("flow", help="single-bubble flows seeded at each admissible point")
-    common(p_flow)
+    p = subcommand("flow", "single-bubble flows seeded at each admissible point")
+    p.add_argument("--preset", **preset)
+    p.add_argument("--tau", type=float, help="subcritical defect")
 
-    p_quad = sub.add_parser("quadrature", help="quadrature diagnostics: normalization and pair levels")
-    common(p_quad)
+    subcommand("quadrature", "quadrature diagnostics: normalization and pair levels")
     return parser
 
 
@@ -213,80 +197,77 @@ def _load_config_file(path: Path) -> dict:
 
 
 def parse_args(argv) -> RunConfig:
+    """Flags win over ``--config`` keys, which win over the defaults."""
     ns = build_parser().parse_args(argv)
-    file_cfg = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+    file_cfg = _load_config_file(ns.config) if ns.config else {}
 
-    def pick(flag, key=None, default=None):
-        val = getattr(ns, flag, None)
-        if val is not None:
-            return val
-        return file_cfg.get(key or flag, default)
+    def pick(key, default=None):
+        val = getattr(ns, key, None)
+        return val if val is not None else file_cfg.get(key, default)
 
-    parities = pick("parities")
+    parities, out = pick("parities"), pick("out")
     if isinstance(parities, str):
         parities = _parse_parities(parities)
     elif parities is not None:
         parities = tuple(int(b) for b in parities)
-
-    cfg = RunConfig(
+    return RunConfig(
         mode=ns.mode,
-        out=str(pick("out")) if pick("out") is not None else None,
+        out=str(out) if out is not None else None,
         parities=parities,
         preset=pick("preset"),
         N=pick("N"),
         eta=pick("eta"),
         tau=pick("tau"),
         seed=pick("seed"),
-        nodes=file_cfg.get("nodes"),
-        samples=file_cfg.get("samples"),
-        exhaustive=bool(pick("exhaustive", default=False)),
-        max_m=int(pick("max_m", default=8)),
-        max_N=int(pick("max_N", default=12)),
+        nodes=pick("nodes"),
+        samples=pick("samples"),
+        exhaustive=bool(pick("exhaustive", False)),
+        max_m=int(pick("max_m", 8)),
+        max_N=int(pick("max_N", 12)),
     )
-    return cfg
+
+
+def _preset(name: str, parity: bool):
+    """The bundled preset ``name``, which must be a parity pattern when
+    ``parity`` is set and a curvature candidate otherwise."""
+    try:
+        loaded = load_preset(name)
+    except ValueError as exc:
+        raise CLIFailure(EXIT_USAGE, "usage", str(exc))
+    if isinstance(loaded, ParityConfig) != parity:
+        kinds = ("a curvature candidate", "a parity pattern")
+        raise CLIFailure(
+            EXIT_USAGE, "usage", f"preset {name!r} is {kinds[not parity]}, not {kinds[parity]}"
+        )
+    return loaded
 
 
 def _parity_config(cfg: RunConfig) -> ParityConfig:
     """Resolve parities from flag or preset, with the level cap applied."""
-    n, parities, N = 7, cfg.parities, cfg.N if cfg.N is not None else 12
-    if parities is None:
-        if cfg.preset is None:
-            raise CLIFailure(
-                EXIT_USAGE, "usage", "need --parities or a parity --preset"
-            )
-        loaded = load_preset_checked(cfg.preset)
-        if not isinstance(loaded, ParityConfig):
-            raise CLIFailure(
-                EXIT_USAGE,
-                "usage",
-                f"preset {cfg.preset!r} is a curvature candidate, not a parity pattern",
-            )
-        n, parities = loaded.n, loaded.parities
-        if cfg.N is None:
-            N = loaded.N
-    try:
-        return ParityConfig(n=n, parities=tuple(parities), N=int(N))
-    except ValueError as exc:
-        raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
+    if cfg.parities is not None:
+        n, parities, N = 7, cfg.parities, 12
+    elif cfg.preset is not None:
+        loaded = _preset(cfg.preset, parity=True)
+        n, parities, N = loaded.n, loaded.parities, loaded.N
+    else:
+        raise CLIFailure(EXIT_USAGE, "usage", "need --parities or a parity --preset")
+    return ParityConfig(n=n, parities=tuple(parities), N=int(N if cfg.N is None else cfg.N))
 
 
-def load_preset_checked(name: str):
-    try:
-        return load_preset(name)
-    except ValueError as exc:
-        raise CLIFailure(EXIT_USAGE, "usage", str(exc))
+def _scheme(cfg: RunConfig) -> QuadratureScheme:
+    given = {"nodes": cfg.nodes, "samples": cfg.samples, "seed": cfg.seed}
+    return QuadratureScheme(**{k: int(v) for k, v in given.items() if v is not None})
 
 
-def _scheme(cfg: RunConfig, **overrides) -> QuadratureScheme:
-    kw = {}
-    if cfg.nodes is not None:
-        kw["nodes"] = int(cfg.nodes)
-    if cfg.samples is not None:
-        kw["samples"] = int(cfg.samples)
-    if cfg.seed is not None:
-        kw["seed"] = int(cfg.seed)
-    kw.update(overrides)
-    return QuadratureScheme(**kw)
+def _write(cfg: RunConfig, payload: dict, side_files: dict[str, str] | None = None) -> None:
+    """With --out: report.json, then the side files, then report_meta.json."""
+    if not cfg.out:
+        return
+    write_report(cfg.out, payload)
+    for name, text in (side_files or {}).items():
+        write_text(Path(cfg.out) / name, text)
+    write_meta(cfg.out)
+    print(f"report written to {cfg.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,53 +280,48 @@ def _at_most(what: str, value: int, limit: int, unit: str = "") -> None:
         raise CLIFailure(EXIT_USAGE, "usage", f"{what}{value} exceeds the limit of {limit}{unit}")
 
 
+def _cross_check(pcfg: ParityConfig) -> tuple[IndexTable, dict]:
+    """``mu`` by direct enumeration, and whether the recurrence and (where one
+    applies) the closed form agree with it and the Euler–Poincaré identities
+    hold."""
+    direct = mu_direct(pcfg)
+    rec = mu_recurrence(pcfg)
+    closed = mu_closed_form(pcfg)
+    return direct, {
+        "routes_agree": direct.mu == rec.mu and (closed is None or closed.mu == direct.mu),
+        "euler_poincare": euler_poincare_check(direct),
+        "closed_form": closed is not None,
+    }
+
+
 def run_indices(cfg: RunConfig) -> int:
     pcfg = _parity_config(cfg)
     _at_most("m = ", pcfg.m, MAX_INDICES_M, " points")
     _at_most("N = ", pcfg.N, MAX_LEVEL_N, " levels")
-    table = mu_direct(pcfg)
-    cross = mu_recurrence(pcfg)
-    closed = mu_closed_form(pcfg)
-    if table.mu != cross.mu or (closed is not None and closed.mu != table.mu):
+    table, checks = _cross_check(pcfg)
+    if not checks["routes_agree"]:
         raise CLIFailure(
-            EXIT_CONSISTENCY,
-            "consistency",
-            f"counting routes disagree for {pcfg.parities}",
+            EXIT_CONSISTENCY, "consistency", f"counting routes disagree for {pcfg.parities}"
         )
-    if not euler_poincare_check(table):
-        raise CLIFailure(
-            EXIT_CONSISTENCY, "consistency", "alternating-sum identity failed"
-        )
+    if not checks["euler_poincare"]:
+        raise CLIFailure(EXIT_CONSISTENCY, "consistency", "alternating-sum identity failed")
     payload = {
         "config": cfg.to_dict(),
         "parity_config": pcfg.to_dict(),
         "table": table.to_dict(),
-        "closed_form_applies": closed is not None,
+        "closed_form_applies": checks["closed_form"],
         "euler_poincare": True,
     }
     print(f"parities {tuple(pcfg.parities)}  N={pcfg.N}")
     print("mu =", list(table.mu))
-    if cfg.out:
-        write_report(cfg.out, payload)
-        write_text(Path(cfg.out) / "indices.csv", index_table_csv(table))
-        write_meta(cfg.out)
-        print(f"report written to {cfg.out}")
+    _write(cfg, payload, {"indices.csv": index_table_csv(table)})
     return EXIT_OK
 
 
 def run_bounds(cfg: RunConfig) -> int:
     pcfg = _parity_config(cfg)
-    if cfg.eta is not None:
-        try:
-            threshold = admissible_epsilon(pcfg.N, cfg.eta, pcfg.n)
-        except ValueError as exc:
-            raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
-    else:
-        threshold = None
-    try:
-        report = solution_bounds(pcfg)
-    except ConsistencyError as exc:
-        raise CLIFailure(EXIT_CONSISTENCY, "consistency", str(exc))
+    threshold = None if cfg.eta is None else admissible_epsilon(pcfg.N, cfg.eta, pcfg.n)
+    report = solution_bounds(pcfg)
     payload = {
         "config": cfg.to_dict(),
         "bounds": report.to_dict(),
@@ -362,31 +338,17 @@ def run_bounds(cfg: RunConfig) -> int:
                 f"  level {row.p}: >= {row.lower_bound} "
                 f"(energy {row.energy_multiple} S_n)"
             )
-    if cfg.out:
-        write_report(cfg.out, payload)
-        write_text(Path(cfg.out) / "bounds.csv", bounds_csv(report))
-        write_meta(cfg.out)
-        print(f"report written to {cfg.out}")
+    _write(cfg, payload, {"bounds.csv": bounds_csv(report)})
     return EXIT_OK
 
 
 def _verify_one(pcfg: ParityConfig) -> dict:
-    direct = mu_direct(pcfg)
-    rec = mu_recurrence(pcfg)
-    closed = mu_closed_form(pcfg)
-    ok_routes = direct.mu == rec.mu and (closed is None or closed.mu == direct.mu)
-    ok_euler = euler_poincare_check(direct)
+    direct, checks = _cross_check(pcfg)
     try:
         ok_bounds = solution_bounds(pcfg).mu == direct.mu
     except ConsistencyError:
         ok_bounds = False
-    return {
-        "parities": list(pcfg.parities),
-        "routes_agree": ok_routes,
-        "euler_poincare": ok_euler,
-        "bounds_consistent": ok_bounds,
-        "closed_form": closed is not None,
-    }
+    return {"parities": list(pcfg.parities), **checks, "bounds_consistent": ok_bounds}
 
 
 def run_verify(cfg: RunConfig) -> int:
@@ -419,10 +381,7 @@ def run_verify(cfg: RunConfig) -> int:
         f"checked {len(results)} parity patterns (m <= {cfg.max_m}, N = {N}): "
         f"{len(results) - len(bad)} ok, {len(bad)} failed"
     )
-    if cfg.out:
-        write_report(cfg.out, payload)
-        write_meta(cfg.out)
-        print(f"report written to {cfg.out}")
+    _write(cfg, payload)
     if bad:
         raise CLIFailure(
             EXIT_CONSISTENCY,
@@ -432,20 +391,8 @@ def run_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _curvature_preset(cfg: RunConfig) -> KFunction:
-    name = cfg.preset or "three-bump-s3"
-    loaded = load_preset_checked(name)
-    if not isinstance(loaded, KFunction):
-        raise CLIFailure(
-            EXIT_USAGE,
-            "usage",
-            f"preset {name!r} is a parity pattern, not a curvature candidate",
-        )
-    return loaded
-
-
 def run_flow(cfg: RunConfig) -> int:
-    K = _curvature_preset(cfg)
+    K = _preset(cfg.preset or "three-bump-s3", parity=False)
     if K.n != 3:
         raise CLIFailure(
             EXIT_INVARIANT,
@@ -465,29 +412,28 @@ def run_flow(cfg: RunConfig) -> int:
         )
     targets = k_infinity_points(points)
     rows = []
-    trajectories = []
+    side_files = {"targets.csv": critical_points_csv(targets)}
     # seeds sit at the scanned equilibrium scale, i.e. already near-stationary,
     # so a generous newton_threshold sends them straight to the polish; plain
     # descent would slide off the saddle-type points
-    opts = FlowOptions(max_steps=200, newton_threshold=0.1)
+    opts = FlowOptions(newton_threshold=0.1)
     for i, pt in enumerate(targets):
         center = pt.location
         iota = int(3 - pt.morse_index_K)
         lam_bar = equilibrium_scale(K, center, tau, scheme)
+        row = {
+            "target": [float(c) for c in center],
+            "target_iota": iota,
+            "seed_scale": lam_bar,
+            "status": "no-equilibrium-scale",
+            "distance": None,
+            "final_scale": None,
+            "reduced_index": None,
+            "indeterminate": None,
+            "j_value": None,
+        }
+        rows.append(row)
         if lam_bar is None:
-            rows.append(
-                {
-                    "target": [float(c) for c in center],
-                    "target_iota": iota,
-                    "seed_scale": None,
-                    "status": "no-equilibrium-scale",
-                    "distance": None,
-                    "final_scale": None,
-                    "reduced_index": None,
-                    "indeterminate": None,
-                    "j_value": None,
-                }
-            )
             print(f"point {i}: iota={iota}  no pinned equilibrium scale")
             continue
         seedsum = BubbleSum(
@@ -500,23 +446,18 @@ def run_flow(cfg: RunConfig) -> int:
             seedsum, K, opts, scheme, reference_points=[center]
         )
         est = reduced_morse_index(final, K, scheme)
-        rows.append(
-            {
-                "target": [float(c) for c in center],
-                "target_iota": iota,
-                "seed_scale": lam_bar,
-                "status": rep.status,
-                "distance": rep.nearest[0][1] if rep.nearest else None,
-                "final_scale": final.bubbles[0].lam,
-                "reduced_index": est.index,
-                "indeterminate": est.indeterminate,
-                "j_value": rep.j_value,
-            }
+        row.update(
+            status=rep.status,
+            distance=rep.nearest[0][1],
+            final_scale=final.bubbles[0].lam,
+            reduced_index=est.index,
+            indeterminate=est.indeterminate,
+            j_value=rep.j_value,
         )
-        trajectories.append((i, rep))
+        side_files[f"trajectory_{i}.csv"] = trajectory_csv(rep, 3)
         print(
             f"point {i}: iota={iota}  status={rep.status}  "
-            f"dist={rows[-1]['distance']:.2e}  seed_lam={lam_bar:.2f}  "
+            f"dist={row['distance']:.2e}  seed_lam={lam_bar:.2f}  "
             f"index={est.index}{'?' if est.indeterminate else ''}"
         )
     payload = {
@@ -532,13 +473,7 @@ def run_flow(cfg: RunConfig) -> int:
         },
         "flows": rows,
     }
-    if cfg.out:
-        write_report(cfg.out, payload)
-        write_text(Path(cfg.out) / "targets.csv", critical_points_csv(targets))
-        for i, rep in trajectories:
-            write_text(Path(cfg.out) / f"trajectory_{i}.csv", trajectory_csv(rep, 3))
-        write_meta(cfg.out)
-        print(f"report written to {cfg.out}")
+    _write(cfg, payload, side_files)
     if any(r["status"] != "converged" for r in rows):
         raise CLIFailure(
             EXIT_NONCONVERGENCE,
@@ -600,10 +535,7 @@ def run_quadrature(cfg: RunConfig) -> int:
             f"  antipodal pair lam={row['lam']:5.1f}: J={row['j_pair']:.6f} "
             f"dev={row['rel_dev']:.4f}"
         )
-    if cfg.out:
-        write_report(cfg.out, payload)
-        write_meta(cfg.out)
-        print(f"report written to {cfg.out}")
+    _write(cfg, payload)
     return EXIT_OK
 
 
@@ -626,36 +558,33 @@ def run(cfg: RunConfig) -> int:
     if runner is None:
         raise CLIFailure(EXIT_USAGE, "usage", f"unknown mode {cfg.mode!r}")
     numerical = cfg.mode in _NUMERICAL_MODES
-    if numerical:
-        _load_numerics()
-    try:
-        return runner(cfg)
-    except CLIFailure:
-        raise
-    except ConsistencyError as exc:
-        raise CLIFailure(EXIT_CONSISTENCY, "consistency", str(exc))
-    except ValueError as exc:
-        raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
-    except RuntimeError as exc:
-        # QuadratureConvergenceError is bound once a numerical subcommand runs
-        if numerical and isinstance(exc, QuadratureConvergenceError):
-            raise CLIFailure(EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
-        raise
+    # scoped, so an in-process call leaves the caller's warning filters intact
+    with warnings.catch_warnings():
+        if numerical:
+            _load_numerics()
+            warnings.simplefilter("ignore", QuadratureNoiseWarning)
+        try:
+            return runner(cfg)
+        except CLIFailure:
+            raise
+        except ConsistencyError as exc:
+            raise CLIFailure(EXIT_CONSISTENCY, "consistency", str(exc))
+        except ValueError as exc:
+            raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
+        except RuntimeError as exc:
+            # QuadratureConvergenceError is bound once a numerical subcommand runs
+            if numerical and isinstance(exc, QuadratureConvergenceError):
+                raise CLIFailure(EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
+            raise
 
 
 def main(argv=None) -> int:
-    # scoped, so an in-process call leaves the caller's warning filters intact
-    with warnings.catch_warnings():
-        try:
-            cfg = parse_args(argv if argv is not None else sys.argv[1:])
-            if cfg.mode in _NUMERICAL_MODES:
-                _load_numerics()
-                warnings.simplefilter("ignore", QuadratureNoiseWarning)
-            return run(cfg)
-        except CLIFailure as fail:
-            json.dump(fail.payload(), sys.stderr, sort_keys=True)
-            sys.stderr.write("\n")
-            return fail.code
+    try:
+        return run(parse_args(argv if argv is not None else sys.argv[1:]))
+    except CLIFailure as fail:
+        json.dump(fail.payload(), sys.stderr, sort_keys=True)
+        sys.stderr.write("\n")
+        return fail.code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,12 @@ GRAD_NORM_TOL = 1e-10
 #: stops: inside a nondegenerate basin Newton at least halves it every step.
 STALL_ITERS = 8
 
+#: Iteration cap of the batched Newton search.
+NEWTON_ITERS = 80
+
+#: Size of the quasi-uniform sample that ``k_range`` scans before polishing.
+K_RANGE_SAMPLES = 1 << 16
+
 
 @dataclass(frozen=True)
 class BumpTerm:
@@ -199,7 +205,7 @@ def laplace_K(K: KFunction, x: np.ndarray) -> float:
 # -- critical point search ----------------------------------------------------
 
 
-def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80) -> np.ndarray:
+def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     """Damped Newton on the tangential gradient, one batched step over all live
     seeds per iteration.  Returns the converged points, in seed order.
 
@@ -211,8 +217,8 @@ def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80) -> np.ndarra
     singular A (sign 0); those rows take the gradient step -g and the rest
     are solved as one stack.  A seed stops when its gradient norm is below
     the convergence threshold, when it has not halved in ``STALL_ITERS``
-    iterations, or at the ``iters`` cap; an abandoned seed fails the final
-    ``GRAD_NORM_TOL`` filter unless it had already converged.
+    iterations, or at the ``NEWTON_ITERS`` cap; an abandoned seed fails the
+    final ``GRAD_NORM_TOL`` filter unless it had already converged.
     """
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
@@ -222,7 +228,7 @@ def _newton_batch(K: KFunction, seeds: np.ndarray, iters: int = 80) -> np.ndarra
     # each seed's gradient norm at its last halving, and that iteration
     ref, last = np.full(len(X), np.inf), np.zeros(len(X), dtype=int)
 
-    for it in range(iters):
+    for it in range(NEWTON_ITERS):
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
@@ -398,13 +404,13 @@ def extract_K_infinity(points: list[CriticalPoint], N: int = 1) -> ParityConfig:
 # -- normalization ------------------------------------------------------------
 
 
-def k_range(K: KFunction, samples: int = 1 << 16, polish: bool = True) -> tuple[float, float]:
-    """(K_min, K_max) over a dense deterministic sample, optionally polished by
-    Newton on the tangential gradient from the best grid points."""
-    grid = quasi_uniform_points(K.n, samples)
+def k_range(K: KFunction) -> tuple[float, float]:
+    """(K_min, K_max) over ``K_RANGE_SAMPLES`` quasi-uniform points, polished
+    by Newton on the tangential gradient from the best grid points."""
+    grid = quasi_uniform_points(K.n, K_RANGE_SAMPLES)
     vals = eval_K(K, grid)
     kmin, kmax = float(np.min(vals)), float(np.max(vals))
-    if polish and K.terms:
+    if K.terms:
         refined = _newton_batch(K, grid[[int(np.argmin(vals)), int(np.argmax(vals))]])
         for v in eval_K(K, refined):
             kmin = min(kmin, float(v))
@@ -412,19 +418,19 @@ def k_range(K: KFunction, samples: int = 1 << 16, polish: bool = True) -> tuple[
     return kmin, kmax
 
 
-def epsilon_membership(K: KFunction, samples: int = 1 << 16) -> tuple[float, bool]:
+def epsilon_membership(K: KFunction) -> tuple[float, bool]:
     """(K_max/K_min - 1, within declared epsilon?)."""
-    kmin, kmax = k_range(K, samples)
+    kmin, kmax = k_range(K)
     if kmin <= 0:
         raise ValueError(f"K must be positive; sampled minimum is {kmin:.6g}")
     ratio = kmax / kmin - 1.0
     return ratio, ratio < K.epsilon
 
 
-def normalize(K: KFunction, samples: int = 1 << 16) -> KFunction:
+def normalize(K: KFunction) -> KFunction:
     """Rescale so the minimum of K is 1; the applied factor is recorded in the
     returned instance's `scale` field (scale_new = scale_old / K_min)."""
-    kmin, _ = k_range(K, samples)
+    kmin, _ = k_range(K)
     if kmin <= 0:
         raise ValueError(f"K must be positive to normalize; minimum is {kmin:.6g}")
     return KFunction(

@@ -31,8 +31,9 @@ class QuadratureScheme:
 
     ``nodes`` is the per-panel Gauss-Legendre count for the deterministic
     route; ``samples`` is the total draw budget and ``seed`` the stream for
-    the stochastic one.  ``tol`` is the declared relative target used when a
-    caller asks for convergence enforcement.
+    the stochastic one.  ``tol`` is the declared relative target: every J
+    (``bubbles._j_evaluation``) raises ``QuadratureConvergenceError`` when
+    its error estimate exceeds it.
     """
 
     kind: str = "radial-1d"

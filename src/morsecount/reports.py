@@ -34,15 +34,15 @@ def json_report(payload: dict) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(out_dir: str | Path, payload: dict, name: str = "report.json") -> Path:
+def write_report(out_dir: str | Path, payload: dict) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+    path = out / "report.json"
     path.write_text(json_report(payload))
     return path
 
 
-def write_meta(out_dir: str | Path, extra: dict | None = None) -> Path:
+def write_meta(out_dir: str | Path) -> Path:
     """Timestamps and wall-clock live here, away from the deterministic report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -50,8 +50,6 @@ def write_meta(out_dir: str | Path, extra: dict | None = None) -> Path:
         "schema_version": SCHEMA_VERSION,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    if extra:
-        meta.update(extra)
     path = out / "report_meta.json"
     path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return path

@@ -1235,6 +1235,11 @@ def test_flow_escapes_from_a_shallow_defect():
     final, report = flow_to_critical(u0, K, opts)
     assert report.status == "blow-up-escape"
     assert final.bubbles[0].lam > 15.0
+    # the reported gradient norm is the one at the returned sum, not at the
+    # point before the last step
+    chart = BubbleChart(final)
+    _, grad, _, _ = _single_bubble_derivatives(chart, K, QuadratureScheme(), np.zeros(chart.dim))
+    assert report.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
 
 
 def test_flow_migrates_away_from_a_positive_laplacian_min():

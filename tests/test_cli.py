@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -43,18 +44,41 @@ def test_indices_alternating_preset(capsys):
     assert "mu = [0, -2, 0, -3, 0, -4, 0, -5]" in out
 
 
+#: sha256 of exact-side report files.  They hold only integers and strings,
+#: so their bytes do not depend on the numpy or libm build; flow and
+#: quadrature floats do, so those reports keep only the rerun check.
+PINNED_REPORTS = [
+    (("indices", "--parities", "0,1,1", "--N", "6"), {
+        "report.json": "6990696b6a292dc3cd49b008cdaf413a7e62510443d3144669dfbb9b3d108005",
+        "indices.csv": "c86e2dfd5c57a55cdbaea6218ddfbc69ad422b2e5b1744c1357a0533cd3c0ada",
+    }),
+    (("indices", "--parities", "0,0,1,1,0", "--N", "10"), {
+        "report.json": "09fe4cfd1c8587b9115d62b765b814c0506a7a338f58295c722b2f344d94c5bc",
+        "indices.csv": "f1c74ca4e84811a9bff64362989e39356b90fd9c139e61e2e658e997953f887b",
+    }),
+    (("bounds", "--preset", "index-one-ell-2"), {
+        "report.json": "5d7f4bcb8711c1ae9deb99af2c5c314bd0113c905e8c05f632647cdd877a06a1",
+        "bounds.csv": "4c9a5dd74184cb8240c41f952b7c0ce206b6f62a37cefcaf862e250eefb0f34b",
+    }),
+    (("verify", "--exhaustive", "--max-m", "4"), {
+        "report.json": "53344a526297ed60e666b91804b160647e3847211f7048e699a9c8c31f71e7d4",
+    }),
+]
+
+
 def test_indices_report_is_deterministic(tmp_path, capsys):
-    dirs = [tmp_path / "a", tmp_path / "b"]
-    for d in dirs:
-        code, _, _ = run(capsys, "indices", "--parities", "0,1,1", "--N", "6",
-                         "--out", str(d))
-        assert code == 0
-    first, second = [(d / "report.json").read_bytes() for d in dirs]
-    assert first == second
-    assert (dirs[0] / "indices.csv").read_bytes() == (dirs[1] / "indices.csv").read_bytes()
-    # volatile fields live in the side file, never in the report itself
-    assert b"written_at" not in first
-    assert "written_at" in json.loads((dirs[0] / "report_meta.json").read_text())
+    for k, (argv, pinned) in enumerate(PINNED_REPORTS):
+        dirs = [tmp_path / f"{k}a", tmp_path / f"{k}b"]
+        for d in dirs:
+            code, _, _ = run(capsys, *argv, "--out", str(d))
+            assert code == 0
+        for name, digest in pinned.items():
+            first, second = [(d / name).read_bytes() for d in dirs]
+            assert first == second
+            assert hashlib.sha256(first).hexdigest() == digest, (argv, name)
+        # volatile fields live in the side file, never in the report itself
+        assert b"written_at" not in (dirs[0] / "report.json").read_bytes()
+        assert "written_at" in json.loads((dirs[0] / "report_meta.json").read_text())
 
 
 def test_indices_report_embeds_resolved_config(tmp_path, capsys):
@@ -303,6 +327,27 @@ def test_failures_exit_with_structured_errors(capsys, argv, code, kind):
     got, _, err = run(capsys, *argv)
     assert got == code
     assert stderr_error(err)["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--exhaustive", "--max-m", "3", "--N", "20"],
+        ["verify", "--exhaustive", "--max-m", "3", "--preset", "all-odd-m5"],
+        ["indices", "--parities", "0,1", "--tau", "0.3"],
+        ["bounds", "--parities", "0,1", "--seed", "1"],
+        ["flow", "--eta", "0.1"],
+        ["flow", "--seed", "1"],
+        ["quadrature", "--preset", "three-bump-s3"],
+        ["quadrature", "--seed", "1"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert stderr_error(err)["kind"] == "usage"
+    assert "unrecognized arguments" in stderr_error(err)["detail"]
+    assert out == ""
 
 
 def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
