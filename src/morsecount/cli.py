@@ -184,6 +184,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _json_type(value) -> str:
+    """What a parsed JSON value is, with integers told from other numbers."""
+    if isinstance(value, list) and all(_json_type(v) == "an integer" for v in value):
+        return "a list of integers"
+    kinds = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+    return kinds.get(type(value), "another type")
+
+
+#: The JSON types a config file may give each key that a flag also sets; any
+#: other value, null included, is a usage error rather than a later traceback.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("N", "max_m", "max_N"), ("an integer",)),
+    **dict.fromkeys(("eta", "tau"), ("an integer", "a number")),
+    "exhaustive": ("a boolean",),
+    "preset": ("a string",),
+    "parities": ("a string", "a list of integers"),
+}
+
+
 def _load_config_file(path: Path) -> dict:
     try:
         data = json.loads(path.read_text())
@@ -193,6 +212,10 @@ def _load_config_file(path: Path) -> dict:
         raise CLIFailure(EXIT_USAGE, "usage", f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CLIFailure(EXIT_USAGE, "usage", "config file must hold a JSON object")
+    for key, kinds in _CONFIG_TYPES.items():
+        if key in data and _json_type(data[key]) not in kinds:
+            detail = f"config key {key!r} must be {' or '.join(kinds)}, got {data[key]!r}"
+            raise CLIFailure(EXIT_USAGE, "usage", detail)
     return data
 
 
@@ -209,7 +232,7 @@ def parse_args(argv) -> RunConfig:
     if isinstance(parities, str):
         parities = _parse_parities(parities)
     elif parities is not None:
-        parities = tuple(int(b) for b in parities)
+        parities = tuple(parities)
     return RunConfig(
         mode=ns.mode,
         out=str(out) if out is not None else None,
@@ -221,9 +244,9 @@ def parse_args(argv) -> RunConfig:
         seed=pick("seed"),
         nodes=pick("nodes"),
         samples=pick("samples"),
-        exhaustive=bool(pick("exhaustive", False)),
-        max_m=int(pick("max_m", 8)),
-        max_N=int(pick("max_N", 12)),
+        exhaustive=pick("exhaustive", False),
+        max_m=pick("max_m", 8),
+        max_N=pick("max_N", 12),
     )
 
 

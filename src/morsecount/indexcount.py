@@ -38,10 +38,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, expm1, log, log1p
 from operator import add
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Literal, NamedTuple, Optional
 
 CaseLabel = Literal["IndexOne", "Case1", "Case2", "Case3", "Case4"]
 
@@ -158,8 +159,7 @@ class IndexTable:
         }
 
 
-@dataclass(frozen=True)
-class LevelBound:
+class LevelBound(NamedTuple):
     """One row of a solution-count report: level, exact energy, count bound."""
 
     p: int
@@ -364,6 +364,13 @@ def _mu_row(par: tuple[int, ...], N: int) -> tuple[int, ...]:
     return tuple(-c for c in row[1:])
 
 
+@lru_cache(maxsize=128)
+def _level_energies(n: int, N: int) -> tuple[Fraction, ...]:
+    """The exact level energies p/n for p = 1..N; Fractions are immutable, so
+    every report at (n, N) shares one tuple."""
+    return tuple(Fraction(p, n) for p in range(1, N + 1))
+
+
 def _case_and_ell(cfg: ParityConfig) -> tuple[CaseLabel, Optional[int]]:
     if cfg.parities[0] != 0:
         raise ValueError("malformed configuration: parities[0] must be even")
@@ -420,69 +427,46 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
     bound exceeding |mu_p| raises ConsistencyError.  Configurations with m = 1
     get an empty report (no theorem applies) and a warning.
     """
-    idx = index_K(cfg)
-    mu = _mu_row(cfg.parities, cfg.N)
+    m, N = cfg.m, cfg.N
+    mu = _mu_row(cfg.parities, N)
+    levels = range(1, N + 1)
+    label, ell = _case_and_ell(cfg)
     if not cfg.satisfies_h3:
         warnings.warn(
             "m = 1: multiplicity theorems need m >= 2; emitting an empty bound report",
             H3Warning,
             stacklevel=2,
         )
-        return SolutionBoundReport(
-            config=cfg,
-            index_K=idx,
-            case_label=classify_case(cfg),
-            ell=None,
-            rows=(),
-            total_bound=0,
-            mu=mu,
-            h3_satisfied=False,
-            outside_theorem_dimension=cfg.n < 7,
-        )
-
-    label, ell = _case_and_ell(cfg)
-    m, N = cfg.m, cfg.N
-
-    bounds: list[int] = []
-    if label == "IndexOne":
-        assert ell is not None
-        for p in range(1, N + 1):
-            bounds.append(comb(p // 2 + ell - 1, p // 2) if p % 2 == 0 else 0)
+        ell, bounds, total = None, [], 0
+    elif label == "IndexOne":
+        bounds = [comb(p // 2 + ell - 1, p // 2) if p % 2 == 0 else 0 for p in levels]
         total = comb(ell + N // 2, ell) - 1
     elif label in ("Case1", "Case2"):
-        bounds = [comb(p + m - 2, p) for p in range(1, N + 1)]
+        bounds = [comb(p + m - 2, p) for p in levels]
         total = comb(N + m - 1, m - 1) - 1
     else:
-        assert ell is not None
-        for p in range(1, N + 1):
-            if p % 2 == 0:
-                q = p // 2
-                bounds.append(comb(q + m - ell - 2, q))
-            else:
-                q = (p + 1) // 2
-                bounds.append(comb(q + m - ell - 3, q - 1))
+        bounds = [
+            comb(p // 2 + m - ell - 2, p // 2) if p % 2 == 0
+            else comb((p + 1) // 2 + m - ell - 3, (p - 1) // 2)
+            for p in levels
+        ]
         total = sum(bounds)
 
-    rows = tuple(
-        LevelBound(p=p, energy_multiple=Fraction(p, cfg.n), lower_bound=b)
-        for p, b in enumerate(bounds, start=1)
-    )
-    for row in rows:
-        if row.lower_bound > abs(mu[row.p - 1]):
+    for p, bound, mu_p in zip(levels, bounds, mu):
+        if bound > abs(mu_p):
             raise ConsistencyError(
-                f"level {row.p}: bound {row.lower_bound} exceeds |mu| = "
-                f"{abs(mu[row.p - 1])} for parities {cfg.parities}"
+                f"level {p}: bound {bound} exceeds |mu| = {abs(mu_p)} "
+                f"for parities {cfg.parities}"
             )
-
     return SolutionBoundReport(
         config=cfg,
-        index_K=idx,
+        index_K=index_K(cfg),
         case_label=label,
         ell=ell,
-        rows=rows,
+        rows=tuple(map(LevelBound, levels, _level_energies(cfg.n, N), bounds)),
         total_bound=total,
         mu=mu,
-        h3_satisfied=True,
+        h3_satisfied=cfg.satisfies_h3,
         outside_theorem_dimension=cfg.n < 7,
     )
 

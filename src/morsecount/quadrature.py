@@ -161,13 +161,17 @@ def integrate_radial(
     marking concentration points, e.g. (0, 1/lam) for a peak at the axis.
     An F with several columns (shape (columns, points)) returns the values
     and the errors as arrays, one entry per column, all on the same panels.
+    F's array output is weighted in place, so it must be a fresh array.
     """
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
     ring = sphere_area(n - 1)
 
     def g(theta):
-        return np.asarray(F(np.cos(theta)), dtype=float) * np.sin(theta) ** (n - 1)
+        vals = np.asarray(F(np.cos(theta)), dtype=float)
+        weight = np.sin(theta) ** (n - 1)
+        own = vals.shape[-1:] == weight.shape  # a scalar F has no array to reuse
+        return np.multiply(vals, weight, out=vals if own else None)
 
     breaks = panel_breakpoints(0.0, np.pi, features)
     fine, err = _doubled(g, breaks, nodes)

@@ -35,24 +35,13 @@ def json_report(payload: dict) -> str:
 
 
 def write_report(out_dir: str | Path, payload: dict) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
-    path.write_text(json_report(payload))
-    return path
+    return write_text(Path(out_dir) / "report.json", json_report(payload))
 
 
 def write_meta(out_dir: str | Path) -> Path:
     """Timestamps and wall-clock live here, away from the deterministic report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    path = out / "report_meta.json"
-    path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return path
+    meta = json_report({"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")})
+    return write_text(Path(out_dir) / "report_meta.json", meta)
 
 
 def write_text(path: str | Path, text: str) -> Path:

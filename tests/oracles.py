@@ -1,4 +1,4 @@
-"""Independent integration routes that the tests check the library against.
+"""Independent routes that the tests check the library against.
 
 None is used by ``morsecount`` itself:
 
@@ -11,11 +11,15 @@ None is used by ``morsecount`` itself:
   reference for ``bubbles``' one-pass Monte Carlo weighted integral;
   ``mc_weighted_integral`` applies it to int K|u|^q dV and
   ``mc_pair_energy`` to a pair energy.
+- ``level_bound_rows``: solution-bound rows built one frozen dataclass and
+  one ``Fraction(p, n)`` per level, the reference for ``solution_bounds``'
+  shared level energies and tuple rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -274,3 +278,27 @@ def mc_weighted_integral(
         comps.append(bubble_component(b, u.n, weight=0.8 / u.p))
     F = lambda x: eval_K(K, x) * np.abs(eval_bubble_sum(u, x)) ** q
     return mc_integrate(F, comps, samples=samples, seed=seed)
+
+
+@dataclass(frozen=True)
+class FrozenLevelBound:
+    """A solution-bound row as a frozen dataclass, with its own ``to_dict``."""
+
+    p: int
+    energy_multiple: Fraction
+    lower_bound: int
+
+    def to_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "energy_multiple_of_Sn": str(self.energy_multiple),
+            "lower_bound": self.lower_bound,
+        }
+
+
+def level_bound_rows(n: int, bounds: Sequence[int]) -> tuple[FrozenLevelBound, ...]:
+    """One row per level p = 1, 2, ..., each with a fresh Fraction(p, n)."""
+    return tuple(
+        FrozenLevelBound(p=p, energy_multiple=Fraction(p, n), lower_bound=b)
+        for p, b in enumerate(bounds, start=1)
+    )

@@ -10,14 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morsecount import (
+    ConsistencyError,
     H3Warning,
     ParityConfig,
     all_parity_patterns,
     classify_case,
     index_K,
+    indexcount,
     mu_recurrence,
     solution_bounds,
 )
+from oracles import level_bound_rows
 
 
 def cfg(parities, N=4, n=7):
@@ -54,6 +57,61 @@ def test_energy_levels_are_exact_fractions():
         Fraction(2, 7),
         Fraction(3, 7),
     ]
+
+
+def test_rows_match_the_per_row_construction():
+    """Shared level energies and tuple rows give every row the fields, types
+    and ``to_dict`` of a frozen row with its own Fraction(p, n), reduced
+    fractions such as 2/4 -> 1/2 included."""
+    for m in range(2, 11):
+        for parities in all_parity_patterns(m):
+            for n in range(3, 10):
+                rows = solution_bounds(cfg(parities, N=20, n=n)).rows
+                want = level_bound_rows(n, [row.lower_bound for row in rows])
+                assert len(rows) == len(want) == 20
+                for row, old in zip(rows, want):
+                    assert (row.p, row.energy_multiple, row.lower_bound) == (
+                        old.p, old.energy_multiple, old.lower_bound
+                    )
+                    assert list(map(type, row)) == [int, Fraction, int]
+                    assert row.to_dict() == old.to_dict()
+    row = solution_bounds(cfg((0, 0), N=2, n=4)).rows[1]
+    assert row.to_dict()["energy_multiple_of_Sn"] == "1/2"
+    with pytest.raises(AttributeError):
+        row.p = 3
+
+
+@pytest.mark.parametrize(
+    "parities, label, message",
+    [
+        ((0, 1, 0, 1, 0), "IndexOne",
+         "level 2: bound 2 exceeds |mu| = 1 for parities (0, 1, 0, 1, 0)"),
+        ((0, 0, 0), "Case1", "level 1: bound 2 exceeds |mu| = 1 for parities (0, 0, 0)"),
+        ((0, 0, 0, 1), "Case3", "level 2: bound 2 exceeds |mu| = 1 for parities (0, 0, 0, 1)"),
+    ],
+)
+def test_bound_above_mu_raises_at_the_first_offending_level(
+    monkeypatch, parities, label, message
+):
+    """Two levels get |mu_p| one below their bound (bound >= 2, sign kept
+    negative so the check must take |mu|); the error names the first."""
+    c = cfg(parities, N=8)
+    report = solution_bounds(c)
+    assert report.case_label == label
+    bounds = [row.lower_bound for row in report.rows]
+    hit = [p for p, b in enumerate(bounds, start=1) if b >= 2][:2]
+    real = indexcount._mu_row
+
+    def lowered(par, N):
+        mu = list(real(par, N))
+        for p in hit:
+            mu[p - 1] = 1 - bounds[p - 1]
+        return tuple(mu)
+
+    monkeypatch.setattr(indexcount, "_mu_row", lowered)
+    with pytest.raises(ConsistencyError) as exc:
+        solution_bounds(c)
+    assert str(exc.value) == message
 
 
 def test_m1_report_is_suppressed():

@@ -1406,3 +1406,21 @@ def test_scale_line_is_one_integral(monkeypatch):
     K = load_preset("three-bump-s3")
     assert equilibrium_scale(K, K.terms[0].center, 0.05) is not None
     assert calls == Counter(integrate_radial=1)
+
+
+def test_scale_line_is_held_once():
+    """integrate_radial weights the (31 scales, points) line in place. The
+    fine pass's line is 0.73 MB on three-bump-s3, and weighting it into a
+    new array held two copies: a tracemalloc peak of 1.56 MB per call."""
+    import tracemalloc
+
+    K = load_preset("three-bump-s3")
+    center = K.terms[0].center
+    lam = equilibrium_scale(K, center, 0.05)  # warm the caches
+    tracemalloc.start()
+    try:
+        assert equilibrium_scale(K, center, 0.05) == lam
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4e6

@@ -60,6 +60,10 @@ PINNED_REPORTS = [
         "report.json": "5d7f4bcb8711c1ae9deb99af2c5c314bd0113c905e8c05f632647cdd877a06a1",
         "bounds.csv": "4c9a5dd74184cb8240c41f952b7c0ce206b6f62a37cefcaf862e250eefb0f34b",
     }),
+    (("bounds", "--parities", "0,0,0,1", "--N", "16"), {  # Case3; p = 7, 14 print 1, 2
+        "report.json": "b24b906579a11c4b95d0828d2880e858e99d43f468fff5ebdf7ef8f69d62b910",
+        "bounds.csv": "93c840c72b28b5e8e96d3a1cb8f442a25b20ffb4c5cf9c5506a8ea695a5dc39d",
+    }),
     (("verify", "--exhaustive", "--max-m", "4"), {
         "report.json": "53344a526297ed60e666b91804b160647e3847211f7048e699a9c8c31f71e7d4",
     }),
@@ -483,6 +487,47 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     assert stderr_error(err)["kind"] == "usage"
     code, _, err = run(capsys, "indices", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "mode, config",
+    [
+        ("verify", {"exhaustive": True, "max_m": "x"}),
+        ("verify", {"exhaustive": True, "max_m": None}),
+        ("verify", {"exhaustive": True, "max_N": 12.0}),
+        ("verify", {"exhaustive": "false"}),
+        ("flow", {"tau": "0.1"}),
+        ("bounds", {"parities": [0, 1], "N": True}),
+        ("bounds", {"parities": [0, 1], "eta": None}),
+        ("indices", {"parities": ["0", "1"]}),
+        ("indices", {"preset": 5}),
+    ],
+)
+def test_badly_typed_config_value_is_a_usage_error(tmp_path, capsys, mode, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, mode, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    error = stderr_error(err)
+    assert error["kind"] == "usage"
+    assert error["detail"].startswith("config key ")
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_well_typed_config_values_run(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"exhaustive": True, "max_m": 3, "max_N": 5}))
+    code, out, _ = run(capsys, "verify", "--config", str(path))
+    assert code == 0
+    assert "checked 6 parity patterns (m <= 3, N = 5)" in out
+    path.write_text(json.dumps({"exhaustive": False}))
+    code, _, err = run(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert "--exhaustive" in stderr_error(err)["detail"]
+    path.write_text(json.dumps({"parities": "0,1,1", "N": 4, "eta": 0}))
+    code, _, err = run(capsys, "bounds", "--config", str(path))
+    assert code == 3  # an integer is a number; its value is then checked
+    assert "eta must satisfy" in stderr_error(err)["detail"]
 
 
 def test_curvature_preset_rejected_where_parities_expected(capsys):

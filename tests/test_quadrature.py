@@ -9,6 +9,7 @@ import pytest
 
 from morsecount.quadrature import (
     QuadratureScheme,
+    _doubled,
     integrate_radial,
     panel_breakpoints,
 )
@@ -106,6 +107,20 @@ def test_radial_columns_come_back_as_arrays():
         val, err = integrate_radial(f, 3, nodes=32, features=features)
         assert vals[k] == pytest.approx(val, rel=1e-14)
         assert errs[k] == pytest.approx(err, abs=1e-14 * abs(val))
+
+
+def test_radial_weighting_in_place_is_bit_identical():
+    """F's fresh array is weighted in place, to the bit of the product into a
+    new array; a scalar F is still broadcast over the points."""
+    cols = lambda u: np.vstack([np.ones_like(u), u * u, np.exp(-(1.0 - u) / 0.05**2)])
+    features = ((0.0, 0.05),)
+    breaks = panel_breakpoints(0.0, np.pi, features)
+    for F in (cols, lambda u: np.exp(u), lambda u: 2.5):
+        g = lambda t: np.asarray(F(np.cos(t)), dtype=float) * np.sin(t) ** 2
+        fine, err = _doubled(g, breaks, 32)
+        val, e = integrate_radial(F, 3, nodes=32, features=features)
+        assert np.array_equal(val, sphere_area(2) * fine)
+        assert np.array_equal(e, sphere_area(2) * err)
 
 
 # ---- two-direction reduction on the 3-sphere ----
