@@ -49,10 +49,10 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureScheme,
     _allocate,
+    _doubled,
     _split_half,
     integrate_radial,
     panel_breakpoints,
-    panel_quadrature,
 )
 from .sphere import exp_map, geodesic_distance, sphere_area, tangent_basis
 
@@ -868,8 +868,8 @@ def _single_bubble_derivatives(
     log ring factor, l1, l2 the ell-derivatives of log B^q).  The chain rule
     through gamma(v) = <c, exp_a0(B0 v)> and J = ||u||^{qe} D^{-e} follows; a
     mirrored bubble is integrated as its lam >= 1 twin, flipping gamma and
-    ell.  The noise is the largest Hessian entry change from nodes to 2*nodes
-    columns, plus rounding.
+    ell.  The noise is the largest Hessian entry change from nodes // 2 to
+    nodes Gauss points per panel, plus rounding.
     """
     u = chart.unpack(x)
     flip = -1.0 if u.bubbles[0].lam < 1.0 else 1.0
@@ -896,7 +896,7 @@ def _single_bubble_derivatives(
 
     g = lambda theta: columns(np.cos(theta)) * np.sin(theta) ** 2  # integrate_radial's
     breaks = panel_breakpoints(0.0, np.pi, [(0.0, _theta_scale(lam)), *k_features])
-    coarse, fine = (panel_quadrature(g, breaks, m) for m in (scheme.nodes, 2 * scheme.nodes))
+    fine, coarse = _doubled(g, breaks, scheme.nodes)
     ring = sphere_area(2)
     weighted = (ring * fine[0], ring * abs(fine[0] - coarse[0]))
     jev = _j_evaluation(u, norm_squared(u, scheme), weighted, scheme)
@@ -968,7 +968,8 @@ class MorseIndexEstimate:
 
     Eigenvalues within ``band`` (= 10x the noise) of zero are neither
     negative nor positive but ``indeterminate``.  The noise is the exact
-    Hessian's change under node doubling, or the FD stencil's propagated error.
+    Hessian's change from nodes // 2 to nodes Gauss points per panel, or the
+    FD stencil's propagated error.
     """
 
     index: int

@@ -192,10 +192,10 @@ def _json_type(value) -> str:
     return kinds.get(type(value), "another type")
 
 
-#: The JSON types a config file may give each key that a flag also sets; any
-#: other value, null included, is a usage error rather than a later traceback.
+#: The JSON types a config file may give each key that a flag or the scheme
+#: reads; any other value, null included, is a usage error, not a traceback.
 _CONFIG_TYPES = {
-    **dict.fromkeys(("N", "max_m", "max_N"), ("an integer",)),
+    **dict.fromkeys(("N", "max_m", "max_N", "nodes", "samples", "seed"), ("an integer",)),
     **dict.fromkeys(("eta", "tau"), ("an integer", "a number")),
     "exhaustive": ("a boolean",),
     "preset": ("a string",),
@@ -279,7 +279,10 @@ def _parity_config(cfg: RunConfig) -> ParityConfig:
 
 def _scheme(cfg: RunConfig) -> QuadratureScheme:
     given = {"nodes": cfg.nodes, "samples": cfg.samples, "seed": cfg.seed}
-    return QuadratureScheme(**{k: int(v) for k, v in given.items() if v is not None})
+    try:
+        return QuadratureScheme(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:  # only config values reach the scheme
+        raise CLIFailure(EXIT_USAGE, "usage", f"config: {exc}")
 
 
 def _write(cfg: RunConfig, payload: dict, side_files: dict[str, str] | None = None) -> None:

@@ -1,10 +1,11 @@
 """Quadrature on spheres.
 
 Panelled Gauss-Legendre for zonal integrands, reduced to one colatitude
-integral, with its error estimated by node-count doubling.  Integrals with
-no such reduction are mixture Monte Carlo sums (``bubbles`` draws and
-weights the points); this module splits their sample budget over the
-proposals and reduces the weighted terms to a value and a split-half error.
+integral: the value takes ``nodes`` points per panel, the error its change
+from ``nodes // 2``.  Integrals with no such reduction are mixture Monte
+Carlo sums (``bubbles`` draws and weights the points); this module splits
+their sample budget over the proposals and reduces the weighted terms to a
+value and a split-half error.
 """
 from __future__ import annotations
 
@@ -136,10 +137,9 @@ def panel_quadrature(
 
 
 def _doubled(f, breaks, nodes):
-    """Value at 2*nodes per panel and its change from nodes, the error estimate."""
-    coarse = panel_quadrature(f, breaks, nodes)
-    fine = panel_quadrature(f, breaks, 2 * nodes)
-    return fine, abs(fine - coarse)
+    """(fine, coarse) at nodes and nodes // 2 points per panel: the value and
+    the rule whose change from it is the error estimate."""
+    return panel_quadrature(f, breaks, nodes), panel_quadrature(f, breaks, nodes // 2)
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +159,9 @@ def integrate_radial(
     Reduces to the colatitude line: integral = |S^{n-1}| * int_0^pi
     F(cos t) sin^{n-1} t dt.  ``features`` are (colatitude, scale) pairs
     marking concentration points, e.g. (0, 1/lam) for a peak at the axis.
-    An F with several columns (shape (columns, points)) returns the values
-    and the errors as arrays, one entry per column, all on the same panels.
+    The value takes ``nodes`` Gauss points per panel, the error its change
+    from ``nodes // 2``.  An F with several columns (shape (columns, points))
+    returns values and errors as arrays, one per column, on the same panels.
     F's array output is weighted in place, so it must be a fresh array.
     """
     if n < 1:
@@ -174,8 +175,8 @@ def integrate_radial(
         return np.multiply(vals, weight, out=vals if own else None)
 
     breaks = panel_breakpoints(0.0, np.pi, features)
-    fine, err = _doubled(g, breaks, nodes)
-    return ring * fine, ring * err
+    fine, coarse = _doubled(g, breaks, nodes)
+    return ring * fine, ring * abs(fine - coarse)
 
 
 # --------------------------------------------------------------------------

@@ -89,9 +89,9 @@ def integrate_two_point_s3(
         phi_scale = scale / np.sqrt(scale + np.sin(phi0) ** 2)
         phi_features.append((phi0, phi_scale))
     breaks = panel_breakpoints(0.0, np.pi, phi_features)
-    fine, err = _doubled(outer, breaks, nodes)
+    fine, coarse = _doubled(outer, breaks, nodes)
     factor = 2.0 * np.pi / root_s2
-    return factor * fine, factor * err
+    return factor * fine, factor * abs(fine - coarse)
 
 
 def power_primitive(lam: float, power: float, n: int) -> Callable:

@@ -773,7 +773,8 @@ def test_off_axis_bumps_need_the_3_sphere():
 
 
 # (value, error, weighted integral, weighted error) as float.hex, frozen from
-# the route before the ring average: aligned configurations must not move
+# the route before the ring average, which took its value from 128 Gauss
+# points per panel and its error from 64: now nodes = 128, bit for bit
 ALIGNED_J_HEX = {
     "tower": ["0x1.d93a7fd911ef0p+2", "0x1.a7b0eb29631dep-50",
               "0x1.5692ee3de3da1p+4", "0x1.921fb54442d19p-47"],
@@ -803,7 +804,7 @@ def test_aligned_configurations_are_frozen_bit_for_bit():
     }
     got = {}
     for name, (u, KK) in cases.items():
-        j = functional_J_detailed(u, KK)
+        j = functional_J_detailed(u, KK, QuadratureScheme(nodes=128))
         got[name] = [
             v.hex() for v in (j.value, j.error, j.weighted_integral, j.weighted_error)
         ]
@@ -1036,23 +1037,44 @@ def test_chart_sinc_matches_mpmath():
 
 
 def test_exact_hessian_noise_covers_the_node_count():
-    """The noise is the Hessian's change from nodes to 2*nodes columns: at
-    16 nodes on a lam = 1000 bubble it covers the change to 64 nodes
-    (measured 3.8e-11 against 1.1e-11), far above the rounding floor."""
+    """The noise is the Hessian's change from the nodes // 2 to the nodes
+    columns: at 32 nodes on a lam = 1000 bubble it covers the change to 128
+    nodes (measured 3.8e-11 against 1.1e-11), far above the rounding floor."""
     K = load_preset("three-bump-s3")
     u = single(K.terms[0].center, 1000.0, tau=0.05)
-    _, (_, _, H16, noise) = exact_at(u, K, scheme=QuadratureScheme(nodes=16))
-    _, (_, _, H64, _) = exact_at(u, K, scheme=QuadratureScheme(nodes=64))
-    assert np.max(np.abs(H16 - H64)) <= noise
-    assert noise > 100 * 64 * np.finfo(float).eps * np.max(np.abs(H16))
+    _, (_, _, H32, noise) = exact_at(u, K, scheme=QuadratureScheme(nodes=32))
+    _, (_, _, H128, _) = exact_at(u, K, scheme=QuadratureScheme(nodes=128))
+    assert np.max(np.abs(H32 - H128)) <= noise
+    assert noise > 100 * 64 * np.finfo(float).eps * np.max(np.abs(H32))
+
+
+def test_exact_derivatives_take_nodes_and_half_nodes_points_per_panel(monkeypatch):
+    """The kernel's one multi-column integral runs the rule pair of
+    integrate_radial: (64 + 32) points per panel at the default scheme."""
+    from morsecount import quadrature
+
+    real, seen = quadrature.panel_quadrature, []
+
+    def counting(f, breaks, nodes):
+        def g(theta):
+            seen.append((nodes, theta.size, len(breaks) - 1))
+            return f(theta)
+
+        return real(g, breaks, nodes)
+
+    monkeypatch.setattr(quadrature, "panel_quadrature", counting)
+    K = load_preset("three-bump-s3")
+    exact_at(single(K.terms[0].center, 40.0, tau=0.05), K)
+    panels = seen[0][2]
+    assert seen == [(64, 64 * panels, panels), (32, 32 * panels, panels)]
 
 
 def test_exact_derivatives_enforce_the_scheme_tolerance():
-    """16 nodes per panel leave a lam = 400 bubble about 4e-13 (relative) off
-    its doubled value: both routes refuse a 1e-14 tolerance alike."""
+    """32 nodes per panel leave a lam = 400 bubble about 4e-13 (relative) off
+    its 16-node value: both routes refuse a 1e-14 tolerance alike."""
     K = load_preset("three-bump-s3")
     u = single(K.terms[0].center, 400.0, tau=0.05)
-    tight = QuadratureScheme(nodes=16, tol=1e-14)
+    tight = QuadratureScheme(nodes=32, tol=1e-14)
     with pytest.raises(QuadratureConvergenceError):
         functional_J_detailed(u, K, tight)
     with pytest.raises(QuadratureConvergenceError):
@@ -1368,11 +1390,11 @@ def test_monte_carlo_scale_line_is_the_per_scale_loop(monkeypatch):
 
 
 def test_scale_line_enforces_the_scheme_tolerance():
-    """At 16 nodes the large scales sit about 6e-14 (relative) off their
-    doubled values: a 1e-14 tolerance is refused, as per scale, and a 1e-10
+    """At 32 nodes the large scales sit about 6e-14 (relative) off their
+    16-node values: a 1e-14 tolerance is refused, as per scale, and a 1e-10
     one passes."""
     K = load_preset("three-bump-s3")
-    tight = QuadratureScheme(nodes=16, tol=1e-14)
+    tight = QuadratureScheme(nodes=32, tol=1e-14)
     with pytest.raises(QuadratureConvergenceError):
         equilibrium_scale(K, K.terms[0].center, 0.05, tight, window=(2.0, 400.0))
     with pytest.raises(QuadratureConvergenceError):

@@ -501,6 +501,10 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
         ("bounds", {"parities": [0, 1], "eta": None}),
         ("indices", {"parities": ["0", "1"]}),
         ("indices", {"preset": 5}),
+        ("quadrature", {"nodes": 20.7}),
+        ("quadrature", {"nodes": "x"}),
+        ("flow", {"samples": 9.5}),
+        ("flow", {"seed": True}),
     ],
 )
 def test_badly_typed_config_value_is_a_usage_error(tmp_path, capsys, mode, config):
@@ -528,6 +532,37 @@ def test_well_typed_config_values_run(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "--config", str(path))
     assert code == 3  # an integer is a number; its value is then checked
     assert "eta must satisfy" in stderr_error(err)["detail"]
+
+
+@pytest.mark.parametrize("config", [{"nodes": 8}, {"samples": 9}])
+def test_out_of_range_scheme_config_is_a_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "quadrature", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    error = stderr_error(err)
+    assert error["kind"] == "usage" and error["detail"].startswith("config: ")
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_flow_verdicts_hold_at_twice_the_nodes(tmp_path, capsys):
+    """At nodes = 128 (value at 128 points per panel, error from 64) every
+    flow ends as at the default 64 and 32, its final scale within 1e-9."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"nodes": 128}))
+    rows = {}
+    for name, extra in (("default", ()), ("fine", ("--config", str(path)))):
+        code, _, _ = run(capsys, "flow", "--preset", "three-bump-s3",
+                         "--out", str(tmp_path / name), *extra)
+        assert code == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        rows[name] = report["flows"]
+    assert report["scheme"]["nodes"] == 128
+    assert len(rows["fine"]) == len(rows["default"]) == 4
+    for fine, default in zip(rows["fine"], rows["default"]):
+        for key in ("status", "target_iota", "reduced_index", "indeterminate"):
+            assert fine[key] == default[key], key
+        assert fine["final_scale"] == pytest.approx(default["final_scale"], rel=1e-9)
 
 
 def test_curvature_preset_rejected_where_parities_expected(capsys):

@@ -117,10 +117,27 @@ def test_radial_weighting_in_place_is_bit_identical():
     breaks = panel_breakpoints(0.0, np.pi, features)
     for F in (cols, lambda u: np.exp(u), lambda u: 2.5):
         g = lambda t: np.asarray(F(np.cos(t)), dtype=float) * np.sin(t) ** 2
-        fine, err = _doubled(g, breaks, 32)
+        fine, coarse = _doubled(g, breaks, 32)
         val, e = integrate_radial(F, 3, nodes=32, features=features)
         assert np.array_equal(val, sphere_area(2) * fine)
-        assert np.array_equal(e, sphere_area(2) * err)
+        assert np.array_equal(e, sphere_area(2) * abs(fine - coarse))
+
+
+@pytest.mark.parametrize("kwargs, rules", [({}, (64, 32)), ({"nodes": 17}, (17, 8))])
+def test_radial_rule_takes_nodes_and_half_nodes_points_per_panel(kwargs, rules):
+    """One integral evaluates its integrand on the nodes-point rule (the
+    value) and the nodes // 2 one (the error) and no other: (64 + 32) points
+    per panel at the default, the 17- and 8-point rules at nodes = 17."""
+    features = ((0.0, 0.05), (1.0, 0.3))
+    panels = len(panel_breakpoints(0.0, np.pi, features)) - 1
+    sizes = []
+
+    def F(u):
+        sizes.append(u.size)
+        return np.exp(u)
+
+    integrate_radial(F, 3, features=features, **kwargs)
+    assert sizes == [m * panels for m in rules]
 
 
 # ---- two-direction reduction on the 3-sphere ----
