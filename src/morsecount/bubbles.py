@@ -171,9 +171,7 @@ class BubbleSum:
         if int(self.n) != self.n or self.n < 3:
             raise ValueError("dimension must be an integer >= 3")
         object.__setattr__(self, "n", int(self.n))
-        bubbles = tuple(
-            b if isinstance(b, Bubble) else Bubble.from_dict(b) for b in self.bubbles
-        )
+        bubbles = tuple(self.bubbles)
         if not bubbles:
             raise ValueError("at least one bubble is required")
         for b in bubbles:

@@ -14,7 +14,7 @@ import importlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .indexcount import (
@@ -109,18 +109,17 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Resolved inputs of one invocation; embedded verbatim in every report."""
+    """Resolved inputs of one invocation: each key the subcommand reads
+    (``reads``) is recorded in its report."""
 
     mode: str
+    reads: tuple[str, ...]
     out: str | None = None
     parities: tuple[int, ...] | None = None
     preset: str | None = None
     N: int | None = None
     eta: float | None = None
     tau: float | None = None
-    seed: int | None = None
-    nodes: int | None = None
-    samples: int | None = None
     exhaustive: bool = False
     max_m: int = 8
     max_N: int = 12
@@ -128,7 +127,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         # the output directory is where results go, not an input that shapes
         # them; leaving it out keeps reports byte-identical across locations
-        return {k: v for k, v in asdict(self).items() if k != "out"}
+        return {"mode": self.mode, **{k: getattr(self, k) for k in self.reads if k != "out"}}
 
 
 def _parse_parities(text: str) -> tuple[int, ...]:
@@ -141,6 +140,52 @@ def _parse_parities(text: str) -> tuple[int, ...]:
     return bits
 
 
+#: The JSON types a ``--config`` value may take, by the type its flag parses
+#: (``bool`` for a switch), compared exactly so that ``true`` is no integer;
+#: ``null`` fits none.  The one special case is ``parities``, which a file
+#: may also give as a list of integers.
+_JSON_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    bool: ("a boolean", (bool,)),
+    str: ("a string", (str,)),
+}
+_PARITY_TYPES = ("a string or a list of integers", (str, list))
+
+
+class _ConfigFile(argparse.Action):
+    """``--config PATH``: the JSON object in PATH.  Each key must be a flag
+    destination of the subcommand whose parser runs this action and hold
+    that flag's JSON type."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            data = json.loads(Path(path).read_text())
+        except FileNotFoundError:
+            raise CLIFailure(EXIT_USAGE, "usage", f"config file not found: {path}")
+        except json.JSONDecodeError as exc:
+            raise CLIFailure(EXIT_USAGE, "usage", f"config file is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise CLIFailure(EXIT_USAGE, "usage", "config file must hold a JSON object")
+        flags = {a.dest: a for a in parser._actions if a.dest not in ("help", self.dest)}
+        for key, value in data.items():
+            flag = flags.get(key)
+            if flag is None:
+                mode = parser.prog.split()[-1]
+                raise CLIFailure(EXIT_USAGE, "usage", f"config key {key!r} is not read by {mode}")
+            if key == "parities":
+                name, types = _PARITY_TYPES
+            else:
+                name, types = _JSON_TYPES[bool if flag.nargs == 0 else flag.type or str]
+            if type(value) not in types or (
+                type(value) is list and not all(type(v) is int for v in value)
+            ):
+                raise CLIFailure(
+                    EXIT_USAGE, "usage", f"config key {key!r} must be {name}, got {value!r}"
+                )
+        setattr(namespace, self.dest, data)
+
+
 def build_parser() -> _Parser:
     """One subparser per subcommand, each declaring only the flags it reads."""
     parser = _Parser(prog="morsecount", description=__doc__)
@@ -148,8 +193,8 @@ def build_parser() -> _Parser:
 
     def subcommand(mode: str, help_text: str) -> _Parser:
         p = sub.add_parser(mode, help=help_text)
-        p.add_argument("--config", type=Path, help="JSON file with defaults for any key")
-        p.add_argument("--out", type=Path, help="directory for report files")
+        p.add_argument("--config", action=_ConfigFile, help="JSON file with defaults for these flags")
+        p.add_argument("--out", help="directory for report files")
         return p
 
     preset = {"help": "bundled preset name"}
@@ -184,70 +229,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _json_type(value) -> str:
-    """What a parsed JSON value is, with integers told from other numbers."""
-    if isinstance(value, list) and all(_json_type(v) == "an integer" for v in value):
-        return "a list of integers"
-    kinds = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-    return kinds.get(type(value), "another type")
-
-
-#: The JSON types a config file may give each key that a flag or the scheme
-#: reads; any other value, null included, is a usage error, not a traceback.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("N", "max_m", "max_N", "nodes", "samples", "seed"), ("an integer",)),
-    **dict.fromkeys(("eta", "tau"), ("an integer", "a number")),
-    "exhaustive": ("a boolean",),
-    "preset": ("a string",),
-    "parities": ("a string", "a list of integers"),
-}
-
-
-def _load_config_file(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise CLIFailure(EXIT_USAGE, "usage", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CLIFailure(EXIT_USAGE, "usage", f"config file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise CLIFailure(EXIT_USAGE, "usage", "config file must hold a JSON object")
-    for key, kinds in _CONFIG_TYPES.items():
-        if key in data and _json_type(data[key]) not in kinds:
-            detail = f"config key {key!r} must be {' or '.join(kinds)}, got {data[key]!r}"
-            raise CLIFailure(EXIT_USAGE, "usage", detail)
-    return data
-
-
 def parse_args(argv) -> RunConfig:
     """Flags win over ``--config`` keys, which win over the defaults."""
-    ns = build_parser().parse_args(argv)
-    file_cfg = _load_config_file(ns.config) if ns.config else {}
-
-    def pick(key, default=None):
-        val = getattr(ns, key, None)
-        return val if val is not None else file_cfg.get(key, default)
-
-    parities, out = pick("parities"), pick("out")
+    ns = vars(build_parser().parse_args(argv))
+    mode, file_cfg = ns.pop("mode"), ns.pop("config") or {}
+    given = {**file_cfg, **{k: v for k, v in ns.items() if v is not None}}
+    parities = given.get("parities")
     if isinstance(parities, str):
-        parities = _parse_parities(parities)
+        given["parities"] = _parse_parities(parities)
     elif parities is not None:
-        parities = tuple(parities)
-    return RunConfig(
-        mode=ns.mode,
-        out=str(out) if out is not None else None,
-        parities=parities,
-        preset=pick("preset"),
-        N=pick("N"),
-        eta=pick("eta"),
-        tau=pick("tau"),
-        seed=pick("seed"),
-        nodes=pick("nodes"),
-        samples=pick("samples"),
-        exhaustive=pick("exhaustive", False),
-        max_m=pick("max_m", 8),
-        max_N=pick("max_N", 12),
-    )
+        given["parities"] = tuple(parities)
+    return RunConfig(mode=mode, reads=tuple(ns), **given)
 
 
 def _preset(name: str, parity: bool):
@@ -275,14 +267,6 @@ def _parity_config(cfg: RunConfig) -> ParityConfig:
     else:
         raise CLIFailure(EXIT_USAGE, "usage", "need --parities or a parity --preset")
     return ParityConfig(n=n, parities=tuple(parities), N=int(N if cfg.N is None else cfg.N))
-
-
-def _scheme(cfg: RunConfig) -> QuadratureScheme:
-    given = {"nodes": cfg.nodes, "samples": cfg.samples, "seed": cfg.seed}
-    try:
-        return QuadratureScheme(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:  # only config values reach the scheme
-        raise CLIFailure(EXIT_USAGE, "usage", f"config: {exc}")
 
 
 def _write(cfg: RunConfig, payload: dict, side_files: dict[str, str] | None = None) -> None:
@@ -428,7 +412,7 @@ def run_flow(cfg: RunConfig) -> int:
     tau = cfg.tau if cfg.tau is not None else 0.05
     if not tau > 0:
         raise CLIFailure(EXIT_INVARIANT, "invariant", "tau must be positive for flows")
-    scheme = _scheme(cfg)
+    scheme = QuadratureScheme()
     points = find_critical_points(K)
     euler_sum, euler_expected, euler_match = euler_characteristic_diagnostic(points, K.n)
     if not euler_match:
@@ -510,7 +494,7 @@ def run_flow(cfg: RunConfig) -> int:
 
 
 def run_quadrature(cfg: RunConfig) -> int:
-    scheme = _scheme(cfg)
+    scheme = QuadratureScheme()
     checks = []
     for n in range(3, 8):
         u = BubbleSum(

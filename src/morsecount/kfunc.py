@@ -82,9 +82,7 @@ class KFunction:
             raise ValueError("epsilon must be positive")
         if not (self.scale > 0):
             raise ValueError("scale must be positive")
-        terms = tuple(
-            t if isinstance(t, BumpTerm) else BumpTerm(**t) for t in self.terms
-        )
+        terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
         for t in terms:
             if len(t.center) != self.n + 1:

@@ -60,23 +60,12 @@ class QuadratureScheme:
             raise ValueError("tolerance must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "nodes": int(self.nodes),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-            "tol": float(self.tol),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadratureScheme":
-        return cls(
-            kind=d.get("kind", "radial-1d"),
-            nodes=int(d.get("nodes", 64)),
-            samples=int(d.get("samples", 20_000)),
-            seed=int(d.get("seed", 0)),
-            tol=float(d.get("tol", 1e-6)),
-        )
+        """The fields this kind reads.  Monte Carlo reads all five, since its
+        pair energies are radial integrals at ``nodes``."""
+        d = {"kind": self.kind, "nodes": self.nodes, "tol": float(self.tol)}
+        if self.kind == "monte-carlo":
+            d.update(samples=self.samples, seed=self.seed)
+        return d
 
 
 # --------------------------------------------------------------------------

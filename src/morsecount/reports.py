@@ -12,7 +12,7 @@ import json
 import time
 from pathlib import Path
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 __all__ = [
     "SCHEMA_VERSION",

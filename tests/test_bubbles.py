@@ -1264,6 +1264,31 @@ def test_flow_escapes_from_a_shallow_defect():
     assert report.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
 
 
+def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeypatch):
+    """A flow without a Newton polish ends on a descent step whose gradient
+    it has not taken.  With finite differences (one bubble on S^4; the
+    constant candidate keeps every stencil point radial) it takes one more
+    reduced_gradient there, and reports that norm."""
+    from morsecount import bubbles
+
+    taken, real = [], bubbles.reduced_gradient
+
+    def noting(u, K, scheme=None, **kwargs):
+        grad = real(u, K, scheme, **kwargs)
+        taken.append((kwargs["chart"].unpack(kwargs["at"]), grad))
+        return grad
+
+    monkeypatch.setattr(bubbles, "reduced_gradient", noting)
+    K = constant_one(4)
+    u0 = single((0.0, 0.0, 0.0, 0.0, 1.0), 4.0, n=4, tau=0.05)
+    final, report = flow_to_critical(u0, K, FlowOptions(max_steps=2, newton_steps=0))
+    assert report.status == "non-convergence" and report.steps == 2
+    assert len(taken) == 3 and taken[-1][0] == final
+    assert report.grad_norm == float(np.linalg.norm(taken[-1][1]))
+    assert report.grad_norm == pytest.approx(float(np.linalg.norm(real(final, K))), rel=1e-9)
+    assert report.grad_norm != pytest.approx(float(np.linalg.norm(taken[-2][1])), rel=1e-3)
+
+
 def test_flow_migrates_away_from_a_positive_laplacian_min():
     """Seeded on the minimum of K, the flow has no equilibrium scale there;
     it flattens through the near-constant neck (where the scale crosses 1 and

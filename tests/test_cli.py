@@ -49,23 +49,23 @@ def test_indices_alternating_preset(capsys):
 #: quadrature floats do, so those reports keep only the rerun check.
 PINNED_REPORTS = [
     (("indices", "--parities", "0,1,1", "--N", "6"), {
-        "report.json": "6990696b6a292dc3cd49b008cdaf413a7e62510443d3144669dfbb9b3d108005",
+        "report.json": "f27c0bed0850251f4f55606491c2c07d66cf7a2c250e27d0d97b787692bb344b",
         "indices.csv": "c86e2dfd5c57a55cdbaea6218ddfbc69ad422b2e5b1744c1357a0533cd3c0ada",
     }),
     (("indices", "--parities", "0,0,1,1,0", "--N", "10"), {
-        "report.json": "09fe4cfd1c8587b9115d62b765b814c0506a7a338f58295c722b2f344d94c5bc",
+        "report.json": "1223be67d8f372c604c30def100f243965b836689e81f7672c42aea5e49e8368",
         "indices.csv": "f1c74ca4e84811a9bff64362989e39356b90fd9c139e61e2e658e997953f887b",
     }),
     (("bounds", "--preset", "index-one-ell-2"), {
-        "report.json": "5d7f4bcb8711c1ae9deb99af2c5c314bd0113c905e8c05f632647cdd877a06a1",
+        "report.json": "b9bc4129b7ec9a8087285df9e3c48261c59ac1cd099d486c07c4aecf7fe8ded2",
         "bounds.csv": "4c9a5dd74184cb8240c41f952b7c0ce206b6f62a37cefcaf862e250eefb0f34b",
     }),
     (("bounds", "--parities", "0,0,0,1", "--N", "16"), {  # Case3; p = 7, 14 print 1, 2
-        "report.json": "b24b906579a11c4b95d0828d2880e858e99d43f468fff5ebdf7ef8f69d62b910",
+        "report.json": "c11f7fcb03b8fac663a6e6242cfa169f5e9128a16a39af9351359eb35db15589",
         "bounds.csv": "93c840c72b28b5e8e96d3a1cb8f442a25b20ffb4c5cf9c5506a8ea695a5dc39d",
     }),
     (("verify", "--exhaustive", "--max-m", "4"), {
-        "report.json": "53344a526297ed60e666b91804b160647e3847211f7048e699a9c8c31f71e7d4",
+        "report.json": "a99d10abef943f529f034819f2500b2d71ea955e948d204b2d67768ef0f005df",
     }),
 ]
 
@@ -90,9 +90,8 @@ def test_indices_report_embeds_resolved_config(tmp_path, capsys):
                      "--out", str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == "1"
-    assert report["config"]["parities"] == [0, 0, 0]
-    assert report["config"]["N"] == 5
+    assert report["schema_version"] == "2"
+    assert report["config"] == {"mode": "indices", "parities": [0, 0, 0], "N": 5, "preset": None}
     assert report["table"]["mu"] == [-2, -3, -4, -5, -6]
 
 
@@ -354,6 +353,32 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "mode, config",
+    [
+        ("verify", {"exhaustive": True, "max_m": 3, "N": 20}),
+        ("verify", {"exhaustive": True, "max_m": 3, "preset": "all-odd-m5"}),
+        ("verify", {"exhaustive": True, "max_m": 3, "tau": 0.3}),
+        ("flow", {"eta": 0.1}),
+        ("flow", {"seed": 1}),
+        ("flow", {"samples": 20_000}),
+        ("flow", {"nodes": 128}),
+        ("quadrature", {"preset": "three-bump-s3"}),
+        ("quadrature", {"nodes": 128}),
+    ],
+)
+def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path, capsys, mode, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, mode, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    error = stderr_error(err)
+    assert error["kind"] == "usage"
+    unread = list(config)[-1]
+    assert error["detail"] == f"config key {unread!r} is not read by {mode}"
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
     code, _, _ = run(capsys, "indices", "--parities", ",".join(["0"] * 20), "--N", "2")
     assert code == 0  # the limit itself is allowed
@@ -362,16 +387,61 @@ def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
     _, _, err = run(capsys, "verify", "--exhaustive", "--max-m", "13")
     assert "limit of 12" in stderr_error(err)["detail"]
     # the level cap, from the flag or from a config file
-    for value in (64, 65):
-        (tmp_path / f"{value}.json").write_text(json.dumps({"N": value, "max_N": value}))
-    for base, flag in ((("indices", "--parities", "0,1,1"), "--N"),
-                       (("verify", "--exhaustive", "--max-m", "3"), "--max-N")):
+    for base, flag, key in ((("indices", "--parities", "0,1,1"), "--N", "N"),
+                            (("verify", "--exhaustive", "--max-m", "3"), "--max-N", "max_N")):
         for value in (64, 65):
-            for extra in ((flag, str(value)), ("--config", str(tmp_path / f"{value}.json"))):
+            path = tmp_path / f"{base[0]}-{value}.json"
+            path.write_text(json.dumps({key: value}))
+            for extra in ((flag, str(value)), ("--config", str(path))):
                 code, _, err = run(capsys, *base, *extra)
                 assert code == (0 if value == 64 else 2)
                 if value == 65:
                     assert "65 exceeds the limit of 64" in stderr_error(err)["detail"]
+
+
+def _subcommand_flags() -> dict[str, dict[str, str]]:
+    """Each subcommand's flags other than --config, --out and help, mapped to
+    their destinations, in declaration order."""
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "mode"]
+    return {
+        mode: {
+            a.option_strings[0]: a.dest
+            for a in p._actions
+            if a.dest not in ("help", "config", "out")
+        }
+        for mode, p in sub.choices.items()
+    }
+
+
+def test_readme_flag_table_matches_the_parser(tmp_path):
+    """The README's subcommand/flags table lists each subcommand's flags, and
+    its --config file accepts exactly their destinations plus out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            flags = [f.strip("`") for f in cells[1].split(", ")] if cells[1] != "none" else []
+            table[cells[0].strip("`")] = flags
+    parsed = _subcommand_flags()
+    assert table == {mode: list(flags) for mode, flags in parsed.items()}
+    values = {"N": 4, "max_m": 3, "max_N": 4, "eta": 0.01, "tau": 0.1, "exhaustive": True,
+              "preset": "all-even-m3", "parities": "0,1", "out": str(tmp_path / "out"),
+              "config": "other.json", "mode": "indices", "nodes": 64, "samples": 64, "seed": 1}
+    assert {d for flags in parsed.values() for d in flags.values()} < set(values)
+    path = tmp_path / "run.json"
+    for mode, flags in parsed.items():
+        accepted = set()
+        for key, value in values.items():
+            path.write_text(json.dumps({key: value}))
+            try:
+                cli.parse_args([mode, "--config", str(path)])
+            except cli.CLIFailure as fail:
+                assert fail.detail == f"config key {key!r} is not read by {mode}"
+            else:
+                accepted.add(key)
+        assert accepted == set(flags.values()) | {"out"}, mode
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -505,6 +575,7 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
         ("quadrature", {"nodes": "x"}),
         ("flow", {"samples": 9.5}),
         ("flow", {"seed": True}),
+        ("indices", {"parities": "0,1", "out": 5}),
     ],
 )
 def test_badly_typed_config_value_is_a_usage_error(tmp_path, capsys, mode, config):
@@ -534,26 +605,18 @@ def test_well_typed_config_values_run(tmp_path, capsys):
     assert "eta must satisfy" in stderr_error(err)["detail"]
 
 
-@pytest.mark.parametrize("config", [{"nodes": 8}, {"samples": 9}])
-def test_out_of_range_scheme_config_is_a_usage_error(tmp_path, capsys, config):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config))
-    code, out, err = run(capsys, "quadrature", "--config", str(path), "--out", str(tmp_path / "out"))
-    assert code == 2
-    error = stderr_error(err)
-    assert error["kind"] == "usage" and error["detail"].startswith("config: ")
-    assert out == "" and not (tmp_path / "out").exists()
-
-
-def test_flow_verdicts_hold_at_twice_the_nodes(tmp_path, capsys):
+def test_flow_verdicts_hold_at_twice_the_nodes(tmp_path, capsys, monkeypatch):
     """At nodes = 128 (value at 128 points per panel, error from 64) every
     flow ends as at the default 64 and 32, its final scale within 1e-9."""
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"nodes": 128}))
+    from morsecount.quadrature import QuadratureScheme
+
     rows = {}
-    for name, extra in (("default", ()), ("fine", ("--config", str(path)))):
+    for name in ("default", "fine"):
+        if name == "fine":
+            monkeypatch.setattr(cli, "QuadratureScheme", lambda: QuadratureScheme(nodes=128),
+                                raising=False)
         code, _, _ = run(capsys, "flow", "--preset", "three-bump-s3",
-                         "--out", str(tmp_path / name), *extra)
+                         "--out", str(tmp_path / name))
         assert code == 0
         report = json.loads((tmp_path / name / "report.json").read_text())
         rows[name] = report["flows"]
