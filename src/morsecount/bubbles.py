@@ -22,10 +22,9 @@ e_tau = 2(n-2)/(2n - tau(n-2)),
 
 is invariant under scaling of u, so the parameter chart fixes the first
 coefficient and works in (log(alpha_i/alpha_1), tangential offsets, log lam).
-Pair energies are deterministic one-dimensional integrals under every
-scheme and in every dimension: aligned pairs along their common axis, any
-other pair through its Lorentz invariant (one radial integral of one
-profile).  Weighted integrals over (anti)parallel bubbles are one colatitude
+Pair energies are deterministic under every scheme and in every dimension:
+each pair goes through its Lorentz invariant, one radial integral of one
+profile.  Weighted integrals over (anti)parallel bubbles are one colatitude
 integral of the ring-averaged K; anything else goes to mixture importance
 sampling.  Every integral and every functional value carries an error
 estimate.
@@ -373,34 +372,6 @@ def _axis_signs(directions: Sequence[np.ndarray]):
     return ref, signs
 
 
-def _pair_energy(
-    bi: Bubble, bj: Bubble, n: int, scheme: QuadratureScheme
-) -> tuple[float, float]:
-    """<B_i, B_j> = int B_i B_j^{(n+2)/(n-2)} dV for distinct bubbles.
-
-    Deterministic under every scheme, which lends only its node count:
-    aligned pairs are one colatitude integral of both profiles (the high
-    power on the more concentrated one), other pairs go through their
-    Lorentz invariant.
-    """
-    bi, bj = canonical_bubble(bi), canonical_bubble(bj)
-    power = (n + 2.0) / (n - 2.0)
-    # outer carries power 1, inner carries the high power
-    outer, inner = (bi, bj) if bj.lam >= bi.lam else (bj, bi)
-    aligned = _axis_signs([np.asarray(outer.center), np.asarray(inner.center)])
-    if aligned is None:
-        return _invariant_pair_energy(bi, bj, n, scheme.nodes)
-    _, (s_out, s_in) = aligned
-    F = lambda t: _profile(outer.lam, s_out * t, n) * _profile(
-        inner.lam, s_in * t, n
-    ) ** power
-    features = [
-        (0.0 if s_out > 0 else math.pi, _theta_scale(outer.lam)),
-        (0.0 if s_in > 0 else math.pi, _theta_scale(inner.lam)),
-    ]
-    return integrate_radial(F, n, nodes=scheme.nodes, features=features)
-
-
 def _invariant_pair_energy(bi: Bubble, bj: Bubble, n: int, nodes: int):
     """<B_i, B_j> (Bahri-Coron's eps_ij) in any dimension from one invariant.
 
@@ -427,9 +398,10 @@ def _invariant_pair_energy(bi: Bubble, bj: Bubble, n: int, nodes: int):
 def norm_squared(u: BubbleSum, scheme: QuadratureScheme | None = None):
     """Energy norm squared of the sum: sum_ij alpha_i alpha_j <B_i, B_j>.
 
-    Diagonal terms are the exact constant S_n; off-diagonal pair energies are
-    deterministic radial integrals under every scheme (``_pair_energy``), so
-    the error is their node-doubling error.  Returns (value, error_estimate).
+    Diagonal terms are the exact constant S_n; every off-diagonal pair energy
+    is one radial integral of its Lorentz invariant under every scheme, which
+    lends only its node count (``_invariant_pair_energy``), so the error is
+    their node-doubling error.  Returns (value, error_estimate).
     """
     scheme = scheme or QuadratureScheme()
     s_n = sobolev_constant(u.n)
@@ -437,7 +409,7 @@ def norm_squared(u: BubbleSum, scheme: QuadratureScheme | None = None):
     err = 0.0
     for i in range(u.p):
         for j in range(i + 1, u.p):
-            val, e = _pair_energy(u.bubbles[i], u.bubbles[j], u.n, scheme)
+            val, e = _invariant_pair_energy(u.bubbles[i], u.bubbles[j], u.n, scheme.nodes)
             total += 2.0 * u.alphas[i] * u.alphas[j] * val
             err += 2.0 * u.alphas[i] * u.alphas[j] * e
     return total, err
@@ -451,21 +423,24 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
     with gamma = <axis, c> averages to w*exp((c_t - 1)/s^2)*(1 - e^{-2b})/(2b),
     b = sqrt(1-t^2) sqrt(1-gamma^2)/s^2, where c_t = gamma*t + b*s^2 <= 1 is
     the ring's largest <x, c>; sinh(b)/b is never formed, so narrow bumps
-    cannot overflow.  A bump on the axis keeps the exact axial factor
-    exp(-(1 - sgn*t)/s^2).  Off-axis bumps need n = 3: elsewhere the ring
-    average is a Bessel function.  Also returns each bump's gamma (+-1 on
-    the axis); ``profile(t, bumps=True)`` adds the per-bump terms w*R(t).
+    cannot overflow.  On S^3 this is exact for every gamma, and at gamma =
+    +-1 (b = 0) it is the axial factor exp(-(1 - sgn*t)/s^2).  Elsewhere the
+    ring average of an off-axis bump is a Bessel function, so n != 3 takes
+    only bumps on the axis (|gamma| >= _ALIGNED), snapped to gamma = +-1.
+    Also returns each bump's gamma; ``profile(t, bumps=True)`` adds the
+    per-bump terms w*R(t).
     """
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width * term.width for term in K.terms])[:, None]
-    gamma = np.einsum("ti,i->t", K.centers(), axis)
-    on_axis = np.abs(gamma) >= _ALIGNED
-    if n != 3 and not on_axis.all():
-        raise ValueError(
-            "deterministic weighted integrals with bumps off the bubble axis "
-            "need n = 3; use a monte-carlo scheme"
-        )
-    gamma = np.where(on_axis, np.sign(gamma), gamma)
+    # |gamma| may pass 1 by rounding (centers are unit only to 1e-9)
+    gamma = np.clip(np.einsum("ti,i->t", K.centers(), axis), -1.0, 1.0)
+    if n != 3:
+        if np.any(np.abs(gamma) < _ALIGNED):
+            raise ValueError(
+                "deterministic weighted integrals with bumps off the bubble axis "
+                "need n = 3; use a monte-carlo scheme"
+            )
+        gamma = np.sign(gamma)
     sin_g = np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
     features = [
         (float(np.arccos(g)), term.width) for g, term in zip(gamma, K.terms)

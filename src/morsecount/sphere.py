@@ -92,13 +92,3 @@ def quasi_uniform_points(n: int, count: int) -> np.ndarray:
     if np.any(bad):
         g[bad] = norm.ppf(0.5 + 0.1 * (np.arange(d) + 1.0) / d)
     return unit(g)
-
-
-def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random rotation matrix in O(d) restricted to determinant +1."""
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

@@ -5,6 +5,10 @@ None is used by ``morsecount`` itself:
 - ``integrate_two_point_s3``: the two-direction reduction on the 3-sphere,
   which integrates G(<x,a>) H(<x,b>) through the flat joint law of the two
   linear coordinates; ``two_point_pair_energy`` applies it to a pair energy.
+- ``aligned_pair_energy``: a pair energy of (anti)parallel bubbles as one
+  colatitude integral of both profiles along their axis in any dimension,
+  the route ``norm_squared`` took for such pairs before every pair went
+  through its Lorentz invariant.
 - ``mc_integrate``: generic deterministic-mixture importance sampling over
   ``MixtureComponent`` proposals (``uniform_component``, and
   ``bubble_component``, a bubble's exact sampler with its density), the
@@ -27,8 +31,10 @@ import numpy as np
 from morsecount.bubbles import (
     Bubble,
     BubbleSum,
+    _axis_signs,
     _canonical_sum,
     _profile,
+    _theta_scale,
     c0,
     canonical_bubble,
     eval_bubble,
@@ -36,7 +42,7 @@ from morsecount.bubbles import (
     sobolev_constant,
 )
 from morsecount.kfunc import KFunction, eval_K
-from morsecount.quadrature import _allocate, _doubled, panel_breakpoints
+from morsecount.quadrature import _allocate, _doubled, integrate_radial, panel_breakpoints
 from morsecount.sphere import sphere_area, unit
 
 
@@ -136,6 +142,23 @@ def two_point_pair_energy(bi: Bubble, bj: Bubble, nodes: int = 64) -> tuple[floa
         (1.0, cos_scale(outer.lam)),
     ]
     return integrate_two_point_s3(primitive, weight_v, gamma, nodes=nodes, features=features)
+
+
+def aligned_pair_energy(bi: Bubble, bj: Bubble, n: int, nodes: int = 64) -> tuple[float, float]:
+    """<B_i, B_j> for (anti)parallel centers in any dimension: one colatitude
+    integral of both profiles along the common axis, the high power on the
+    more concentrated one."""
+    power = (n + 2.0) / (n - 2.0)
+    outer, inner = _outer_inner(bi, bj)
+    _, (s_out, s_in) = _axis_signs([np.asarray(outer.center), np.asarray(inner.center)])
+    F = lambda t: _profile(outer.lam, s_out * t, n) * _profile(
+        inner.lam, s_in * t, n
+    ) ** power
+    features = [
+        (0.0 if s_out > 0 else math.pi, _theta_scale(outer.lam)),
+        (0.0 if s_in > 0 else math.pi, _theta_scale(inner.lam)),
+    ]
+    return integrate_radial(F, n, nodes=nodes, features=features)
 
 
 # --------------------------------------------------------------------------
