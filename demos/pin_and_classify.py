@@ -26,6 +26,7 @@ from morsecount import (
     load_preset,
     reduced_morse_index,
 )
+from morsecount.sphere import geodesic_distance
 
 TAU = 0.05
 
@@ -57,9 +58,9 @@ if __name__ == "__main__":
             alphas=(1.0,),
             tau=TAU,
         )
-        final, rep = flow_to_critical(seed, K, opts, reference_points=[center])
+        final, rep = flow_to_critical(seed, K, opts)
         est = reduced_morse_index(final, K)
-        drift = rep.nearest[0][1]
+        drift = geodesic_distance(np.asarray(final.bubbles[0].center), center)
         print(
             f"co-index {iota}: equilibrium scale {lam_bar:6.2f} -> {rep.status} "
             f"in {rep.steps} steps, drift {drift:.1e}, "

@@ -53,32 +53,7 @@ from .quadrature import (
     integrate_radial,
     panel_breakpoints,
 )
-from .sphere import exp_map, geodesic_distance, sphere_area, tangent_basis
-
-__all__ = [
-    "Bubble",
-    "BubbleSum",
-    "BubbleChart",
-    "FlowOptions",
-    "FlowReport",
-    "JEvaluation",
-    "MorseIndexEstimate",
-    "QuadratureNoiseWarning",
-    "c0",
-    "constant_one",
-    "eval_bubble",
-    "eval_bubble_sum",
-    "fd_hessian",
-    "flow_to_critical",
-    "functional_J",
-    "functional_J_detailed",
-    "I_from_J",
-    "norm_squared",
-    "reduced_gradient",
-    "reduced_morse_index",
-    "sobolev_constant",
-    "weighted_power_integral",
-]
+from .sphere import exp_map, sphere_area, tangent_basis
 
 _ALIGNED = 1.0 - 1e-9
 
@@ -125,18 +100,11 @@ class Bubble:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.center, dtype=float)
-        if abs(np.linalg.norm(c) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(c) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("bubble center must be a unit vector")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
-        if not (self.lam > 0):
-            raise ValueError("bubble scale must be positive")
-
-    def to_dict(self) -> dict:
-        return {"center": list(self.center), "lam": float(self.lam)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Bubble":
-        return cls(center=tuple(d["center"]), lam=float(d["lam"]))
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError("bubble scale must be positive and finite")
 
 
 def canonical_bubble(b: Bubble) -> Bubble:
@@ -157,8 +125,7 @@ def canonical_bubble(b: Bubble) -> Bubble:
 class BubbleSum:
     """A positive combination sum_i alpha_i B_i with a subcritical defect tau.
 
-    ``tau`` must lie in [0, 4/(n-2)); pairwise geodesic separations are
-    recorded by ``separations`` and serialized.
+    ``tau`` must lie in [0, 4/(n-2)) and every coefficient be positive and finite.
     """
 
     n: int
@@ -180,8 +147,8 @@ class BubbleSum:
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) != len(bubbles):
             raise ValueError("one coefficient per bubble is required")
-        if any(a <= 0 for a in alphas):
-            raise ValueError("coefficients must be positive")
+        if not all(0.0 < a < math.inf for a in alphas):
+            raise ValueError("coefficients must be positive and finite")
         object.__setattr__(self, "alphas", alphas)
         if not (0.0 <= self.tau < 4.0 / (self.n - 2)):
             raise ValueError("tau must lie in [0, 4/(n-2))")
@@ -189,33 +156,6 @@ class BubbleSum:
     @property
     def p(self) -> int:
         return len(self.bubbles)
-
-    def separations(self) -> tuple[float, ...]:
-        """Pairwise geodesic distances between concentration points (i < j)."""
-        cs = [np.asarray(b.center) for b in self.bubbles]
-        return tuple(
-            float(geodesic_distance(cs[i], cs[j]))
-            for i in range(len(cs))
-            for j in range(i + 1, len(cs))
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tau": float(self.tau),
-            "alphas": list(self.alphas),
-            "bubbles": [b.to_dict() for b in self.bubbles],
-            "separations": list(self.separations()),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BubbleSum":
-        return cls(
-            n=int(d["n"]),
-            bubbles=tuple(Bubble.from_dict(b) for b in d["bubbles"]),
-            alphas=tuple(d["alphas"]),
-            tau=float(d.get("tau", 0.0)),
-        )
 
 
 def _canonical_sum(u: BubbleSum, *, below: float = 1.0) -> BubbleSum:
@@ -427,8 +367,8 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
     +-1 (b = 0) it is the axial factor exp(-(1 - sgn*t)/s^2).  Elsewhere the
     ring average of an off-axis bump is a Bessel function, so n != 3 takes
     only bumps on the axis (|gamma| >= _ALIGNED), snapped to gamma = +-1.
-    Also returns each bump's gamma; ``profile(t, bumps=True)`` adds the
-    per-bump terms w*R(t).
+    Also returns each bump's gamma; ``profile(t)`` returns the ring-averaged
+    K with the per-bump terms w*R(t) it sums.
     """
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width * term.width for term in K.terms])[:, None]
@@ -446,7 +386,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
         (float(np.arccos(g)), term.width) for g, term in zip(gamma, K.terms)
     ]
 
-    def profile(t, bumps=False):
+    def profile(t):
         t = np.asarray(t, dtype=float)
         sin_t = np.sqrt((1.0 - t) * (1.0 + t))
         two_b = 2.0 * sin_t * sin_g / s2
@@ -456,7 +396,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
         c_t = gamma[:, None] * t + sin_t * sin_g
         terms = w[:, None] * np.exp((c_t - 1.0) / s2) * ring
         k_bar = K.scale * (1.0 + K.epsilon * np.sum(terms, axis=0))
-        return (k_bar, terms) if bumps else k_bar
+        return k_bar, terms
 
     return profile, features, gamma
 
@@ -501,7 +441,7 @@ def weighted_power_integral(
         total = np.zeros_like(t)
         for a, b, s in zip(u.alphas, u.bubbles, signs):
             total += a * _profile(b.lam, s * t, n)
-        return k_profile(t) * np.abs(total) ** q
+        return k_profile(t)[0] * np.abs(total) ** q
 
     features = [
         (0.0 if s > 0 else math.pi, _theta_scale(b.lam))
@@ -637,7 +577,7 @@ def equilibrium_scale(
         def F(t):  # power and weight reuse the positive (scales, points) profile
             line = _profile(lams[:, None], t, n)
             line **= q
-            line *= k_profile(t)
+            line *= k_profile(t)[0]
             return line
 
         line = integrate_radial(F, n, nodes=scheme.nodes, features=features)
@@ -853,7 +793,7 @@ def _single_bubble_derivatives(
     gam, sin_g = gamma[:, None], np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
 
     def columns(t):
-        k_bar, terms = k_profile(t, bumps=True)
+        k_bar, terms = k_profile(t)
         bq = np.abs(alpha * _profile(lam, t, 3)) ** q
         delta = lam * lam * (1.0 - t)
         d = 1.0 + t + delta
@@ -955,18 +895,6 @@ class MorseIndexEstimate:
     def conclusive(self) -> bool:
         return self.indeterminate == 0
 
-    def __int__(self) -> int:
-        return self.index
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "indeterminate": self.indeterminate,
-            "eigenvalues": list(self.eigenvalues),
-            "noise": self.noise,
-            "band": self.band,
-        }
-
 
 def reduced_morse_index(
     u: BubbleSum, K: KFunction, scheme: QuadratureScheme | None = None
@@ -1026,8 +954,6 @@ class FlowReport:
     ``status`` is one of converged / blow-up-escape / non-convergence, or
     the descent's stationary / stalled when ``newton_steps`` is 0.
     Trajectory rows are (step, J, then per bubble: center components, lam).
-    ``nearest`` gives, per bubble, the index of the closest reference point
-    and the geodesic distance to it (empty when no references were given).
     """
 
     status: str
@@ -1036,24 +962,11 @@ class FlowReport:
     j_error: float
     grad_norm: float
     trajectory: tuple[tuple[float, ...], ...]
-    nearest: tuple[tuple[int, float], ...]
     message: str = ""
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-    def to_dict(self) -> dict:
-        """Summary fields; the trajectory is exported separately as CSV."""
-        return {
-            "status": self.status,
-            "steps": int(self.steps),
-            "j_value": float(self.j_value),
-            "j_error": float(self.j_error),
-            "grad_norm": float(self.grad_norm),
-            "nearest": [[int(i), float(d)] for i, d in self.nearest],
-            "message": self.message,
-        }
 
 
 def flow_to_critical(
@@ -1061,7 +974,6 @@ def flow_to_critical(
     K: KFunction,
     opts: FlowOptions | None = None,
     scheme: QuadratureScheme | None = None,
-    reference_points: Sequence[np.ndarray] = (),
 ) -> tuple[BubbleSum, FlowReport]:
     """Drive the configuration to a critical point of J in the chart.
 
@@ -1174,14 +1086,6 @@ def flow_to_critical(
             "a scale settled near 1: the configuration is nearly constant "
             "there and the recorded center is pure gauge"
         )
-    nearest: list[tuple[int, float]] = []
-    refs = [np.asarray(r, dtype=float) for r in reference_points]
-    if refs:
-        for b in final.bubbles:
-            c = np.asarray(b.center)
-            dists = [geodesic_distance(c, r) for r in refs]
-            idx = int(np.argmin(dists))
-            nearest.append((idx, float(dists[idx])))
     report = FlowReport(
         status=status,
         steps=steps,
@@ -1189,7 +1093,6 @@ def flow_to_critical(
         j_error=float(here.j.error),
         grad_norm=gnorm,
         trajectory=tuple(rows),
-        nearest=tuple(nearest),
         message=message,
     )
     return final, report

@@ -54,6 +54,7 @@ _NUMERICS = {
     ),
     "kfunc": ("euler_characteristic_diagnostic", "find_critical_points", "k_infinity_points"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme"),
+    "sphere": ("geodesic_distance",),
 }
 
 
@@ -402,6 +403,8 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_flow(cfg: RunConfig) -> int:
+    import numpy as np  # numerical subcommands only
+
     K = _preset(cfg.preset or "three-bump-s3", parity=False)
     if K.n != 3:
         raise CLIFailure(
@@ -452,13 +455,13 @@ def run_flow(cfg: RunConfig) -> int:
             alphas=(1.0,),
             tau=tau,
         )
-        final, rep = flow_to_critical(
-            seedsum, K, opts, scheme, reference_points=[center]
-        )
+        final, rep = flow_to_critical(seedsum, K, opts, scheme)
         est = reduced_morse_index(final, K, scheme)
         row.update(
             status=rep.status,
-            distance=rep.nearest[0][1],
+            distance=geodesic_distance(
+                np.asarray(final.bubbles[0].center), np.asarray(center, dtype=float)
+            ),
             final_scale=final.bubbles[0].lam,
             reduced_index=est.index,
             indeterminate=est.indeterminate,

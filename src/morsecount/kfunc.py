@@ -12,8 +12,9 @@ set {grad K = 0, Lap K < 0} as a parity configuration, and scans K's range.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +55,13 @@ class BumpTerm:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.center, dtype=float)
-        if abs(float(np.linalg.norm(c)) - 1.0) > 1e-9:
+        if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("bump center must be a unit vector")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
-        if not (self.width > 0):
-            raise ValueError("bump width must be positive")
+        if not math.isfinite(self.weight):
+            raise ValueError("bump weight must be finite")
+        if not (0.0 < self.width < math.inf):
+            raise ValueError("bump width must be positive and finite")
 
     def to_dict(self) -> dict:
         return {"center": list(self.center), "weight": self.weight, "width": self.width}
@@ -78,10 +81,10 @@ class KFunction:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError("dimension n must be an integer >= 2")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
-        if not (self.scale > 0):
-            raise ValueError("scale must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
+        if not (0.0 < self.scale < math.inf):
+            raise ValueError("scale must be positive and finite")
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
         for t in terms:
@@ -134,18 +137,6 @@ class CriticalPoint:
     laplacian_sign: int
     grad_norm: float
     hess_eigenvalues: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "location": list(self.location),
-            "value": self.value,
-            "morse_index_K": self.morse_index_K,
-            "co_index": self.co_index,
-            "laplacian": self.laplacian,
-            "laplacian_sign": self.laplacian_sign,
-            "grad_norm": self.grad_norm,
-            "hess_eigenvalues": list(self.hess_eigenvalues),
-        }
 
 
 # -- evaluation --------------------------------------------------------------

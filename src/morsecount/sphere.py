@@ -15,7 +15,7 @@ def unit(v: np.ndarray) -> np.ndarray:
 def check_unit(x: np.ndarray, tol: float = 1e-12) -> None:
     """Raise if x is not a unit vector (sphere points are contracts, not hints)."""
     err = abs(float(np.linalg.norm(x)) - 1.0)
-    if err > tol:
+    if not err <= tol:  # NaN fails too
         raise ValueError(f"expected a unit vector, |x| deviates by {err:.3e}")
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -11,10 +12,12 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morsecount import cli
 from morsecount.cli import main
+from morsecount.sphere import geodesic_distance
 
 
 def run(capsys, *argv):
@@ -207,8 +210,14 @@ def test_flow_pins_every_admissible_point(tmp_path, capsys):
         "points": 6, "euler_sum": 0, "euler_expected": 0, "euler_match": True,
     }
     assert "warning" not in out
-    assert (tmp_path / "trajectory_0.csv").exists()
     assert (tmp_path / "targets.csv").exists()
+    # each distance is the geodesic one from the last trajectory row's center
+    # to the target, bit for bit: repr floats round-trip exactly
+    for i, f in enumerate(flows):
+        with open(tmp_path / f"trajectory_{i}.csv", newline="") as fh:
+            last = list(csv.reader(fh))[-1]
+        end = np.array([float(v) for v in last[2:6]])
+        assert f["distance"] == geodesic_distance(end, np.array(f["target"]))
 
 
 def test_flow_pins_the_three_maxima_of_three_max_one_saddle(tmp_path, capsys):

@@ -1,0 +1,47 @@
+"""No dead code in the package: every top-level function and class in
+``src/morsecount`` is referenced outside its own definition somewhere in
+``src/``, ``tests/``, ``bench/`` or ``demos/``."""
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "morsecount"
+SEARCHED = ("src", "tests", "bench", "demos")
+
+
+def _references(tree: ast.AST):
+    """(name, line) of every name a module mentions: bare names, attributes,
+    imports, and the dotted components of string constants (export tables,
+    ``monkeypatch.setattr`` targets, tracer metric names)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def test_every_package_definition_has_a_caller():
+    used = defaultdict(list)  # name -> [(file, line)]
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for name, line in _references(ast.parse(path.read_text(), str(path))):
+                used[name].append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue  # module hooks such as __getattr__ run implicitly
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(p == path and line in own for p, line in used[node.name]):
+                dead.append(f"{path.stem}.{node.name}")
+    assert dead == []
