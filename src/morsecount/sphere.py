@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 
 import numpy as np
 
@@ -74,21 +75,70 @@ def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return math.cos(t) * x + math.sin(t) * (v / t)
 
 
+#: Joe & Kuo's Sobol direction numbers (SIAM J. Sci. Comput. 30, 2008, file new-joe-kuo-6.21201):
+#: (primitive polynomial, initial m-values) per dimension; the first's m-values are all 1.
+_SOBOL_TABLE = (
+    (1, ()),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+)
+_SOBOL_BITS = 30
+
+
+def _sobol(d: int, mexp: int) -> np.ndarray:
+    """The first 2**mexp unscrambled Sobol points in [0, 1)^d in Gray-code order: from the
+    origin, point i is point i - 1 xor the direction number at the lowest set bit of i,
+    built here by reflection (point 2**k + j is point 2**k - 1 - j xor direction k)."""
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for row, (poly, m_init) in zip(v, _SOBOL_TABLE):
+        s = len(m_init)
+        row[:s] = m_init
+        for j in range(s, mexp):  # Bratley & Fox's recurrence, up to the directions used
+            taps = [row[j - k] << k for k in range(1, s + 1) if (poly >> (s - k)) & 1]
+            row[j] = reduce(xor, taps, row[j - s])
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    x = np.zeros((2**mexp, d), dtype=np.int64)
+    for k in range(mexp):
+        x[2**k : 2 ** (k + 1)] = x[2**k - 1 :: -1] ^ v[:, k]
+    return x * 2.0**-_SOBOL_BITS
+
+
 def quasi_uniform_points(n: int, count: int) -> np.ndarray:
     """Low-discrepancy point set on S^n: Sobol in the cube -> Gaussian -> radial projection.
 
     Deterministic for a given (n, count); used for solver seeding and for
-    dense min/max scans.
+    dense min/max scans.  The cube points are the first 2**m (m >= 4) of the unscrambled
+    Sobol sequence in Gray-code order (``_sobol``); Joe & Kuo's table reaches n <= 20 and
+    2**30 points, and a larger n or count raises ``ValueError``.
     """
-    from scipy.stats import norm, qmc  # slow and large to load; only sampling needs it
+    from scipy.special import ndtri  # slow to import; only the first call pays
 
     d = n + 1
-    sob = qmc.Sobol(d, scramble=False)
     mexp = max(4, int(math.ceil(math.log2(max(count, 2)))))
-    u = sob.random_base2(mexp)[:count]
+    if not (1 <= d <= len(_SOBOL_TABLE) and mexp <= _SOBOL_BITS):
+        raise ValueError(f"the Sobol table covers n <= 20 and count <= 2**30, got {n=}, {count=}")
+    u = _sobol(d, mexp)[:count]
     # Clip away the cube corners before the inverse CDF blows them up.
-    g = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     bad = np.linalg.norm(g, axis=1) < 1e-8
     if np.any(bad):
-        g[bad] = norm.ppf(0.5 + 0.1 * (np.arange(d) + 1.0) / d)
+        g[bad] = ndtri(0.5 + 0.1 * (np.arange(d) + 1.0) / d)
     return unit(g)

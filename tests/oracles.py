@@ -18,6 +18,10 @@ None is used by ``morsecount`` itself:
 - ``level_bound_rows``: solution-bound rows built one frozen dataclass and
   one ``Fraction(p, n)`` per level, the reference for ``solution_bounds``'
   shared level energies and tuple rows.
+- ``scipy_quasi_uniform_points``: quasi-uniform points on S^n from
+  ``scipy.stats``' unscrambled ``qmc.Sobol`` and ``norm.ppf``, the route
+  ``sphere.quasi_uniform_points`` took before it drew its Sobol points from
+  its own direction-number table and ``scipy.special.ndtri``.
 """
 from __future__ import annotations
 
@@ -325,3 +329,23 @@ def level_bound_rows(n: int, bounds: Sequence[int]) -> tuple[FrozenLevelBound, .
         FrozenLevelBound(p=p, energy_multiple=Fraction(p, n), lower_bound=b)
         for p, b in enumerate(bounds, start=1)
     )
+
+
+def scipy_quasi_uniform_points(n: int, count: int) -> np.ndarray:
+    """Low-discrepancy point set on S^n: Sobol in the cube -> Gaussian -> radial projection.
+
+    Deterministic for a given (n, count); used for solver seeding and for
+    dense min/max scans.
+    """
+    from scipy.stats import norm, qmc  # slow and large to load; only sampling needs it
+
+    d = n + 1
+    sob = qmc.Sobol(d, scramble=False)
+    mexp = max(4, int(math.ceil(math.log2(max(count, 2)))))
+    u = sob.random_base2(mexp)[:count]
+    # Clip away the cube corners before the inverse CDF blows them up.
+    g = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    bad = np.linalg.norm(g, axis=1) < 1e-8
+    if np.any(bad):
+        g[bad] = norm.ppf(0.5 + 0.1 * (np.arange(d) + 1.0) / d)
+    return unit(g)

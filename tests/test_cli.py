@@ -453,13 +453,6 @@ def test_readme_flag_table_matches_the_parser(tmp_path):
         assert accepted == set(flags.values()) | {"out"}, mode
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, morsecount.cli; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60)
-
-
 # ---- cold start: which modules a fresh interpreter loads ----
 
 _PROBE_HEAD = """
@@ -496,6 +489,27 @@ def probe(body: str):
 )
 def test_exact_side_loads_no_numpy_or_scipy(step):
     assert probe(step + "\nprint(json.dumps(loaded('numpy', 'scipy')))") == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    got = probe("import morsecount.cli\nprint(json.dumps(loaded('scipy')))")
+    assert not [m for m in got if m.startswith("scipy.stats")]
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "run('flow', '--preset', 'three-bump-s3', '--out', {out!r})",
+        "from morsecount.presets import load_preset\n"
+        "from morsecount.kfunc import find_critical_points\n"
+        "find_critical_points(load_preset('three-bump-s3'))",
+    ],
+    ids=["flow", "find_critical_points"],
+)
+def test_the_lab_loads_scipy_special_and_no_other_scipy(step, tmp_path):
+    got = probe(step.format(out=str(tmp_path)) + "\nprint(json.dumps(loaded('scipy')))")
+    assert not [m for m in got if m.startswith("scipy.stats")]
+    assert got == probe("import scipy.special\nprint(json.dumps(loaded('scipy')))")
 
 
 def test_curvature_preset_and_eval_K_load_no_scipy():

@@ -28,8 +28,10 @@ from morsecount.kfunc import (
     laplace_K,
     normalize,
 )
+from morsecount import sphere
 from morsecount.presets import load_preset
 from morsecount.sphere import quasi_uniform_points, tangent_basis, unit
+from oracles import scipy_quasi_uniform_points
 
 
 def bump(center, weight=1.0, width=0.5):
@@ -217,6 +219,38 @@ def test_single_bump_center_is_a_max_with_negative_laplacian():
     # three tangent directions strictly negative, the x-kernel direction zero
     assert np.sum(eigs < -1e-12) == 3
     assert laplace_K(K, c) < 0
+
+
+# ---------------------------------------------------------------------------
+# quasi-uniform seeds
+# ---------------------------------------------------------------------------
+
+
+def test_quasi_uniform_points_match_the_scipy_route_bit_for_bit():
+    from scipy.stats import qmc
+
+    for n in range(len(sphere._SOBOL_TABLE)):
+        # point 1 is the all-0.5 corner, which takes the fallback row
+        assert np.all(sphere._sobol(n + 1, 4)[1] == 0.5)
+        for count in (1, 16, 512, 1000, 2**16):
+            got = quasi_uniform_points(n, count)
+            want = scipy_quasi_uniform_points(n, count)
+            assert np.array_equal(got, want), (n, count)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (n, count)
+    for d in range(1, len(sphere._SOBOL_TABLE) + 1):
+        want = qmc.Sobol(d, scramble=False).random_base2(16)  # each 2**m is a prefix
+        for m in range(4, 17):
+            assert np.array_equal(sphere._sobol(d, m), want[: 2**m]), (d, m)
+
+
+@pytest.mark.parametrize("n, count", [(len(sphere._SOBOL_TABLE), 16), (-1, 16), (3, 2**30 + 1)])
+def test_quasi_uniform_points_refuse_past_the_table(n, count, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("points drawn before the limit was checked")
+
+    monkeypatch.setattr(sphere, "_sobol", drawn)
+    with pytest.raises(ValueError, match=r"n <= 20 and count <= 2\*\*30"):
+        quasi_uniform_points(n, count)
 
 
 # ---------------------------------------------------------------------------
