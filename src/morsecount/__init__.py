@@ -15,10 +15,9 @@ _EXPORTS = {
     "bubbles": (
         "Bubble", "BubbleSum", "FlowOptions", "FlowReport", "JEvaluation",
         "MorseIndexEstimate", "QuadratureNoiseWarning", "I_from_J", "canonical_bubble",
-        "constant_one", "equilibrium_scale", "eval_bubble", "eval_bubble_sum",
-        "flow_to_critical", "functional_J", "functional_J_detailed", "norm_squared",
-        "reduced_gradient", "reduced_morse_index", "sobolev_constant",
-        "weighted_power_integral",
+        "constant_one", "equilibrium_scale", "flow_to_critical", "functional_J",
+        "functional_J_detailed", "norm_squared", "reduced_gradient",
+        "reduced_morse_index", "sobolev_constant", "weighted_power_integral",
     ),
     "indexcount": (
         "ConsistencyError", "H3Warning", "IndexTable", "LevelBound", "ParityConfig",
@@ -30,7 +29,7 @@ _EXPORTS = {
         "BumpTerm", "CriticalPoint", "H1ViolationError", "KFunction",
         "epsilon_membership", "eval_K", "euler_characteristic_diagnostic",
         "extract_K_infinity", "find_critical_points", "grad_K", "hess_K",
-        "k_infinity_points", "k_range", "laplace_K",
+        "k_infinity_points", "k_range",
     ),
     "presets": ("available_presets", "load_preset"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme", "integrate_radial"),

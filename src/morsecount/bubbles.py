@@ -183,7 +183,7 @@ def constant_one(n: int) -> KFunction:
 
 
 # --------------------------------------------------------------------------
-# pointwise evaluation and radial profiles
+# radial profiles
 # --------------------------------------------------------------------------
 
 
@@ -194,17 +194,6 @@ def _profile(lam: float, cosine, n: int):
     base **= -(n - 2) / 2.0
     base *= amp
     return base
-
-
-def eval_bubble(b: Bubble, x: np.ndarray, n: int):
-    """Pointwise bubble value; ``x`` is one unit vector or a batch of rows."""
-    a = np.asarray(b.center, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return _profile(b.lam, np.einsum("...i,i->...", x, a), n)
-
-
-def eval_bubble_sum(u: BubbleSum, x: np.ndarray):
-    return sum(a * eval_bubble(b, x, u.n) for a, b in zip(u.alphas, u.bubbles))
 
 
 def _theta_scale(lam: float) -> float:
@@ -290,7 +279,7 @@ def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, se
     f = np.einsum("tm,t->m", bumps, np.array([term.weight for term in K.terms]))
     np.abs(terms, out=terms)
     terms **= q
-    terms *= K.scale * (1.0 + K.epsilon * f)
+    terms *= 1.0 + K.epsilon * f
     terms /= mix
     return _split_half(terms, counts)
 
@@ -395,7 +384,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
         )
         c_t = gamma[:, None] * t + sin_t * sin_g
         terms = w[:, None] * np.exp((c_t - 1.0) / s2) * ring
-        k_bar = K.scale * (1.0 + K.epsilon * np.sum(terms, axis=0))
+        k_bar = 1.0 + K.epsilon * np.sum(terms, axis=0)
         return k_bar, terms
 
     return profile, features, gamma
@@ -803,7 +792,7 @@ def _single_bubble_derivatives(
         g1 = kap * (t - kap * gam * one_t2 * m)
         g2 = -kap * kap * one_t2 * (m - kap * kap * gam * gam * one_t2 * dm)
         base = k_bar * bq
-        share = K.scale * K.epsilon * bq * terms
+        share = K.epsilon * bq * terms
         return np.vstack([base, base * l1, base * (l1 * l1 + l2),
                           share * g1, share * (g1 * g1 + g2), share * g1 * l1])
 

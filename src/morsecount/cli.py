@@ -13,7 +13,6 @@ import argparse
 import importlib
 import json
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,9 +47,9 @@ from .reports import (
 _NUMERICAL_MODES = ("flow", "quadrature")
 _NUMERICS = {
     "bubbles": (
-        "Bubble", "BubbleSum", "FlowOptions", "QuadratureNoiseWarning", "constant_one",
-        "equilibrium_scale", "flow_to_critical", "functional_J_detailed",
-        "reduced_morse_index", "sobolev_constant",
+        "Bubble", "BubbleSum", "FlowOptions", "constant_one", "equilibrium_scale",
+        "flow_to_critical", "functional_J_detailed", "reduced_morse_index",
+        "sobolev_constant",
     ),
     "kfunc": ("euler_characteristic_diagnostic", "find_critical_points", "k_infinity_points"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme"),
@@ -571,24 +570,21 @@ def run(cfg: RunConfig) -> int:
     if runner is None:
         raise CLIFailure(EXIT_USAGE, "usage", f"unknown mode {cfg.mode!r}")
     numerical = cfg.mode in _NUMERICAL_MODES
-    # scoped, so an in-process call leaves the caller's warning filters intact
-    with warnings.catch_warnings():
-        if numerical:
-            _load_numerics()
-            warnings.simplefilter("ignore", QuadratureNoiseWarning)
-        try:
-            return runner(cfg)
-        except CLIFailure:
-            raise
-        except ConsistencyError as exc:
-            raise CLIFailure(EXIT_CONSISTENCY, "consistency", str(exc))
-        except ValueError as exc:
-            raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
-        except RuntimeError as exc:
-            # QuadratureConvergenceError is bound once a numerical subcommand runs
-            if numerical and isinstance(exc, QuadratureConvergenceError):
-                raise CLIFailure(EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
-            raise
+    if numerical:
+        _load_numerics()
+    try:
+        return runner(cfg)
+    except CLIFailure:
+        raise
+    except ConsistencyError as exc:
+        raise CLIFailure(EXIT_CONSISTENCY, "consistency", str(exc))
+    except ValueError as exc:
+        raise CLIFailure(EXIT_INVARIANT, "invariant", str(exc))
+    except RuntimeError as exc:
+        # QuadratureConvergenceError is bound once a numerical subcommand runs
+        if numerical and isinstance(exc, QuadratureConvergenceError):
+            raise CLIFailure(EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
+        raise
 
 
 def main(argv=None) -> int:

@@ -142,14 +142,6 @@ class IndexTable:
     mu_geq: tuple[tuple[int, ...], ...]
     mu_geq_at: tuple[tuple[int, ...], ...]
 
-    def mu_of(self, p: int) -> int:
-        """mu_p for 1 <= p <= N."""
-        return self.mu[p - 1]
-
-    def mu_geq_of(self, k: int, p: int) -> int:
-        """mu_{>=k}^{inf,p} for 1 <= k <= m+1, 1 <= p <= N."""
-        return self.mu_geq[k - 1][p - 1]
-
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
@@ -371,7 +363,22 @@ def _level_energies(n: int, N: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(p, n) for p in range(1, N + 1))
 
 
-def _case_and_ell(cfg: ParityConfig) -> tuple[CaseLabel, Optional[int]]:
+def classify_case(cfg: ParityConfig) -> tuple[CaseLabel, Optional[int]]:
+    """Classify a configuration after the canonical rearrangement; returns the
+    case label and the number l of (odd, even) pairs (None for Case1/Case2).
+
+    Counting evens (e) and odds (o) among positions 2..m: the pattern rearranges
+    to ``(even | (odd, even) x l | homogeneous tail)``, which yields
+
+    * ``IndexOne``  iff e == o         (then index_K == 1, l = e),
+    * ``Case1``     iff o == 0         (everything even),
+    * ``Case2``     iff e == 0, o >= 1 (odd tail only),
+    * ``Case3``     iff e > o >= 1     (even tail after l = o pairs),
+    * ``Case4``     iff o > e >= 1     (odd tail after l = e pairs).
+
+    The five branches are exhaustive and mutually exclusive, so a configuration
+    with index_K != 1 always lands in one of the four cases.
+    """
     if cfg.parities[0] != 0:
         raise ValueError("malformed configuration: parities[0] must be even")
     tail = cfg.parities[1:]
@@ -388,27 +395,6 @@ def _case_and_ell(cfg: ParityConfig) -> tuple[CaseLabel, Optional[int]]:
     if e > o:
         return "Case3", o
     return "Case4", e
-
-
-def classify_case(cfg: ParityConfig) -> CaseLabel:
-    """Classify a configuration after the canonical rearrangement.
-
-    Counting evens (e) and odds (o) among positions 2..m: the pattern rearranges
-    to ``(even | (odd, even) x l | homogeneous tail)``, which yields
-
-    * ``IndexOne``  iff e == o         (then index_K == 1, l = e),
-    * ``Case1``     iff o == 0         (everything even),
-    * ``Case2``     iff e == 0, o >= 1 (odd tail only),
-    * ``Case3``     iff e > o >= 1     (even tail after l = o pairs),
-    * ``Case4``     iff o > e >= 1     (odd tail after l = e pairs).
-
-    The five branches are exhaustive and mutually exclusive, so a configuration
-    with index_K != 1 always lands in one of the four cases.
-    """
-    label, _ = _case_and_ell(cfg)
-    if label != "IndexOne" and index_K(cfg) == 1:
-        raise AssertionError("classification disagrees with index_K")  # unreachable
-    return label
 
 
 def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
@@ -430,7 +416,7 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
     m, N = cfg.m, cfg.N
     mu = _mu_row(cfg.parities, N)
     levels = range(1, N + 1)
-    label, ell = _case_and_ell(cfg)
+    label, ell = classify_case(cfg)
     if not cfg.satisfies_h3:
         warnings.warn(
             "m = 1: multiplicity theorems need m >= 2; emitting an empty bound report",

@@ -1,4 +1,4 @@
-"""Analytic curvature candidates K = scale * (1 + eps * f) on S^n.
+"""Analytic curvature candidates K = 1 + eps * f on S^n.
 
 f is a sum of smooth sphere bumps w * exp(-(1 - <x, c>)/s^2), chosen because all
 ambient derivatives are closed-form.  Intrinsic derivatives come from projecting:
@@ -69,22 +69,20 @@ class BumpTerm:
 
 @dataclass(frozen=True)
 class KFunction:
-    """Curvature candidate on S^n.  `epsilon` is the declared oscillation bound
-    (membership requires K_max/K_min - 1 < epsilon); `scale` is the recorded
-    normalization factor (1.0 unless `normalize` produced this instance)."""
+    """Curvature candidate K = 1 + epsilon * f on S^n.  `epsilon` is the
+    declared oscillation bound (membership requires K_max/K_min - 1 < epsilon).
+    A constant factor on K scales J and moves no critical point, so K carries
+    none."""
 
     n: int
     epsilon: float
     terms: tuple[BumpTerm, ...]
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError("dimension n must be an integer >= 2")
         if not (0.0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
-        if not (0.0 < self.scale < math.inf):
-            raise ValueError("scale must be positive and finite")
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
         for t in terms:
@@ -103,14 +101,11 @@ class KFunction:
         )
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "n": self.n,
             "epsilon": self.epsilon,
             "terms": [t.to_dict() for t in self.terms],
         }
-        if self.scale != 1.0:
-            d["scale"] = self.scale
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "KFunction":
@@ -119,7 +114,6 @@ class KFunction:
                 n=int(d["n"]),
                 epsilon=float(d["epsilon"]),
                 terms=tuple(BumpTerm(**t) for t in d["terms"]),
-                scale=float(d.get("scale", 1.0)),
             )
         except KeyError as exc:
             raise ValueError(f"curvature candidate is missing field {exc}") from exc
@@ -150,7 +144,7 @@ def eval_K(K: KFunction, x: np.ndarray) -> float | np.ndarray:
     s2 = np.array([term.width**2 for term in K.terms])
     cos = np.einsum("bi,ti->bt", np.atleast_2d(x), K.centers())
     f = np.einsum("bt,t->b", np.exp((cos - 1.0) / s2), w)
-    out = K.scale * (1.0 + K.epsilon * f)
+    out = 1.0 + K.epsilon * f
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -162,10 +156,9 @@ def _derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     C = K.centers()
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width**2 for term in K.terms])
-    se = K.scale * K.epsilon
     wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
-    amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * se
-    amb_hess = np.matmul(C.T * (wg / s2**2)[:, None, :], C) * se
+    amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * K.epsilon
+    amb_hess = np.matmul(C.T * (wg / s2**2)[:, None, :], C) * K.epsilon
     radial = np.matmul(amb_grad[:, None, :], X[:, :, None])[:, 0, 0]
     P = np.eye(K.dim) - X[:, :, None] * X[:, None, :]
     return amb_grad - radial[:, None] * X, P @ amb_hess @ P - radial[:, None, None] * P
@@ -184,11 +177,6 @@ def hess_K(K: KFunction, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     check_unit(x)
     return _derivs(K, x)[1][0]
-
-
-def laplace_K(K: KFunction, x: np.ndarray) -> float:
-    """Sphere Laplacian of K at unit x: the trace of the covariant Hessian."""
-    return float(np.trace(hess_K(K, x)))
 
 
 # -- critical point search ----------------------------------------------------
@@ -212,7 +200,7 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
     # characteristic gradient magnitude, for the convergence threshold
-    gscale = K.scale * K.epsilon * sum(abs(t.weight) / t.width**2 for t in K.terms)
+    gscale = K.epsilon * sum(abs(t.weight) / t.width**2 for t in K.terms)
     tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
     # each seed's gradient norm at its last halving, and that iteration
     ref, last = np.full(len(X), np.inf), np.zeros(len(X), dtype=int)
@@ -390,7 +378,7 @@ def extract_K_infinity(points: list[CriticalPoint], N: int = 1) -> ParityConfig:
     return ParityConfig(n=n, parities=parities, N=N)
 
 
-# -- normalization ------------------------------------------------------------
+# -- range and membership -----------------------------------------------------
 
 
 def k_range(K: KFunction) -> tuple[float, float]:
@@ -414,14 +402,3 @@ def epsilon_membership(K: KFunction) -> tuple[float, bool]:
         raise ValueError(f"K must be positive; sampled minimum is {kmin:.6g}")
     ratio = kmax / kmin - 1.0
     return ratio, ratio < K.epsilon
-
-
-def normalize(K: KFunction) -> KFunction:
-    """Rescale so the minimum of K is 1; the applied factor is recorded in the
-    returned instance's `scale` field (scale_new = scale_old / K_min)."""
-    kmin, _ = k_range(K)
-    if kmin <= 0:
-        raise ValueError(f"K must be positive to normalize; minimum is {kmin:.6g}")
-    return KFunction(
-        n=K.n, epsilon=K.epsilon, terms=K.terms, scale=K.scale / kmin
-    )

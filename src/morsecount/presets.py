@@ -17,7 +17,6 @@ from .indexcount import ParityConfig
 if TYPE_CHECKING:
     from .kfunc import KFunction
 
-__all__ = ["available_presets", "load_preset"]
 
 
 def _preset_dir():

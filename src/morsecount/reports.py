@@ -14,17 +14,6 @@ from pathlib import Path
 
 SCHEMA_VERSION = "2"
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "json_report",
-    "write_report",
-    "write_meta",
-    "write_text",
-    "index_table_csv",
-    "bounds_csv",
-    "trajectory_csv",
-    "critical_points_csv",
-]
 
 
 def json_report(payload: dict) -> str:

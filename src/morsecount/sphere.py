@@ -127,14 +127,16 @@ def quasi_uniform_points(n: int, count: int) -> np.ndarray:
     Deterministic for a given (n, count); used for solver seeding and for
     dense min/max scans.  The cube points are the first 2**m (m >= 4) of the unscrambled
     Sobol sequence in Gray-code order (``_sobol``); Joe & Kuo's table reaches n <= 20 and
-    2**30 points, and a larger n or count raises ``ValueError``.
+    2**30 points, and a larger n or count, or a negative count, raises ``ValueError``.
     """
     from scipy.special import ndtri  # slow to import; only the first call pays
 
     d = n + 1
     mexp = max(4, int(math.ceil(math.log2(max(count, 2)))))
-    if not (1 <= d <= len(_SOBOL_TABLE) and mexp <= _SOBOL_BITS):
-        raise ValueError(f"the Sobol table covers n <= 20 and count <= 2**30, got {n=}, {count=}")
+    if not (1 <= d <= len(_SOBOL_TABLE) and 0 <= count and mexp <= _SOBOL_BITS):
+        raise ValueError(
+            f"the Sobol table covers n <= 20 and 0 <= count <= 2**30, got {n=}, {count=}"
+        )
     u = _sobol(d, mexp)[:count]
     # Clip away the cube corners before the inverse CDF blows them up.
     g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))

@@ -2,6 +2,8 @@
 
 None is used by ``morsecount`` itself:
 
+- ``eval_bubble`` and ``eval_bubble_sum``: pointwise values of a bubble and
+  of a bubble sum at unit points, for the Monte Carlo integrands below.
 - ``integrate_two_point_s3``: the two-direction reduction on the 3-sphere,
   which integrates G(<x,a>) H(<x,b>) through the flat joint law of the two
   linear coordinates; ``two_point_pair_energy`` applies it to a pair energy.
@@ -41,8 +43,6 @@ from morsecount.bubbles import (
     _theta_scale,
     c0,
     canonical_bubble,
-    eval_bubble,
-    eval_bubble_sum,
     sobolev_constant,
 )
 from morsecount.kfunc import KFunction, eval_K
@@ -102,6 +102,15 @@ def integrate_two_point_s3(
     fine, coarse = _doubled(outer, breaks, nodes)
     factor = 2.0 * np.pi / root_s2
     return factor * fine, factor * abs(fine - coarse)
+
+
+def eval_bubble(b: Bubble, x: np.ndarray, n: int):
+    """Pointwise bubble value; ``x`` is one unit vector or a batch of rows."""
+    return _profile(b.lam, np.einsum("...i,i->...", np.asarray(x, dtype=float), b.center), n)
+
+
+def eval_bubble_sum(u: BubbleSum, x: np.ndarray):
+    return sum(a * eval_bubble(b, x, u.n) for a, b in zip(u.alphas, u.bubbles))
 
 
 def power_primitive(lam: float, power: float, n: int) -> Callable:

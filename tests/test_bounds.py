@@ -14,7 +14,6 @@ from morsecount import (
     H3Warning,
     ParityConfig,
     all_parity_patterns,
-    classify_case,
     index_K,
     indexcount,
     mu_recurrence,
@@ -134,7 +133,7 @@ def test_bounds_never_exceed_mu(tail, N):
     r = solution_bounds(c)  # raises ConsistencyError internally if violated
     t = mu_recurrence(c)
     for row in r.rows:
-        assert row.lower_bound <= abs(t.mu_of(row.p))
+        assert row.lower_bound <= abs(t.mu[row.p - 1])
 
 
 def test_exhaustive_nonvanishing_and_case_bounds():
@@ -151,9 +150,9 @@ def test_exhaustive_nonvanishing_and_case_bounds():
             r = solution_bounds(c)
             assert all(row.lower_bound >= 1 for row in r.rows), parities
             if r.case_label in ("Case3", "Case4"):
-                assert abs(t.mu_of(1)) == m - 2 * r.ell - 1, parities
+                assert abs(t.mu[0]) == m - 2 * r.ell - 1, parities
                 sign = -1 if r.case_label == "Case3" else 1
-                assert t.mu_of(1) == sign * (m - 2 * r.ell - 1), parities
+                assert t.mu[0] == sign * (m - 2 * r.ell - 1), parities
 
 
 def test_index_one_even_levels_are_sharp():
@@ -165,9 +164,9 @@ def test_index_one_even_levels_are_sharp():
         r = solution_bounds(c)
         for row in r.rows:
             if row.p % 2 == 0:
-                assert row.lower_bound == abs(t.mu_of(row.p)) == comb(
+                assert row.lower_bound == abs(t.mu[row.p - 1]) == comb(
                     row.p // 2 + ell - 1, row.p // 2
                 )
             else:
-                assert t.mu_of(row.p) == 0 and row.lower_bound == 0
+                assert t.mu[row.p - 1] == 0 and row.lower_bound == 0
         assert r.total_bound == comb(ell + 6, ell) - 1

@@ -25,8 +25,6 @@ from morsecount.bubbles import (
     canonical_bubble,
     constant_one,
     equilibrium_scale,
-    eval_bubble,
-    eval_bubble_sum,
     flow_to_critical,
     functional_J,
     functional_J_detailed,
@@ -66,6 +64,7 @@ from morsecount.sphere import (
 from oracles import (
     aligned_pair_energy,
     cos_scale,
+    eval_bubble,
     integrate_two_point_s3,
     mc_pair_energy,
     mc_weighted_integral,
@@ -246,7 +245,6 @@ NON_FINITE_FIELDS = {
     "BumpTerm.weight": (lambda v: BumpTerm(center=tuple(E4), weight=v, width=0.4), -1.0),
     "BumpTerm.width": (lambda v: BumpTerm(center=tuple(E4), weight=1.0, width=v), 0.4),
     "KFunction.epsilon": (lambda v: KFunction(n=3, epsilon=v, terms=()), 0.1),
-    "KFunction.scale": (lambda v: KFunction(n=3, epsilon=0.1, terms=(), scale=v), 1.0),
     "check_unit": (lambda v: check_unit(np.array([v, 0.0, 0.0, 1.0])), 0.0),
 }
 
@@ -255,7 +253,7 @@ NON_FINITE_FIELDS = {
 @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
 def test_non_finite_inputs_are_refused(field, bad):
     """A NaN fails every unit-vector check, and every scale, coefficient,
-    weight, width, epsilon and K scale must be finite: nothing downstream
+    weight, width and epsilon must be finite: nothing downstream
     may integrate, search or flow on a NaN or an infinity."""
     check, good = NON_FINITE_FIELDS[field]
     check(good)
@@ -774,7 +772,7 @@ def two_point_oracle(u, K, nodes=64):
             )
         val += K.epsilon * term.weight * tval
         err += K.epsilon * abs(term.weight) * terr
-    return K.scale * alpha**q * val, K.scale * alpha**q * err
+    return alpha**q * val, alpha**q * err
 
 
 def preset_on_s3(name):
@@ -783,7 +781,7 @@ def preset_on_s3(name):
     if K.n == 3:
         return K
     terms = tuple(replace(t, center=(*t.center, 0.0)) for t in K.terms)
-    return KFunction(n=3, epsilon=K.epsilon, terms=terms, scale=K.scale)
+    return KFunction(n=3, epsilon=K.epsilon, terms=terms)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from morsecount import cli
+from morsecount.bubbles import QuadratureNoiseWarning
 from morsecount.cli import main
 from morsecount.sphere import geodesic_distance
 
@@ -302,6 +303,23 @@ def test_flow_runaway_defect_reports_nonconvergence(capsys):
     assert stderr_error(err)["kind"] == "nonconvergence"
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["flow", "--preset", "three-bump-s3"], 0),
+        (["flow", "--preset", "three-max-one-saddle"], 0),
+        (["flow", "--tau", "1.5"], 4),
+        (["quadrature"], 0),
+    ],
+)
+def test_cli_runs_emit_no_quadrature_noise_warning(tmp_path, capsys, argv, code):
+    # main() filters no warning, so a noise warning would reach the user
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # degenerate points
+        warnings.simplefilter("error", QuadratureNoiseWarning)  # checked first
+        assert run(capsys, *argv, "--out", str(tmp_path))[0] == code
+
+
 # ---- quadrature ----
 
 
@@ -309,7 +327,7 @@ def test_quadrature_diagnostics(tmp_path, capsys):
     filters = list(warnings.filters)
     code, out, _ = run(capsys, "quadrature", "--out", str(tmp_path))
     assert code == 0
-    assert warnings.filters == filters  # main() silences noise warnings only inside
+    assert warnings.filters == filters  # main() leaves the warning filters alone
     report = json.loads((tmp_path / "report.json").read_text())
     assert max(c["rel_dev"] for c in report["single_bubble_levels"]) < 1e-10
     pair = {row["lam"]: row["rel_dev"] for row in report["antipodal_pair_levels"]}

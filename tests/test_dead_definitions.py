@@ -1,6 +1,8 @@
 """No dead code in the package: every top-level function and class in
 ``src/morsecount`` is referenced outside its own definition somewhere in
-``src/``, ``tests/``, ``bench/`` or ``demos/``."""
+``src/``, ``bench/`` or ``demos/``.  Tests do not count as callers, and
+neither does the package's ``_EXPORTS`` table: listing a name as public is
+not a call."""
 from __future__ import annotations
 
 import ast
@@ -9,13 +11,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "morsecount"
-SEARCHED = ("src", "tests", "bench", "demos")
+SEARCHED = ("src", "bench", "demos")
+
+
+def _export_tables(tree: ast.AST):
+    """The value nodes of every ``_EXPORTS = ...`` assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
+        ):
+            yield node.value
 
 
 def _references(tree: ast.AST):
     """(name, line) of every name a module mentions: bare names, attributes,
-    imports, and the dotted components of string constants (export tables,
-    ``monkeypatch.setattr`` targets, tracer metric names)."""
+    imports, and the dotted components of string constants (lazy-binding
+    tables, tracer metric names), except the strings of an export table."""
+    exported = {id(c) for table in _export_tables(tree) for c in ast.walk(table)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -23,7 +35,11 @@ def _references(tree: ast.AST):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in exported
+        ):
             for part in node.value.split("."):
                 yield part, node.lineno
 

@@ -228,7 +228,7 @@ def test_boundary_rows(tail, N):
         assert t.mu_geq[m] == (0,) * N  # empty-point-set row
         for k in range(1, m + 1):
             expected = sum(1 if b == 0 else -1 for b in c.parities[k - 1 :])
-            assert t.mu_geq_of(k, 1) == expected
+            assert t.mu_geq[k - 1][0] == expected
 
 
 def _bump(row: tuple[int, ...], p: int, delta: int) -> tuple[int, ...]:
@@ -344,9 +344,9 @@ def test_closed_form_alternating_pattern():
     assert t is not None
     for p in range(1, 13):
         if p % 2:
-            assert t.mu_of(p) == 0
+            assert t.mu[p - 1] == 0
         else:
-            assert t.mu_of(p) == -comb(p // 2 + 2, p // 2)
+            assert t.mu[p - 1] == -comb(p // 2 + 2, p // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +361,11 @@ def test_index_K_examples():
 
 
 def test_classification_examples():
-    assert classify_case(cfg((0, 0, 0))) == "Case1"
-    assert classify_case(cfg((0, 1, 1))) == "Case2"
-    assert classify_case(cfg((0, 1, 0))) == "IndexOne"
+    assert classify_case(cfg((0, 0, 0))) == ("Case1", None)
+    assert classify_case(cfg((0, 1, 1))) == ("Case2", None)
+    assert classify_case(cfg((0, 1, 0))) == ("IndexOne", 1)
     # derived by hand: tail (1,0,1,1,1) has e=1, o=4 -> odd-heavy, l = e = 1
-    assert classify_case(cfg((0, 1, 0, 1, 1, 1))) == "Case4"
+    assert classify_case(cfg((0, 1, 0, 1, 1, 1))) == ("Case4", 1)
     r = solution_bounds(cfg((0, 1, 0, 1, 1, 1)))
     assert r.ell == 1
 
@@ -378,9 +378,10 @@ def test_classification_rejects_malformed():
 @given(tail=st.lists(st.integers(0, 1), min_size=1, max_size=7))
 def test_classification_total_and_consistent(tail):
     c = cfg((0, *tail), N=2)
-    label = classify_case(c)
+    label, ell = classify_case(c)
     e = tail.count(0)
     o = tail.count(1)
+    assert ell == {"IndexOne": e, "Case3": o, "Case4": e}.get(label)
     if label == "IndexOne":
         assert index_K(c) == 1 and e == o
     else:
