@@ -6,7 +6,7 @@ energies, reduced gradient flows, and Morse indices (from exact chart
 derivatives for one bubble on S^3, finite differences elsewhere).
 
 Exports load on first access (PEP 562), so the exact side runs without
-importing numpy or scipy.
+importing numpy.
 """
 import importlib
 

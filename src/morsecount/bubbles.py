@@ -53,7 +53,7 @@ from .quadrature import (
     integrate_radial,
     panel_breakpoints,
 )
-from .sphere import exp_map, sphere_area, tangent_basis
+from .sphere import exp_map, gammaln, sphere_area, tangent_basis
 
 _ALIGNED = 1.0 - 1e-9
 
@@ -65,8 +65,6 @@ class QuadratureNoiseWarning(UserWarning):
 @cache
 def sobolev_constant(n: int) -> float:
     """S_n = (n(n-2))^{n/2} * pi^{n/2} * Gamma(n/2) / Gamma(n)."""
-    from scipy.special import gammaln  # slow to import; only the first call pays
-
     if int(n) != n or n < 3:
         raise ValueError("dimension must be an integer >= 3")
     n = int(n)

@@ -41,7 +41,7 @@ from .reports import (
 
 #: Subcommands of the numerical lab.  The names they use are bound in this
 #: module on first use (``_load_numerics``), so the exact subcommands never
-#: import numpy or scipy.  The subcommands call these bindings, so patching
+#: import numpy.  The subcommands call these bindings, so patching
 #: one on ``cli`` changes what they call: tests do, and the bench's pin-flow
 #: workload wraps ``cli.find_critical_points`` to capture the inventory.
 _NUMERICAL_MODES = ("flow", "quadrature")

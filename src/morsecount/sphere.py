@@ -22,9 +22,9 @@ def check_unit(x: np.ndarray, tol: float = 1e-12) -> None:
 
 @cache
 def sphere_area(n: int) -> float:
-    """Surface measure of S^n: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
-    from scipy.special import gammaln  # slow to import; only the first call pays
-
+    """Surface measure of S^n, n an integer >= 0: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
+    if not (n >= 0 and float(n).is_integer()):  # NaN fails too
+        raise ValueError(f"dimension must be an integer >= 0, got {n!r}")
     return float(2.0 * math.pi ** ((n + 1) / 2) / math.exp(gammaln((n + 1) / 2)))
 
 
@@ -73,6 +73,111 @@ def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     if t < 1e-300:
         return x.copy()
     return math.cos(t) * x + math.sin(t) * (v / t)
+
+
+# Cephes' ndtri and lgam (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), ported with every floating-point operation in Cephes' order, so that they equal
+# scipy.special's ndtri and gammaln bit for bit.  Their polynomials take only +, * and /,
+# which numpy rounds as C does; every log is libm's, through math.log, because numpy's
+# SIMD log can differ from it in the last bit.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule, Cephes' polevl; ``monic`` is its p1evl, whose leading 1.0 is implicit."""
+    acc = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """Elementwise natural log through libm (``math.log``), one element at a time."""
+    return np.fromiter(map(math.log, v.tolist()), float, v.size)
+
+
+def ndtri(y: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF, elementwise on (0, 1); Cephes' ndtri."""
+    y = np.asarray(y, dtype=float)
+    if not np.all((0.0 < y) & (y < 1.0)):  # NaN fails too
+        raise ValueError("ndtri takes arguments in the open interval (0, 1)")
+    upper = y > 1.0 - _EXP_M2
+    t = np.where(upper, 1.0 - y, y)
+    mid = t > _EXP_M2
+    out = np.empty_like(y)
+    c = t[mid] - 0.5
+    c2 = c * c
+    c = c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, True))
+    out[mid] = c * 2.50662827463100050242  # sqrt(2 pi)
+    # tails below exp(-2): a series in 1/x, x = sqrt(-2 log t), with P2/Q2 past x = 8
+    # (t < exp(-32)); each distinct t takes its two logs once
+    tails, back = np.unique(t[~mid], return_inverse=True)
+    x = np.sqrt(-2.0 * _libm_log(tails))
+    z = 1.0 / x
+    x1 = np.where(
+        x < 8.0,
+        z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True),
+        z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, True),
+    )
+    tail = (x - _libm_log(x) / x - x1)[back]
+    out[~mid] = np.where(upper[~mid], tail, -tail)
+    return out
+
+
+def gammaln(x: float) -> float:
+    """log Gamma(x) for finite x > 0; Cephes' lgam."""
+    x = float(x)
+    if not 0.0 < x < math.inf:  # NaN fails too
+        raise ValueError(f"gammaln takes a finite x > 0, got {x!r}")
+    if x < 13.0:
+        # recur into [2, 3), carrying the product of the shifts in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C, True)
+    if x > 2.556348e305:  # Cephes' MAXLGM: the result overflows
+        return math.inf
+    # Stirling's series
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
 
 
 #: Joe & Kuo's Sobol direction numbers (SIAM J. Sci. Comput. 30, 2008, file new-joe-kuo-6.21201):
@@ -129,8 +234,6 @@ def quasi_uniform_points(n: int, count: int) -> np.ndarray:
     Sobol sequence in Gray-code order (``_sobol``); Joe & Kuo's table reaches n <= 20 and
     2**30 points, and a larger n or count, or a negative count, raises ``ValueError``.
     """
-    from scipy.special import ndtri  # slow to import; only the first call pays
-
     d = n + 1
     mexp = max(4, int(math.ceil(math.log2(max(count, 2)))))
     if not (1 <= d <= len(_SOBOL_TABLE) and 0 <= count and mexp <= _SOBOL_BITS):

@@ -23,7 +23,7 @@ None is used by ``morsecount`` itself:
 - ``scipy_quasi_uniform_points``: quasi-uniform points on S^n from
   ``scipy.stats``' unscrambled ``qmc.Sobol`` and ``norm.ppf``, the route
   ``sphere.quasi_uniform_points`` took before it drew its Sobol points from
-  its own direction-number table and ``scipy.special.ndtri``.
+  its own direction-number table and its own port of Cephes' ``ndtri``.
 """
 from __future__ import annotations
 

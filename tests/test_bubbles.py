@@ -117,8 +117,9 @@ def test_sobolev_constant_closed_forms():
         sobolev_constant(2)
 
 
-# Bit patterns of scipy's gammaln route, frozen so a swap to math.lgamma (which
-# differs by 1 ulp on most half-integers) cannot pass quietly.
+# Bit patterns of scipy's gammaln route, which sphere.gammaln ports, frozen so a
+# swap to math.lgamma (which differs by 1 ulp on most half-integers) cannot pass
+# quietly.
 SPHERE_AREA_HEX = {
     1: "0x1.921fb54442d18p+2", 2: "0x1.921fb54442d19p+3", 3: "0x1.3bd3cc9be45dep+4",
     4: "0x1.a51a6625307d3p+4", 5: "0x1.f019b59389d7bp+4", 6: "0x1.08963eb51650fp+5",
