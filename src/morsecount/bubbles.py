@@ -65,6 +65,8 @@ class QuadratureNoiseWarning(UserWarning):
 @cache
 def sobolev_constant(n: int) -> float:
     """S_n = (n(n-2))^{n/2} * pi^{n/2} * Gamma(n/2) / Gamma(n)."""
+    if n > 209:  # S_n overflows a float; checked first, since int(inf) overflows too
+        raise ValueError(f"sobolev_constant supports dimensions up to 209, got {n!r}")
     if int(n) != n or n < 3:
         raise ValueError("dimension must be an integer >= 3")
     n = int(n)
@@ -79,6 +81,8 @@ def sobolev_constant(n: int) -> float:
 
 def c0(n: int) -> float:
     """Amplitude constant (n(n-2))^{(n-2)/4} of the standard bubble."""
+    if n > 257:  # the power overflows a float; checked first, since int(inf) overflows too
+        raise ValueError(f"c0 supports dimensions up to 257, got {n!r}")
     if int(n) != n or n < 3:
         raise ValueError("dimension must be an integer >= 3")
     return float((n * (n - 2)) ** ((n - 2) / 4.0))
@@ -204,6 +208,7 @@ def _theta_scale(lam: float) -> float:
 # --------------------------------------------------------------------------
 
 _UNIFORM_SHARE = 0.2  # of the sample budget; the bubbles split the rest evenly
+_MC_BLOCK = 8192  # points drawn and weighed at a time
 
 
 def _dilate(X: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
@@ -230,8 +235,8 @@ def _dilate(X: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, seed: int):
-    """int K|u|^q dV by deterministic-mixture importance sampling, in one
-    pass over the points.  ``u`` has every scale >= 1.
+    """int K|u|^q dV by deterministic-mixture importance sampling, streamed
+    over the points in blocks of ``_MC_BLOCK``.  ``u`` has every scale >= 1.
 
     Fixed quotas (largest-remainder split of ``samples``) go to a uniform
     proposal and to each bubble's exact sampler (``_dilate``), all from one
@@ -241,44 +246,52 @@ def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, se
 
     is unbiased for any quotas (Veach & Guibas 1995).  One profile per bubble
     serves both F, through sum alpha_k B_k, and the mixture density, through
-    M_k B_k^{2n/(n-2)}/S_n.  Points are held coordinate-major, (n+1, M), so
-    every array op runs over all points; products are einsum, never threaded
-    BLAS, so a point rounds alike in any batch.
+    M_k B_k^{2n/(n-2)}/S_n.  A block's points are held coordinate-major,
+    (n+1, block), so every array op runs over the whole block and only the
+    per-point terms outlive it; products are einsum, never threaded BLAS, so
+    a point rounds alike in any block.
     """
     n, p = u.n, u.p
     counts = _allocate(
         np.array([_UNIFORM_SHARE] + [(1.0 - _UNIFORM_SHARE) / p] * p), samples
     )
-    # the same numbers as one draw per proposal block, one row per point
-    X = np.random.default_rng(seed).standard_normal((int(counts.sum()), n + 1)).T.copy()
-    norm = X[0] * X[0]
-    for row in X[1:]:
-        norm += row * row
-    np.sqrt(norm, out=norm)
-    X /= norm
     ends = np.cumsum(counts)
-    for b, lo, hi in zip(u.bubbles, ends[:-1], ends[1:]):
-        _dilate(X[:, lo:hi], np.asarray(b.center), b.lam)
-
-    cos = np.einsum("ci,im->cm", np.vstack([[b.center for b in u.bubbles], K.centers()]), X)
+    rng = np.random.default_rng(seed)
+    centers = np.vstack([[b.center for b in u.bubbles], K.centers()])
+    widths = np.array([term.width**2 for term in K.terms])[:, None]
+    weights = np.array([term.weight for term in K.terms])
     q_crit = 2.0 * n / (n - 2.0)
-    terms = np.zeros(X.shape[1])  # sum alpha_k B_k, then F/mix in place
-    mix = np.full(X.shape[1], counts[0] * (1.0 / sphere_area(n)))
-    for alpha, b, c, m in zip(u.alphas, u.bubbles, cos, counts[1:]):
-        B = _profile(b.lam, c, n)
-        terms += alpha * B
-        B **= q_crit
-        B *= m / sobolev_constant(n)
-        mix += B
-    bumps = cos[p:]
-    bumps -= 1.0
-    bumps /= np.array([term.width**2 for term in K.terms])[:, None]
-    np.exp(bumps, out=bumps)
-    f = np.einsum("tm,t->m", bumps, np.array([term.weight for term in K.terms]))
-    np.abs(terms, out=terms)
-    terms **= q
-    terms *= 1.0 + K.epsilon * f
-    terms /= mix
+    terms = np.zeros(ends[-1])  # per block: sum alpha_k B_k, then F/mix in place
+    for lo in range(0, len(terms), _MC_BLOCK):
+        t = terms[lo : lo + _MC_BLOCK]
+        # successive draws continue the stream: the same numbers as one draw
+        X = rng.standard_normal((len(t), n + 1)).T.copy()
+        norm = X[0] * X[0]
+        for row in X[1:]:
+            norm += row * row
+        np.sqrt(norm, out=norm)
+        X /= norm
+        for b, start, stop in zip(u.bubbles, ends[:-1] - lo, ends[1:] - lo):
+            if start < len(t) and stop > 0:  # the bubble's quota overlaps the block
+                _dilate(X[:, max(start, 0) : stop], np.asarray(b.center), b.lam)
+
+        cos = np.einsum("ci,im->cm", centers, X)
+        mix = np.full(len(t), counts[0] * (1.0 / sphere_area(n)))
+        for alpha, b, c, m in zip(u.alphas, u.bubbles, cos, counts[1:]):
+            B = _profile(b.lam, c, n)
+            t += alpha * B
+            B **= q_crit
+            B *= m / sobolev_constant(n)
+            mix += B
+        bumps = cos[p:]
+        bumps -= 1.0
+        bumps /= widths
+        np.exp(bumps, out=bumps)
+        f = np.einsum("tm,t->m", bumps, weights)
+        np.abs(t, out=t)
+        t **= q
+        t *= 1.0 + K.epsilon * f
+        t /= mix
     return _split_half(terms, counts)
 
 

@@ -56,6 +56,8 @@ class QuadratureScheme:
             raise ValueError("node count must be at least 16")
         if self.samples < 16:
             raise ValueError("sample count must be at least 16")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not (float(self.tol) > 0):
             raise ValueError("tolerance must be positive")
 

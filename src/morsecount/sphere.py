@@ -25,6 +25,8 @@ def sphere_area(n: int) -> float:
     """Surface measure of S^n, n an integer >= 0: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
     if not (n >= 0 and float(n).is_integer()):  # NaN fails too
         raise ValueError(f"dimension must be an integer >= 0, got {n!r}")
+    if n > 342:  # Gamma((n + 1) / 2) overflows a float
+        raise ValueError(f"sphere_area supports dimensions up to 342, got {n!r}")
     return float(2.0 * math.pi ** ((n + 1) / 2) / math.exp(gammaln((n + 1) / 2)))
 
 

@@ -17,6 +17,10 @@ None is used by ``morsecount`` itself:
   reference for ``bubbles``' one-pass Monte Carlo weighted integral;
   ``mc_weighted_integral`` applies it to int K|u|^q dV and
   ``mc_pair_energy`` to a pair energy.
+- ``one_pass_mc_weighted_integral``: ``bubbles``' Monte Carlo weighted
+  integral as it was before it streamed its points in blocks, every point
+  drawn and weighed in one pass; the blocked kernel must equal it bit for
+  bit.
 - ``level_bound_rows``: solution-bound rows built one frozen dataclass and
   one ``Fraction(p, n)`` per level, the reference for ``solution_bounds``'
   shared level energies and tuple rows.
@@ -35,10 +39,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from morsecount.bubbles import (
+    _UNIFORM_SHARE,
     Bubble,
     BubbleSum,
     _axis_signs,
     _canonical_sum,
+    _dilate,
     _profile,
     _theta_scale,
     c0,
@@ -46,7 +52,13 @@ from morsecount.bubbles import (
     sobolev_constant,
 )
 from morsecount.kfunc import KFunction, eval_K
-from morsecount.quadrature import _allocate, _doubled, integrate_radial, panel_breakpoints
+from morsecount.quadrature import (
+    _allocate,
+    _doubled,
+    _split_half,
+    integrate_radial,
+    panel_breakpoints,
+)
 from morsecount.sphere import sphere_area, unit
 
 
@@ -314,6 +326,59 @@ def mc_weighted_integral(
         comps.append(bubble_component(b, u.n, weight=0.8 / u.p))
     F = lambda x: eval_K(K, x) * np.abs(eval_bubble_sum(u, x)) ** q
     return mc_integrate(F, comps, samples=samples, seed=seed)
+
+
+def one_pass_mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, seed: int):
+    """int K|u|^q dV by deterministic-mixture importance sampling, in one
+    pass over the points.  ``u`` has every scale >= 1.
+
+    Fixed quotas (largest-remainder split of ``samples``) go to a uniform
+    proposal and to each bubble's exact sampler (``_dilate``), all from one
+    stream of ``seed``, and the balance-heuristic estimator
+
+        I_hat = sum_i F(x_i) / sum_j M_j q_j(x_i)
+
+    is unbiased for any quotas (Veach & Guibas 1995).  One profile per bubble
+    serves both F, through sum alpha_k B_k, and the mixture density, through
+    M_k B_k^{2n/(n-2)}/S_n.  Points are held coordinate-major, (n+1, M), so
+    every array op runs over all points; products are einsum, never threaded
+    BLAS, so a point rounds alike in any batch.
+    """
+    n, p = u.n, u.p
+    counts = _allocate(
+        np.array([_UNIFORM_SHARE] + [(1.0 - _UNIFORM_SHARE) / p] * p), samples
+    )
+    # the same numbers as one draw per proposal block, one row per point
+    X = np.random.default_rng(seed).standard_normal((int(counts.sum()), n + 1)).T.copy()
+    norm = X[0] * X[0]
+    for row in X[1:]:
+        norm += row * row
+    np.sqrt(norm, out=norm)
+    X /= norm
+    ends = np.cumsum(counts)
+    for b, lo, hi in zip(u.bubbles, ends[:-1], ends[1:]):
+        _dilate(X[:, lo:hi], np.asarray(b.center), b.lam)
+
+    cos = np.einsum("ci,im->cm", np.vstack([[b.center for b in u.bubbles], K.centers()]), X)
+    q_crit = 2.0 * n / (n - 2.0)
+    terms = np.zeros(X.shape[1])  # sum alpha_k B_k, then F/mix in place
+    mix = np.full(X.shape[1], counts[0] * (1.0 / sphere_area(n)))
+    for alpha, b, c, m in zip(u.alphas, u.bubbles, cos, counts[1:]):
+        B = _profile(b.lam, c, n)
+        terms += alpha * B
+        B **= q_crit
+        B *= m / sobolev_constant(n)
+        mix += B
+    bumps = cos[p:]
+    bumps -= 1.0
+    bumps /= np.array([term.width**2 for term in K.terms])[:, None]
+    np.exp(bumps, out=bumps)
+    f = np.einsum("tm,t->m", bumps, np.array([term.weight for term in K.terms]))
+    np.abs(terms, out=terms)
+    terms **= q
+    terms *= 1.0 + K.epsilon * f
+    terms /= mix
+    return _split_half(terms, counts)
 
 
 @dataclass(frozen=True)

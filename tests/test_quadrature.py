@@ -42,6 +42,15 @@ def test_scheme_rejects_non_integral_counts(field, value):
         QuadratureScheme(kind="monte-carlo", **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_scheme_refuses_a_negative_seed(seed):
+    """numpy's generators take only seeds >= 0; a negative one fails where it
+    is given, not deep inside the first Monte Carlo draw."""
+    with pytest.raises(ValueError, match="seed"):
+        QuadratureScheme(kind="monte-carlo", seed=seed)
+    QuadratureScheme(kind="monte-carlo", seed=0)
+
+
 def test_scheme_keeps_integer_counts_as_python_ints():
     s = QuadratureScheme(nodes=np.int64(32), samples=np.int32(4096), seed=np.uint8(7))
     assert s == QuadratureScheme(nodes=32, samples=4096, seed=7)

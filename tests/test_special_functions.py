@@ -1,7 +1,8 @@
 """The in-package special functions: ``sphere.ndtri`` and ``sphere.gammaln``
 are ports of Cephes and must equal ``scipy.special``'s bit for bit, so that
 every seed and every Gamma constant keeps the bits it had while the package
-called scipy.  ``sphere_area`` refuses dimensions that are not integers >= 0.
+called scipy.  ``sphere_area`` refuses dimensions that are not integers >= 0,
+and it, ``sobolev_constant`` and ``c0`` refuse dimensions where they overflow.
 The seeds and constants must not depend on which SIMD kernels numpy picks."""
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 from scipy import special
 
 from morsecount import sphere
-from morsecount.bubbles import sobolev_constant
+from morsecount.bubbles import c0, sobolev_constant
 from morsecount.sphere import gammaln, ndtri, quasi_uniform_points, sphere_area
 
 
@@ -80,6 +81,19 @@ def test_gammaln_refuses_outside_the_positive_reals(x):
 def test_sphere_area_refuses_dimensions_that_are_not_integers_from_zero(n):
     with pytest.raises(ValueError, match="integer >= 0"):
         sphere_area(n)
+
+
+@pytest.mark.parametrize("f, largest", [(sphere_area, 342), (sobolev_constant, 209), (c0, 257)])
+def test_constants_refuse_dimensions_past_float_overflow(f, largest):
+    """Each constant is finite up to its largest supported dimension, and past
+    it raises a ValueError naming that dimension rather than an
+    OverflowError from the arithmetic; inf is a ValueError too."""
+    assert math.isfinite(f(largest))
+    for n in (largest + 1, 1000):
+        with pytest.raises(ValueError, match=f"up to {largest}, got {n}"):
+            f(n)
+    with pytest.raises(ValueError):
+        f(math.inf)
 
 
 def test_sphere_area_closed_forms():
