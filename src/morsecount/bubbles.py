@@ -36,6 +36,7 @@ and holds J with the derivatives taken at its point.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -368,8 +369,11 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
     ring average of an off-axis bump is a Bessel function, so n != 3 takes
     only bumps on the axis (|gamma| >= _ALIGNED), snapped to gamma = +-1.
     Also returns each bump's gamma; ``profile(t)`` returns the ring-averaged
-    K with the per-bump terms w*R(t) it sums.
+    K with the per-bump terms w*R(t) it sums.  A K without bumps averages to
+    1 + epsilon*0 = 1 exactly, and gets no features and no terms.
     """
+    if not K.terms:
+        return lambda t: (1.0, np.empty((0,) + np.shape(t))), [], np.empty(0)
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width * term.width for term in K.terms])[:, None]
     # |gamma| may pass 1 by rounding (centers are unit only to 1e-9)
@@ -557,8 +561,17 @@ def equilibrium_scale(
     """
     if tau <= 0:
         raise ValueError("equilibrium scales need a positive subcritical defect tau")
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(f"points must be an integer, got {points!r}") from None
+    if points < 3:  # a bracket needs a grid point on each side
+        raise ValueError(f"points must be at least 3, got {points}")
+    lo, hi = window
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"window must be (lo, hi) with 0 < lo < hi < inf, got {window!r}")
     scheme = scheme or QuadratureScheme()
-    lams = np.geomspace(window[0], window[1], points)
+    lams = np.geomspace(lo, hi, points)
 
     def at(lam: float) -> BubbleSum:
         bubble = Bubble(center=tuple(center), lam=float(lam))
@@ -569,9 +582,9 @@ def equilibrium_scale(
     else:
         u, n = at(lams[-1]), K.n  # _j_evaluation reads only n and tau from u
         k_profile, features, _ = _ring_K_profile(K, np.asarray(u.bubbles[0].center), n)
-        features = [(0.0, _theta_scale(max(window))), *features]
-        if min(window) < 1.0:
-            features.append((math.pi, _theta_scale(1.0 / min(window))))
+        features = [(0.0, _theta_scale(hi)), *features]
+        if lo < 1.0:
+            features.append((math.pi, _theta_scale(1.0 / lo)))
         q = 2.0 * n / (n - 2.0) - tau
 
         def F(t):  # power and weight reuse the positive (scales, points) profile

@@ -2,10 +2,11 @@
 
 Panelled Gauss-Legendre for zonal integrands, reduced to one colatitude
 integral: the value takes ``nodes`` points per panel, the error its change
-from ``nodes // 2``.  Integrals with no such reduction are mixture Monte
-Carlo sums (``bubbles`` draws and weights the points); this module splits
-their sample budget over the proposals and reduces the weighted terms to a
-value and a split-half error.
+from ``nodes // 2``, and the integrand is called once on both rules' points.
+Integrals with no such reduction are mixture Monte Carlo sums (``bubbles``
+draws and weights the points); this module splits their sample budget over
+the proposals and reduces the weighted terms to a value and a split-half
+error.
 """
 from __future__ import annotations
 
@@ -78,7 +79,19 @@ class QuadratureScheme:
 @lru_cache(maxsize=64)
 def _gl_rule(nodes: int):
     x, w = leggauss(nodes)
+    x.setflags(write=False)  # shared by every integral in the process
+    w.setflags(write=False)
     return x, w
+
+
+@lru_cache(maxsize=64)
+def _rule_pair(nodes: int):
+    """One panel's abscissae of the nodes- and nodes // 2-point rules side by
+    side, then each rule's weights."""
+    (x_fine, w_fine), (x_coarse, w_coarse) = _gl_rule(nodes), _gl_rule(nodes // 2)
+    x = np.concatenate([x_fine, x_coarse])
+    x.setflags(write=False)
+    return x, w_fine, w_coarse
 
 
 def panel_breakpoints(
@@ -112,25 +125,24 @@ def panel_breakpoints(
     return np.asarray(merged)
 
 
-def panel_quadrature(
-    f: Callable[[np.ndarray], np.ndarray], breaks: np.ndarray, nodes: int
-) -> float | np.ndarray:
-    """Sum of `nodes`-point Gauss-Legendre rules over consecutive panels; an
-    integrand with several columns (shape (columns, points)) gets one each."""
-    x, w = _gl_rule(nodes)
+def _doubled(f, breaks, nodes):
+    """(fine, coarse) at nodes and nodes // 2 points per panel: the value and
+    the rule whose change from it is the error estimate.  ``f`` is called
+    once, on both rules' points of every panel; each rule is summed per
+    panel, then over the panels.  An integrand with several columns (shape
+    (columns, points)) gets one value each."""
+    x, w_fine, w_coarse = _rule_pair(nodes)
     lo, hi = breaks[:-1], breaks[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float)
-    total = np.sum(half * (vals.reshape(vals.shape[:-1] + pts.shape) @ w), axis=-1)
-    return float(total) if total.ndim == 0 else total
-
-
-def _doubled(f, breaks, nodes):
-    """(fine, coarse) at nodes and nodes // 2 points per panel: the value and
-    the rule whose change from it is the error estimate."""
-    return panel_quadrature(f, breaks, nodes), panel_quadrature(f, breaks, nodes // 2)
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    fine = np.sum(half * (vals[..., :nodes] @ w_fine), axis=-1)
+    coarse = np.sum(half * (vals[..., nodes:] @ w_coarse), axis=-1)
+    if fine.ndim == 0:
+        return float(fine), float(coarse)
+    return fine, coarse
 
 
 # --------------------------------------------------------------------------
@@ -151,10 +163,18 @@ def integrate_radial(
     F(cos t) sin^{n-1} t dt.  ``features`` are (colatitude, scale) pairs
     marking concentration points, e.g. (0, 1/lam) for a peak at the axis.
     The value takes ``nodes`` Gauss points per panel, the error its change
-    from ``nodes // 2``.  An F with several columns (shape (columns, points))
-    returns values and errors as arrays, one per column, on the same panels.
-    F's array output is weighted in place, so it must be a fresh array.
+    from ``nodes // 2``; F is called once, on both rules' points of every
+    panel, ``(nodes + nodes // 2) * panels`` in all, so ``nodes`` is at least
+    2.  An F with several columns (shape (columns, points)) returns values
+    and errors as arrays, one per column, on the same panels.  F's array
+    output is weighted in place, so it must be a fresh array.
     """
+    try:
+        nodes = operator.index(nodes)
+    except TypeError:
+        raise ValueError(f"nodes must be an integer, got {nodes!r}") from None
+    if nodes < 2:  # the error rule takes nodes // 2 points
+        raise ValueError(f"nodes must be at least 2, got {nodes}")
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
     ring = sphere_area(n - 1)

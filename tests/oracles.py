@@ -21,6 +21,10 @@ None is used by ``morsecount`` itself:
   integral as it was before it streamed its points in blocks, every point
   drawn and weighed in one pass; the blocked kernel must equal it bit for
   bit.
+- ``panel_quadrature`` and ``two_call_doubled``: the panelled
+  Gauss-Legendre rule pair as it was before one integrand call took both
+  rules' points, the integrand called once per rule; ``quadrature._doubled``
+  must equal it bit for bit.
 - ``level_bound_rows``: solution-bound rows built one frozen dataclass and
   one ``Fraction(p, n)`` per level, the reference for ``solution_bounds``'
   shared level energies and tuple rows.
@@ -55,6 +59,7 @@ from morsecount.kfunc import KFunction, eval_K
 from morsecount.quadrature import (
     _allocate,
     _doubled,
+    _gl_rule,
     _split_half,
     integrate_radial,
     panel_breakpoints,
@@ -114,6 +119,27 @@ def integrate_two_point_s3(
     fine, coarse = _doubled(outer, breaks, nodes)
     factor = 2.0 * np.pi / root_s2
     return factor * fine, factor * abs(fine - coarse)
+
+
+def panel_quadrature(
+    f: Callable[[np.ndarray], np.ndarray], breaks: np.ndarray, nodes: int
+) -> float | np.ndarray:
+    """Sum of `nodes`-point Gauss-Legendre rules over consecutive panels; an
+    integrand with several columns (shape (columns, points)) gets one each."""
+    x, w = _gl_rule(nodes)
+    lo, hi = breaks[:-1], breaks[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    pts = mid[:, None] + half[:, None] * x[None, :]
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    total = np.sum(half * (vals.reshape(vals.shape[:-1] + pts.shape) @ w), axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def two_call_doubled(f, breaks, nodes):
+    """(fine, coarse) at nodes and nodes // 2 points per panel: the value and
+    the rule whose change from it is the error estimate."""
+    return panel_quadrature(f, breaks, nodes), panel_quadrature(f, breaks, nodes // 2)
 
 
 def eval_bubble(b: Bubble, x: np.ndarray, n: int):

@@ -1159,23 +1159,46 @@ def test_exact_hessian_noise_covers_the_node_count():
 
 def test_exact_derivatives_take_nodes_and_half_nodes_points_per_panel(monkeypatch):
     """The kernel's one multi-column integral runs the rule pair of
-    integrate_radial: (64 + 32) points per panel at the default scheme."""
-    from morsecount import quadrature
+    integrate_radial: one call on (64 + 32) points per panel at the default
+    scheme."""
+    from morsecount import bubbles
 
-    real, seen = quadrature.panel_quadrature, []
+    real, seen = bubbles._doubled, []
 
     def counting(f, breaks, nodes):
         def g(theta):
-            seen.append((nodes, theta.size, len(breaks) - 1))
+            seen.append((theta.size, len(breaks) - 1))
             return f(theta)
 
         return real(g, breaks, nodes)
 
-    monkeypatch.setattr(quadrature, "panel_quadrature", counting)
+    monkeypatch.setattr(bubbles, "_doubled", counting)
     K = load_preset("three-bump-s3")
     exact_at(single(K.terms[0].center, 40.0, tau=0.05), K)
-    panels = seen[0][2]
-    assert seen == [(64, 64 * panels, panels), (32, 32 * panels, panels)]
+    panels = seen[0][1]
+    assert seen == [((64 + 32) * panels, panels)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_a_curvature_without_bumps_weighs_by_exactly_one(n):
+    """K = 1 skips the ring average: no features, no per-bump terms, and
+    the weighted integral is the one of |u|^q alone, to the bit."""
+    from morsecount.bubbles import _ring_K_profile
+
+    axis = np.eye(n + 1)[-1]
+    profile, features, gamma = _ring_K_profile(constant_one(n), axis, n)
+    t = np.linspace(-1.0, 1.0, 7)
+    k_bar, terms = profile(t)
+    assert k_bar == 1.0 and terms.shape == (0, 7) and features == [] and gamma.size == 0
+    u = BubbleSum(n=n, bubbles=(Bubble(tuple(axis), 30.0), Bubble(tuple(-axis), 3.0)),
+                  alphas=(1.0, 0.5), tau=0.05)
+    q = 2.0 * n / (n - 2.0) - u.tau
+
+    def bare(t):
+        return np.abs(_profile(30.0, t, n) + 0.5 * _profile(3.0, -t, n)) ** q
+
+    features = [(0.0, _theta_scale(30.0)), (math.pi, _theta_scale(3.0))]
+    assert weighted_power_integral(u, constant_one(n)) == integrate_radial(bare, n, features=features)
 
 
 def test_exact_derivatives_enforce_the_scheme_tolerance():
@@ -1439,6 +1462,27 @@ def test_equilibrium_scale_pins_only_genuine_wells():
     assert equilibrium_scale(constant_one(3), E4, 0.05) is None
     with pytest.raises(ValueError):
         equilibrium_scale(K, E4, 0.0)
+
+
+@pytest.mark.parametrize("points", [0, 1, 2, 3.5])
+def test_equilibrium_scale_refuses_a_grid_without_an_interior_point(points):
+    """A bracket needs a grid point on each side of its minimum; fewer than 3
+    points used to fail in numpy (0) or read as a shallow well (1, 2), and a
+    fractional count failed in numpy."""
+    K = bump_candidate([(1.0, E4, 0.4)], epsilon=0.3)
+    with pytest.raises(ValueError, match="points"):
+        equilibrium_scale(K, E4, 0.05, points=points)
+
+
+@pytest.mark.parametrize(
+    "window", [(2.0, 2.0), (64.0, 2.0), (0.0, 64.0), (-2.0, 64.0), (2.0, math.inf), (math.nan, 64.0)]
+)
+def test_equilibrium_scale_refuses_a_window_that_is_not_an_interval(window):
+    """An empty window used to read as a shallow well, and a reversed one
+    ran its grid backwards."""
+    K = bump_candidate([(1.0, E4, 0.4)], epsilon=0.3)
+    with pytest.raises(ValueError, match="window"):
+        equilibrium_scale(K, E4, 0.05, window=window)
 
 
 def per_scale_line(K, center, tau, scheme=None, *, window=(2.0, 64.0), points=31):

@@ -10,6 +10,8 @@ import pytest
 from morsecount.quadrature import (
     QuadratureScheme,
     _doubled,
+    _gl_rule,
+    _rule_pair,
     integrate_radial,
     panel_breakpoints,
 )
@@ -139,9 +141,9 @@ def test_radial_weighting_in_place_is_bit_identical():
 
 @pytest.mark.parametrize("kwargs, rules", [({}, (64, 32)), ({"nodes": 17}, (17, 8))])
 def test_radial_rule_takes_nodes_and_half_nodes_points_per_panel(kwargs, rules):
-    """One integral evaluates its integrand on the nodes-point rule (the
-    value) and the nodes // 2 one (the error) and no other: (64 + 32) points
-    per panel at the default, the 17- and 8-point rules at nodes = 17."""
+    """One integral evaluates its integrand once, on the nodes-point rule
+    (the value) and the nodes // 2 one (the error) and no other: (64 + 32)
+    points per panel at the default, the 17- and 8-point rules at nodes = 17."""
     features = ((0.0, 0.05), (1.0, 0.3))
     panels = len(panel_breakpoints(0.0, np.pi, features)) - 1
     sizes = []
@@ -151,7 +153,31 @@ def test_radial_rule_takes_nodes_and_half_nodes_points_per_panel(kwargs, rules):
         return np.exp(u)
 
     integrate_radial(F, 3, features=features, **kwargs)
-    assert sizes == [m * panels for m in rules]
+    assert sizes == [sum(rules) * panels]
+
+
+@pytest.mark.parametrize("nodes", [0, 1, -64, 2.5, "64", None])
+def test_radial_rule_refuses_a_bad_node_count(nodes):
+    """The error rule takes nodes // 2 >= 1 points, so nodes is an integer
+    of at least 2, refused by its own name."""
+    with pytest.raises(ValueError, match="nodes"):
+        integrate_radial(np.exp, 3, nodes=nodes)
+
+
+def test_radial_rule_takes_integer_node_counts_of_any_type():
+    assert integrate_radial(np.exp, 3, nodes=np.int64(32)) == integrate_radial(np.exp, 3, nodes=32)
+    val, err = integrate_radial(np.ones_like, 1, nodes=2)  # 2 and 1 points are exact here
+    assert val == pytest.approx(sphere_area(1), rel=1e-15) and err < 1e-15 * val
+
+
+def test_cached_rules_are_read_only():
+    """Every integral in the process shares the cached rules; a write into
+    one would corrupt all later integrals, so it raises instead."""
+    x, w = _gl_rule(64)
+    for a in (x, w, *_rule_pair(64)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 # ---- two-direction reduction on the 3-sphere ----
