@@ -24,7 +24,6 @@ from morsecount import (
     flow_to_critical,
     k_infinity_points,
     load_preset,
-    reduced_morse_index,
 )
 from morsecount.sphere import geodesic_distance
 
@@ -59,7 +58,7 @@ if __name__ == "__main__":
             tau=TAU,
         )
         final, rep = flow_to_critical(seed, K, opts)
-        est = reduced_morse_index(final, K)
+        est = rep.morse_index()
         drift = geodesic_distance(np.asarray(final.bubbles[0].center), center)
         print(
             f"co-index {iota}: equilibrium scale {lam_bar:6.2f} -> {rep.status} "

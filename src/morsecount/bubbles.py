@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
@@ -892,10 +892,10 @@ class _ChartPoint:
 class MorseIndexEstimate:
     """Count of negative chart-Hessian eigenvalues with a noise verdict.
 
-    Eigenvalues within ``band`` (= 10x the noise) of zero are neither
-    negative nor positive but ``indeterminate``.  The noise is the exact
-    Hessian's change from nodes // 2 to nodes Gauss points per panel, or the
-    FD stencil's propagated error.
+    Eigenvalues within ``band`` (= 10x the noise) of zero, or NaN, are
+    neither negative nor positive but ``indeterminate``.  The noise is the
+    exact Hessian's change from nodes // 2 to nodes Gauss points per panel,
+    or the FD stencil's propagated error.
     """
 
     index: int
@@ -921,11 +921,16 @@ def reduced_morse_index(
     """
     scheme = scheme or QuadratureScheme()
     chart = BubbleChart(u)
-    H, noise = _ChartPoint(chart, K, scheme, np.zeros(chart.dim)).hessian
+    return _classify(*_ChartPoint(chart, K, scheme, np.zeros(chart.dim)).hessian)
+
+
+def _classify(H: np.ndarray, noise: float) -> MorseIndexEstimate:
+    """``MorseIndexEstimate`` of (H, noise).  An inf entry of H (all-NaN
+    eigenvalues) or a NaN noise leaves every eigenvalue indeterminate."""
     eigs = np.linalg.eigvalsh(H)
     band = 10.0 * noise
     index = int(np.sum(eigs < -band))
-    indeterminate = int(np.sum(np.abs(eigs) <= band))
+    indeterminate = int(np.sum(~((eigs < -band) | (eigs > band))))
     return MorseIndexEstimate(
         index=index,
         indeterminate=indeterminate,
@@ -959,6 +964,14 @@ class FlowOptions:
     lam_cap: float = 1e4
     newton_steps: int = 40
 
+    def __post_init__(self) -> None:
+        # the line search halves t from initial_step while t >= min_step: a
+        # step that is not finite and positive never leaves that loop
+        for name in ("initial_step", "min_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
 
 @dataclass(frozen=True)
 class FlowReport:
@@ -976,10 +989,20 @@ class FlowReport:
     grad_norm: float
     trajectory: tuple[tuple[float, ...], ...]
     message: str = ""
+    _last: Optional[_ChartPoint] = field(default=None, compare=False, repr=False)
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    def morse_index(self) -> MorseIndexEstimate:
+        """``reduced_morse_index`` read from the Hessian the flow's last point
+        holds, in that point's chart.  At a critical point a change of chart
+        changes the Hessian by a congruence plus an O(gradient) term, so by
+        Sylvester's law the index is the one taken in the returned sum's own
+        chart.  The exact route holds the Hessian already; the
+        finite-difference route takes its stencil on this first call."""
+        return _classify(*self._last.hessian)
 
 
 def flow_to_critical(
@@ -1107,5 +1130,6 @@ def flow_to_critical(
         grad_norm=gnorm,
         trajectory=tuple(rows),
         message=message,
+        _last=here,
     )
     return final, report

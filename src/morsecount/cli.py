@@ -48,8 +48,7 @@ _NUMERICAL_MODES = ("flow", "quadrature")
 _NUMERICS = {
     "bubbles": (
         "Bubble", "BubbleSum", "FlowOptions", "constant_one", "equilibrium_scale",
-        "flow_to_critical", "functional_J_detailed", "reduced_morse_index",
-        "sobolev_constant",
+        "flow_to_critical", "functional_J_detailed", "sobolev_constant",
     ),
     "kfunc": ("euler_characteristic_diagnostic", "find_critical_points", "k_infinity_points"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme"),
@@ -455,7 +454,7 @@ def run_flow(cfg: RunConfig) -> int:
             tau=tau,
         )
         final, rep = flow_to_critical(seedsum, K, opts, scheme)
-        est = reduced_morse_index(final, K, scheme)
+        est = rep.morse_index()
         row.update(
             status=rep.status,
             distance=geodesic_distance(

@@ -294,11 +294,13 @@ def test_c09_flows_pin_every_admissible_point_with_the_right_index():
             )
             final, rep = flow_to_critical(seed, K, opts)
             est = reduced_morse_index(final, K)
+            held = rep.morse_index()
             elapsed = time.perf_counter() - t0
             assert rep.converged
             assert geodesic_distance(np.asarray(final.bubbles[0].center), center) < 0.05
             assert est.index == iota
             assert est.indeterminate == 0
+            assert (held.index, held.indeterminate) == (est.index, est.indeterminate)
             assert elapsed < 300.0
 
     _report(9, "flows pin all four admissible points; index matches co-index", check)

@@ -37,6 +37,7 @@ from morsecount.bubbles import (
 from morsecount.bubbles import (
     _ALIGNED,
     _chart_sinc,
+    _classify,
     _dilate,
     _invariant_pair_energy,
     _profile,
@@ -1112,6 +1113,44 @@ def test_exact_and_fd_morse_indices_agree_at_the_targets(preset_targets):
         assert exact.band < 1e-3 * 10 * noise
 
 
+def test_flow_morse_index_agrees_with_the_canonical_chart(preset_targets, monkeypatch):
+    """``FlowReport.morse_index`` classifies the Hessian the flow's last
+    chart point holds, with no further kernel call.  That chart differs
+    from the returned sum's own one, but at a critical point the two
+    Hessians are congruent up to an O(gradient) term, so Sylvester's law
+    keeps the verdict of ``reduced_morse_index``.  Every target is flown
+    from its seed and from the seed's mirrored twin (lam < 0.75), whose
+    chart re-anchors at its lam >= 1 representative."""
+    from morsecount import bubbles
+
+    opts = FlowOptions(newton_threshold=0.1)
+    flows = []
+    for K, y, lam_bar in preset_targets:
+        for seed in (single(y, lam_bar, tau=0.05), single(-y, 1.0 / lam_bar, tau=0.05)):
+            final, rep = flow_to_critical(seed, K, opts)
+            assert rep.converged and rep._last.chart.base.bubbles[0].lam > 1.0
+            flows.append((K, final, rep))
+    monkeypatch.setattr(bubbles, "_single_bubble_derivatives", None)  # a call fails
+    held = [rep.morse_index() for _, _, rep in flows]
+    monkeypatch.undo()
+    for (K, final, _), est in zip(flows, held):
+        want = reduced_morse_index(final, K)
+        assert (est.index, est.indeterminate) == (want.index, want.indeterminate)
+    assert [est.index for est in held] == [0, 0, 0, 0, 0, 0, 1, 1] + [0] * 6
+
+
+def test_a_non_finite_hessian_gives_no_verdict():
+    """An inf entry turns every eigenvalue into NaN and a NaN noise the band:
+    neither is a negative or a positive eigenvalue, so all are
+    indeterminate.  Finite input keeps the band rule."""
+    H = np.diag([1.0, -2.0, 3.0])
+    H[0, 1] = H[1, 0] = np.inf
+    for est in (_classify(H, 1e-12), _classify(np.diag([1.0, -2.0, 3.0]), float("nan"))):
+        assert (est.index, est.indeterminate) == (0, 3)
+    est = _classify(np.diag([1.0, -2.0, 0.05]), 0.01)
+    assert (est.index, est.indeterminate, est.band) == (1, 1, 0.1)
+
+
 def test_ring_slopes_match_mpmath_and_join_at_the_series_switch():
     """M = (coth b - 1/b)/b and M'(b)/b: series below b = 1/2, closed forms
     above.  Both within 1e-12 (relative) of 40-digit values (worst measured
@@ -1238,6 +1277,15 @@ def test_flow_requires_positive_defect():
         flow_to_critical(single(E4, 5.0, tau=0.0), constant_one(3))
 
 
+@pytest.mark.parametrize("name", ["initial_step", "min_step"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_flow_options_refuse_a_step_that_is_not_finite_and_positive(name, value):
+    """The line search halves t from initial_step while t >= min_step, so
+    either one at 0, below it, infinite or NaN would never end it."""
+    with pytest.raises(ValueError, match=name):
+        FlowOptions(**{name: value})
+
+
 def test_flow_descends_and_recenters_on_the_max():
     K = bump_candidate([(1.0, E4, 0.4)])
     start = unit(np.array([math.sin(0.35), 0.0, 0.0, math.cos(0.35)]))
@@ -1282,7 +1330,8 @@ def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
     one bubble on three-bump-s3 from its first bump center (lam = 8).  A
     fixed-seed J is deterministic, so the run is pinned bit for bit; it takes
     4 FD gradients and 3 FD Hessians, each Hessian stencil around the J the
-    flow already holds, and no bubble sum's J twice (132 calls)."""
+    flow already holds, and no bubble sum's J twice (132 calls).  The Morse
+    index then takes one more stencil, at the flow's last point."""
     from collections import Counter
 
     from morsecount import bubbles
@@ -1331,6 +1380,10 @@ def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
         ),
         message="",
     )
+    # the last point's stencil (32 J) runs only when its Morse index is asked
+    est = report.morse_index()
+    assert calls == {"J": 164, "gradient": 4, "hessian": 4}
+    assert (est.index, est.indeterminate) == (0, 4)  # Monte Carlo noise swamps all
 
 
 def test_monte_carlo_morse_index_reads_the_fd_hessian():

@@ -237,19 +237,17 @@ def test_flow_pins_the_three_maxima_of_three_max_one_saddle(tmp_path, capsys):
 def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
     """No J is taken twice on one bubble sum, whether functional_J_detailed
     takes it or the exact-derivative kernel takes it with the gradient and
-    Hessian.  The one repeat allowed is the Morse index's kernel call on the
-    sum each flow ended at.  Every derivative is exact: 12 kernel calls in
-    the flows and 4 in the Morse indices, no finite difference."""
+    Hessian.  Each flow's Morse index reads the Hessian its last point
+    already holds, so the flows' 12 kernel calls are all there are: none at
+    the index, and no finite difference."""
     from morsecount import bubbles
 
-    evaluated, kernel_calls, at_index, indexing = Counter(), [], [], []
-    finite_differences = []
+    evaluated, kernel_calls, finite_differences = Counter(), [], []
     for name in ("reduced_gradient", "fd_hessian", "_hessian_stencil"):
         monkeypatch.setattr(
             bubbles, name, lambda *args, name=name, **kwargs: finite_differences.append(name)
         )
     real_j, real_kernel = bubbles.functional_J_detailed, bubbles._single_bubble_derivatives
-    real_index = cli.reduced_morse_index
 
     def counting_j(u, K, scheme=None):
         evaluated[u] += 1
@@ -257,29 +255,17 @@ def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
 
     def counting_kernel(chart, K, scheme, x):
         u = chart.unpack(x)
-        if indexing:
-            at_index.append(u)
-        else:
-            evaluated[u] += 1
-            kernel_calls.append(u)
+        evaluated[u] += 1
+        kernel_calls.append(u)
         return real_kernel(chart, K, scheme, x)
-
-    def noting_index(u, K, scheme=None, **kwargs):
-        indexing.append(u)
-        try:
-            return real_index(u, K, scheme, **kwargs)
-        finally:
-            indexing.pop()
 
     monkeypatch.setattr(bubbles, "functional_J_detailed", counting_j)
     monkeypatch.setattr(bubbles, "_single_bubble_derivatives", counting_kernel)
-    monkeypatch.setattr(cli, "reduced_morse_index", noting_index, raising=False)
     code, _, _ = run(capsys, "flow", "--preset", "three-bump-s3")
     assert code == 0
     assert finite_differences == []
-    assert len(kernel_calls) == 12 and len(at_index) == 4
+    assert len(kernel_calls) == 12
     assert {u: k for u, k in evaluated.items() if k > 1} == {}
-    assert all(evaluated[u] == 1 for u in at_index)
 
 
 def test_flow_flags_an_inventory_that_fails_the_euler_check(tmp_path, capsys, monkeypatch):
