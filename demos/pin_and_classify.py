@@ -18,7 +18,6 @@ import numpy as np
 from morsecount import (
     Bubble,
     BubbleSum,
-    FlowOptions,
     equilibrium_scale,
     find_critical_points,
     flow_to_critical,
@@ -41,9 +40,8 @@ if __name__ == "__main__":
     targets = k_infinity_points(find_critical_points(K))
 
     banner(f"{len(targets)} admissible points on the three-bump candidate")
-    # seeds start near-stationary by construction, so send them straight to
-    # the Newton polish; plain descent would slide off the saddle-type points
-    opts = FlowOptions(max_steps=200, newton_threshold=0.1)
+    # seeds start near-stationary by construction, so the Newton flow
+    # converges to the saddle-type points as well as to the maxima
     for pt in targets:
         center = np.asarray(pt.location)
         iota = 3 - pt.morse_index_K
@@ -57,7 +55,7 @@ if __name__ == "__main__":
             alphas=(1.0,),
             tau=TAU,
         )
-        final, rep = flow_to_critical(seed, K, opts)
+        final, rep = flow_to_critical(seed, K)
         est = rep.morse_index()
         drift = geodesic_distance(np.asarray(final.bubbles[0].center), center)
         print(

@@ -13,7 +13,7 @@ import importlib
 #: defining module of every export
 _EXPORTS = {
     "bubbles": (
-        "Bubble", "BubbleSum", "FlowOptions", "FlowReport", "JEvaluation",
+        "Bubble", "BubbleSum", "FlowReport", "JEvaluation",
         "MorseIndexEstimate", "QuadratureNoiseWarning", "I_from_J", "canonical_bubble",
         "constant_one", "equilibrium_scale", "flow_to_critical", "functional_J",
         "functional_J_detailed", "norm_squared", "reduced_gradient",

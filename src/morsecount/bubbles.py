@@ -941,44 +941,20 @@ def _classify(H: np.ndarray, noise: float) -> MorseIndexEstimate:
 
 
 # --------------------------------------------------------------------------
-# descent flow
+# Newton flow
 # --------------------------------------------------------------------------
 
 GRAD_TOL = 2e-6  # a flow has converged when its chart gradient is this small
 NEWTON_TRUST = 0.5  # longest Newton step in the chart
-
-
-@dataclass(frozen=True)
-class FlowOptions:
-    """Knobs for the parameter-space descent.
-
-    Seeds whose gradient norm is already below ``newton_threshold`` skip the
-    descent phase and go straight to the Newton polish: descent would slide
-    off a saddle instead of converging to it.
-    """
-
-    max_steps: int = 200
-    initial_step: float = 0.25
-    min_step: float = 1e-9
-    newton_threshold: float = 5e-3
-    lam_cap: float = 1e4
-    newton_steps: int = 40
-
-    def __post_init__(self) -> None:
-        # the line search halves t from initial_step while t >= min_step: a
-        # step that is not finite and positive never leaves that loop
-        for name in ("initial_step", "min_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+NEWTON_STEPS = 40  # Newton steps a flow takes at most
+LAM_CAP = 1e4  # a concentration scale above this ends the flow as an escape
 
 
 @dataclass(frozen=True)
 class FlowReport:
     """Outcome of flow_to_critical.
 
-    ``status`` is one of converged / blow-up-escape / non-convergence, or
-    the descent's stationary / stalled when ``newton_steps`` is 0.
+    ``status`` is one of converged / blow-up-escape / non-convergence.
     Trajectory rows are (step, J, then per bubble: center components, lam).
     """
 
@@ -1002,33 +978,31 @@ class FlowReport:
         Sylvester's law the index is the one taken in the returned sum's own
         chart.  The exact route holds the Hessian already; the
         finite-difference route takes its stencil on this first call."""
+        if self._last is None:
+            raise ValueError("this report holds no flow point to take a Morse index at")
         return _classify(*self._last.hessian)
 
 
 def flow_to_critical(
-    u0: BubbleSum,
-    K: KFunction,
-    opts: FlowOptions | None = None,
-    scheme: QuadratureScheme | None = None,
+    u0: BubbleSum, K: KFunction, scheme: QuadratureScheme | None = None
 ) -> tuple[BubbleSum, FlowReport]:
-    """Drive the configuration to a critical point of J in the chart.
+    """Polish a near-stationary configuration to a critical point of J.
 
-    Backtracking gradient descent finds the right basin; a damped Newton
-    polish then converges to the stationary point itself (which descent
-    alone cannot do at saddles, so near-stationary seeds skip descent).
-    Each point the flow visits is one chart-point evaluator: J with the
-    gradient and Hessian there, exact for one bubble on S^3 under a radial
-    scheme and finite differences taken on first use otherwise, so no
-    bubble sum's J is taken twice.  The subcritical defect must be positive,
-    otherwise concentration can run away; scales crossing ``opts.lam_cap``
-    classify the run as "blow-up-escape".  A scale sinking through 1
-    re-anchors the chart at the mirrored representative
+    A damped Newton iteration in the chart, each step capped at
+    ``NEWTON_TRUST``, converges to the nearby critical point of any index
+    (saddles included), so the seed should already sit near one, e.g. at
+    its equilibrium scale.  Each point the flow visits is one chart-point
+    evaluator: J with the gradient and Hessian there, exact for one bubble
+    on S^3 under a radial scheme and finite differences taken on first use
+    otherwise, so no bubble sum's J is taken twice.  The subcritical defect
+    must be positive, otherwise concentration can run away; scales crossing
+    ``LAM_CAP`` classify the run as "blow-up-escape".  A scale sinking
+    through 1 re-anchors the chart at the mirrored representative
     (B_{a,lam} = B_{-a,1/lam}), so reported centers always mark the
     concentration point.
     """
     if u0.tau <= 0:
         raise ValueError("flows need a positive subcritical defect tau")
-    opts = opts or FlowOptions()
     scheme = scheme or QuadratureScheme()
 
     def point_at(chart: BubbleChart, x: np.ndarray) -> _ChartPoint:
@@ -1047,74 +1021,36 @@ def flow_to_critical(
         u = _canonical_sum(point.chart.unpack(point.x), below=0.75)
         centers_lams = [v for b in u.bubbles for v in (*b.center, b.lam)]
         rows.append(tuple(float(v) for v in (step, point.j.value, *centers_lams)))
-        return any(b.lam > opts.lam_cap for b in u.bubbles)
+        return any(b.lam > LAM_CAP for b in u.bubbles)
 
     chart = BubbleChart(u0)
     here = _ChartPoint(chart, K, scheme, np.zeros(chart.dim))
     rows: list[tuple[float, ...]] = []
     record(0, here)
-    status = "non-convergence"
-    message = ""
+    escaped = False
     steps = 0
-    gnorm = 0.0
-    step_size = opts.initial_step
-
-    for k in range(1, opts.max_steps + 1):
-        gnorm = float(np.linalg.norm(here.grad))
-        if gnorm < GRAD_TOL or (k == 1 and gnorm < opts.newton_threshold):
-            status, steps = "stationary", k - 1
+    while steps < NEWTON_STEPS and float(np.linalg.norm(here.grad)) >= GRAD_TOL:
+        H, _ = here.hessian
+        try:
+            delta = np.linalg.solve(H, -here.grad)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(H, -here.grad, rcond=None)[0]
+        dn = float(np.linalg.norm(delta))
+        if dn > NEWTON_TRUST:
+            delta *= NEWTON_TRUST / dn
+        here = point_at(here.chart, here.x + delta)
+        steps += 1
+        if record(steps, here):
+            escaped = True
             break
-        steps = k
-        direction = -here.grad / max(gnorm, 1.0)
-        t = step_size
-        while t >= opts.min_step:
-            try:
-                trial = point_at(here.chart, here.x + t * direction)
-            except (ValueError, QuadratureConvergenceError):
-                t *= 0.5
-                continue
-            if trial.j.value < here.j.value - 1e-4 * t * gnorm:
-                break
-            t *= 0.5
-        else:  # no trial accepted: stay where the descent stalled
-            status = "stalled"
-            break
-        step_size = min(2.0 * t, opts.initial_step)
-        here = trial
-        if record(k, here):
-            status = "blow-up-escape"
-            break
-    if status == "non-convergence" and opts.max_steps > 0:
-        message = f"descent budget of {opts.max_steps} steps exhausted"
-
-    if status != "blow-up-escape" and opts.newton_steps:
-        for _ in range(opts.newton_steps):
-            gnorm = float(np.linalg.norm(here.grad))
-            if gnorm < GRAD_TOL:
-                break
-            H, _ = here.hessian
-            try:
-                delta = np.linalg.solve(H, -here.grad)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(H, -here.grad, rcond=None)[0]
-            dn = float(np.linalg.norm(delta))
-            if dn > NEWTON_TRUST:
-                delta *= NEWTON_TRUST / dn
-            here = point_at(here.chart, here.x + delta)
-            steps += 1
-            if record(steps, here):
-                status = "blow-up-escape"
-                break
     # the reported norm belongs to the returned sum, whatever ended the flow
     gnorm = float(np.linalg.norm(here.grad))
-    if status == "blow-up-escape":
-        message = f"a concentration scale crossed the cap {opts.lam_cap:g}"
-    elif opts.newton_steps:
-        status = "converged" if gnorm < 10.0 * GRAD_TOL else "non-convergence"
-        if status == "converged":
-            message = ""
-        elif not message:
-            message = f"final gradient norm {gnorm:.3e} above tolerance"
+    if escaped:
+        status, message = "blow-up-escape", f"a concentration scale crossed the cap {LAM_CAP:g}"
+    elif gnorm < 10.0 * GRAD_TOL:
+        status, message = "converged", ""
+    else:
+        status, message = "non-convergence", f"final gradient norm {gnorm:.3e} above tolerance"
 
     final = _canonical_sum(here.chart.unpack(here.x), below=0.75)
     if status == "converged" and any(b.lam < 1.25 for b in final.bubbles):

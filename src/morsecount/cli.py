@@ -47,7 +47,7 @@ from .reports import (
 _NUMERICAL_MODES = ("flow", "quadrature")
 _NUMERICS = {
     "bubbles": (
-        "Bubble", "BubbleSum", "FlowOptions", "constant_one", "equilibrium_scale",
+        "Bubble", "BubbleSum", "constant_one", "equilibrium_scale",
         "flow_to_critical", "functional_J_detailed", "sobolev_constant",
     ),
     "kfunc": ("euler_characteristic_diagnostic", "find_critical_points", "k_infinity_points"),
@@ -424,10 +424,8 @@ def run_flow(cfg: RunConfig) -> int:
     targets = k_infinity_points(points)
     rows = []
     side_files = {"targets.csv": critical_points_csv(targets)}
-    # seeds sit at the scanned equilibrium scale, i.e. already near-stationary,
-    # so a generous newton_threshold sends them straight to the polish; plain
-    # descent would slide off the saddle-type points
-    opts = FlowOptions(newton_threshold=0.1)
+    # each seed sits at its scanned equilibrium scale, near the critical point
+    # (of any index) that the Newton flow converges to
     for i, pt in enumerate(targets):
         center = pt.location
         iota = int(3 - pt.morse_index_K)
@@ -453,7 +451,7 @@ def run_flow(cfg: RunConfig) -> int:
             alphas=(1.0,),
             tau=tau,
         )
-        final, rep = flow_to_critical(seedsum, K, opts, scheme)
+        final, rep = flow_to_critical(seedsum, K, scheme)
         est = rep.morse_index()
         row.update(
             status=rep.status,

@@ -19,7 +19,6 @@ import sympy
 from morsecount.bubbles import (
     Bubble,
     BubbleSum,
-    FlowOptions,
     I_from_J,
     c0,
     constant_one,
@@ -279,7 +278,6 @@ def test_c09_flows_pin_every_admissible_point_with_the_right_index():
         tau = 0.05
         targets = k_infinity_points(find_critical_points(K))
         assert len(targets) == 4
-        opts = FlowOptions(max_steps=200, newton_threshold=0.1)
         for pt in targets:
             t0 = time.perf_counter()
             center = np.asarray(pt.location)
@@ -292,7 +290,7 @@ def test_c09_flows_pin_every_admissible_point_with_the_right_index():
                 alphas=(1.0,),
                 tau=tau,
             )
-            final, rep = flow_to_critical(seed, K, opts)
+            final, rep = flow_to_critical(seed, K)
             est = reduced_morse_index(final, K)
             held = rep.morse_index()
             elapsed = time.perf_counter() - t0

@@ -17,7 +17,6 @@ from morsecount.bubbles import (
     Bubble,
     BubbleChart,
     BubbleSum,
-    FlowOptions,
     I_from_J,
     MorseIndexEstimate,
     QuadratureNoiseWarning,
@@ -1123,11 +1122,10 @@ def test_flow_morse_index_agrees_with_the_canonical_chart(preset_targets, monkey
     chart re-anchors at its lam >= 1 representative."""
     from morsecount import bubbles
 
-    opts = FlowOptions(newton_threshold=0.1)
     flows = []
     for K, y, lam_bar in preset_targets:
         for seed in (single(y, lam_bar, tau=0.05), single(-y, 1.0 / lam_bar, tau=0.05)):
-            final, rep = flow_to_critical(seed, K, opts)
+            final, rep = flow_to_critical(seed, K)
             assert rep.converged and rep._last.chart.base.bubbles[0].lam > 1.0
             flows.append((K, final, rep))
     monkeypatch.setattr(bubbles, "_single_bubble_derivatives", None)  # a call fails
@@ -1277,49 +1275,13 @@ def test_flow_requires_positive_defect():
         flow_to_critical(single(E4, 5.0, tau=0.0), constant_one(3))
 
 
-@pytest.mark.parametrize("name", ["initial_step", "min_step"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
-def test_flow_options_refuse_a_step_that_is_not_finite_and_positive(name, value):
-    """The line search halves t from initial_step while t >= min_step, so
-    either one at 0, below it, infinite or NaN would never end it."""
-    with pytest.raises(ValueError, match=name):
-        FlowOptions(**{name: value})
+def test_a_report_built_by_hand_has_no_morse_index():
+    """Only a flow's own report holds the chart point its index is read at."""
+    from morsecount.bubbles import FlowReport
 
-
-def test_flow_descends_and_recenters_on_the_max():
-    K = bump_candidate([(1.0, E4, 0.4)])
-    start = unit(np.array([math.sin(0.35), 0.0, 0.0, math.cos(0.35)]))
-    u0 = single(start, 8.0, tau=0.05)
-    final, report = flow_to_critical(u0, K)
-    assert report.converged
-    assert geodesic_distance(np.asarray(final.bubbles[0].center), E4) < 0.05
-    j_values = [row[1] for row in report.trajectory]
-    drops = np.diff(j_values)
-    assert np.all(drops < 1e-6)  # non-increasing up to noise
-    assert report.grad_norm < 2e-5
-
-
-def test_stalled_flow_evaluates_no_bubble_sum_twice(monkeypatch):
-    """A line search whose one trial (t = 10) is rejected stalls at its
-    start; the Newton polish must reuse the derivatives held there instead
-    of taking that bubble sum again."""
-    from collections import Counter
-
-    from morsecount import bubbles
-
-    seen, real = Counter(), bubbles._single_bubble_derivatives
-
-    def counting(chart, K, scheme, x):
-        seen[chart.unpack(x)] += 1
-        return real(chart, K, scheme, x)
-
-    monkeypatch.setattr(bubbles, "_single_bubble_derivatives", counting)
-    K = bump_candidate([(1.0, E4, 0.4)])
-    start = unit(np.array([math.sin(0.35), 0.0, 0.0, math.cos(0.35)]))
-    opts = FlowOptions(max_steps=1, initial_step=10.0, min_step=10.0)
-    final, report = flow_to_critical(single(start, 8.0, tau=0.05), K, opts)
-    assert report.converged
-    assert len(seen) > 2 and max(seen.values()) == 1
+    report = FlowReport("converged", 0, 1.0, 0.0, 0.0, ())
+    with pytest.raises(ValueError, match="no flow point"):
+        report.morse_index()
 
 
 MC_FLOW_SCHEME = QuadratureScheme(kind="monte-carlo", samples=4000, seed=5, tol=1.0)
@@ -1353,9 +1315,9 @@ def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
     counting("exact", bubbles._single_bubble_derivatives)
     K = load_preset("three-bump-s3")
     u0 = single(K.terms[0].center, 8.0, tau=0.05)
-    opts = FlowOptions(max_steps=20, newton_threshold=0.1, newton_steps=5)
+    monkeypatch.setattr(bubbles, "NEWTON_STEPS", 5)
     with pytest.warns(QuadratureNoiseWarning):
-        final, report = flow_to_critical(u0, K, opts, MC_FLOW_SCHEME)
+        final, report = flow_to_critical(u0, K, MC_FLOW_SCHEME)
     assert calls == {"J": 132, "gradient": 4, "hessian": 3}
     assert len(evaluated) == 132
     assert final == single(
@@ -1425,19 +1387,25 @@ def test_flow_refuses_bubbles_off_a_common_axis_under_a_radial_scheme(monkeypatc
 
 
 def test_flow_constant_candidate_flattens_in_place():
+    """On constant K the scale settles at 1, where the configuration is the
+    constant function; the report says so."""
     u0 = single(E4, 3.0, tau=0.2)
     final, report = flow_to_critical(u0, constant_one(3))
     assert report.converged
+    assert "near" in report.message and "constant" in report.message
     assert 0.9 < final.bubbles[0].lam < 1.1
     assert geodesic_distance(np.asarray(final.bubbles[0].center), E4) < 1e-3
 
 
-def test_flow_escapes_from_a_shallow_defect():
+def test_flow_escapes_from_a_shallow_defect(monkeypatch):
+    from morsecount import bubbles
+
+    monkeypatch.setattr(bubbles, "LAM_CAP", 15.0)
     K = bump_candidate([(1.0, E4, 0.4)])
     u0 = single(E4, 8.0, tau=0.001)
-    opts = FlowOptions(max_steps=300, lam_cap=15.0, newton_steps=0)
-    final, report = flow_to_critical(u0, K, opts)
+    final, report = flow_to_critical(u0, K)
     assert report.status == "blow-up-escape"
+    assert report.message == "a concentration scale crossed the cap 15"
     assert final.bubbles[0].lam > 15.0
     # the reported gradient norm is the one at the returned sum, not at the
     # point before the last step
@@ -1447,10 +1415,10 @@ def test_flow_escapes_from_a_shallow_defect():
 
 
 def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeypatch):
-    """A flow without a Newton polish ends on a descent step whose gradient
-    it has not taken.  With finite differences (one bubble on S^4; the
-    constant candidate keeps every stencil point radial) it takes one more
-    reduced_gradient there, and reports that norm."""
+    """A flow whose step budget runs out ends on a Newton step whose
+    gradient it has not taken.  With finite differences (one bubble on S^4;
+    the constant candidate keeps every stencil point radial) it takes one
+    more reduced_gradient there, and reports that norm."""
     from morsecount import bubbles
 
     taken, real = [], bubbles.reduced_gradient
@@ -1461,43 +1429,16 @@ def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeyp
         return grad
 
     monkeypatch.setattr(bubbles, "reduced_gradient", noting)
+    monkeypatch.setattr(bubbles, "NEWTON_STEPS", 2)
     K = constant_one(4)
     u0 = single((0.0, 0.0, 0.0, 0.0, 1.0), 4.0, n=4, tau=0.05)
-    final, report = flow_to_critical(u0, K, FlowOptions(max_steps=2, newton_steps=0))
+    final, report = flow_to_critical(u0, K)
     assert report.status == "non-convergence" and report.steps == 2
+    assert report.message == f"final gradient norm {report.grad_norm:.3e} above tolerance"
     assert len(taken) == 3 and taken[-1][0] == final
     assert report.grad_norm == float(np.linalg.norm(taken[-1][1]))
     assert report.grad_norm == pytest.approx(float(np.linalg.norm(real(final, K))), rel=1e-9)
     assert report.grad_norm != pytest.approx(float(np.linalg.norm(taken[-2][1])), rel=1e-3)
-
-
-def test_flow_migrates_away_from_a_positive_laplacian_min():
-    """Seeded on the minimum of K, the flow has no equilibrium scale there;
-    it flattens through the near-constant neck (where the scale crosses 1 and
-    the mirrored representation takes over) and re-concentrates on the
-    maximum on the far side."""
-    c2 = np.array([math.sin(2.0), 0.0, 0.0, math.cos(2.0)])
-    K = bump_candidate([(1.0, E4, 0.4), (-0.8, c2, 0.5)])
-    u0 = single(c2, 4.0, tau=0.05)
-    final, report = flow_to_critical(u0, K, FlowOptions(max_steps=400))
-    assert report.converged
-    end = np.asarray(final.bubbles[0].center)
-    assert geodesic_distance(end, c2) > 1.0
-    assert geodesic_distance(end, E4) < 0.05
-    assert final.bubbles[0].lam > 3.0
-
-
-def test_flow_short_budget_reports_the_near_constant_neck():
-    """With too small a step budget the same seed converges inside the
-    constant-function neck (a genuine degenerate critical circle of the
-    reduced functional) and the report says so."""
-    c2 = np.array([math.sin(2.0), 0.0, 0.0, math.cos(2.0)])
-    K = bump_candidate([(1.0, E4, 0.4), (-0.8, c2, 0.5)])
-    u0 = single(c2, 4.0, tau=0.05)
-    final, report = flow_to_critical(u0, K, FlowOptions(max_steps=150))
-    assert report.converged
-    assert final.bubbles[0].lam == pytest.approx(1.0, abs=0.05)
-    assert "near" in report.message and "constant" in report.message
 
 
 def test_equilibrium_scale_pins_only_genuine_wells():
