@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, expm1, log, log1p
-from operator import add
+from operator import add, mul
 from typing import Iterator, Literal, NamedTuple, Optional
 
 CaseLabel = Literal["IndexOne", "Case1", "Case2", "Case3", "Case4"]
@@ -84,9 +84,9 @@ class ParityConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parities", tuple(int(b) for b in self.parities))
-        if not isinstance(self.n, int) or self.n < 3:
+        if type(self.n) is not int or self.n < 3:
             raise ValueError(f"dimension n must be an integer >= 3, got {self.n!r}")
-        if not isinstance(self.N, int) or self.N < 1:
+        if type(self.N) is not int or self.N < 1:
             raise ValueError(f"level cap N must be an integer >= 1, got {self.N!r}")
         if len(self.parities) < 1:
             raise ValueError("at least one concentration point is required")
@@ -225,32 +225,38 @@ def mu_direct(cfg: ParityConfig) -> IndexTable:
     where sigma(S) is the parity of the summed co-indices over S.  Configurations
     with |S| = p have no residual solution and carry sign (-1)^{p-1+sigma(S)}.
 
-    A term depends on S only through its minimum rank, |S| and sigma(S), so each
-    nonempty subset of {1..m} is enumerated once, into a bucket keyed by those
-    three.  mu_{>=k;k} at level p is the sign-weighted sum over the buckets of
-    minimum rank k, and mu_{>=k} is its running sum from rank m down.  ``mu_p``
-    itself is then pinned by the level-p Euler-Poincare identity, ascending in p.
+    A term depends on S only through its minimum rank, |S| and sigma(S).  With
+    bit j of S standing for rank j+1, the subsets of minimum rank k are
+    range(2^(k-1), 2^m, 2^k), so the ranks are filled one at a time and each
+    nonempty subset of {1..m} is still enumerated exactly once, into a bucket
+    keyed by |S| and sigma(S).  Each rank's buckets fold into the weights
+    w_k[s] = (-1)^s (even - odd) over its subsets of size s, and mu_{>=k;k} at
+    level p is the dot product of w_k with (mu_{p-1}, ..., mu_1, -1), the
+    residual factor of each size s <= p.  mu_{>=k} is its running sum from
+    rank m down, and ``mu_p`` itself is then pinned by the level-p
+    Euler-Poincare identity, ascending in p.
     """
     m, N = cfg.m, cfg.N
     odd_ranks = sum(1 << j for j, b in enumerate(cfg.parities) if b)
-    # buckets[k-1][size][sigma]: number of subsets with minimum rank k
-    buckets = [[[0, 0] for _ in range(m + 1)] for _ in range(m)]
-    for S in range(1, 1 << m):  # bit j set <=> rank j+1 is in S
-        low = (S & -S).bit_length() - 1
-        buckets[low][S.bit_count()][(S & odd_ranks).bit_count() & 1] += 1
+    weights = []  # weights[k-1][s-1] = w_k[s]
+    for k in range(1, m + 1):
+        buckets = [[0, 0] for _ in range(m - k + 2)]  # buckets[size][sigma]
+        for S in range(1 << (k - 1), 1 << m, 1 << k):
+            buckets[S.bit_count()][(S & odd_ranks).bit_count() & 1] += 1
+        weights.append([(-1) ** s * (even - odd) for s, (even, odd) in enumerate(buckets)][1:])
 
     mu: list[int] = []
     mu_geq, mu_geq_at = _empty_rows(m, N)
+    back = [-1]  # (mu_{p-1}, ..., mu_1, -1) at level p
     for p in range(1, N + 1):
+        geq = 0
         for k in range(m, 0, -1):
-            at = 0
-            for size in range(1, min(p, m - k + 1) + 1):
-                even, odd = buckets[k - 1][size]
-                term = (-1) ** (p - 1) if size == p else (-1) ** size * mu[p - size - 1]
-                at += term * (even - odd)  # sigma = 1 flips the sign
+            at = sum(map(mul, weights[k - 1], back))
+            geq += at
             mu_geq_at[k - 1][p - 1] = at
-            mu_geq[k - 1][p - 1] = mu_geq[k][p - 1] + at
-        mu.append((1 if p == 1 else 0) - mu_geq[0][p - 1])
+            mu_geq[k - 1][p - 1] = geq
+        mu.append((1 if p == 1 else 0) - geq)
+        back.insert(0, mu[-1])
 
     return _table(cfg, mu, mu_geq, mu_geq_at)
 
@@ -459,8 +465,9 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
 
 def all_parity_patterns(m: int) -> Iterator[tuple[int, ...]]:
     """All 2^{m-1} parity tuples of length m with the leading bit fixed to 0."""
-    for mask in range(1 << (m - 1)):
-        yield (0,) + tuple((mask >> j) & 1 for j in range(m - 1))
+    if m < 1:
+        raise ValueError(f"a parity pattern needs m >= 1 points, got m = {m!r}")
+    return ((0,) + tuple((mask >> j) & 1 for j in range(m - 1)) for mask in range(1 << (m - 1)))
 
 
 def admissible_epsilon(N: int, eta: float, n: int) -> float:

@@ -28,6 +28,10 @@ None is used by ``morsecount`` itself:
 - ``level_bound_rows``: solution-bound rows built one frozen dataclass and
   one ``Fraction(p, n)`` per level, the reference for ``solution_bounds``'
   shared level energies and tuple rows.
+- ``bucketed_mu_direct``: ``indexcount.mu_direct`` as it was before it
+  filled its buckets one minimum rank at a time and summed each level as dot
+  products: every subset keyed by its lowest set bit, and one signed term per
+  (level, rank, size).  The direct route must give equal tables.
 - ``scipy_quasi_uniform_points``: quasi-uniform points on S^n from
   ``scipy.stats``' unscrambled ``qmc.Sobol`` and ``norm.ppf``, the route
   ``sphere.quasi_uniform_points`` took before it drew its Sobol points from
@@ -55,6 +59,7 @@ from morsecount.bubbles import (
     canonical_bubble,
     sobolev_constant,
 )
+from morsecount.indexcount import IndexTable, ParityConfig
 from morsecount.kfunc import KFunction, eval_K
 from morsecount.quadrature import (
     _allocate,
@@ -428,6 +433,37 @@ def level_bound_rows(n: int, bounds: Sequence[int]) -> tuple[FrozenLevelBound, .
     return tuple(
         FrozenLevelBound(p=p, energy_multiple=Fraction(p, n), lower_bound=b)
         for p, b in enumerate(bounds, start=1)
+    )
+
+
+def bucketed_mu_direct(cfg: ParityConfig) -> IndexTable:
+    """The direct route's table, each nonempty subset S of {1..m} (bit j for
+    rank j+1) counted in a bucket keyed by its minimum rank, |S| and sigma(S)."""
+    m, N = cfg.m, cfg.N
+    odd_ranks = sum(1 << j for j, b in enumerate(cfg.parities) if b)
+    buckets = [[[0, 0] for _ in range(m + 1)] for _ in range(m)]
+    for S in range(1, 1 << m):
+        low = (S & -S).bit_length() - 1
+        buckets[low][S.bit_count()][(S & odd_ranks).bit_count() & 1] += 1
+
+    mu: list[int] = []
+    mu_geq = [[0] * N for _ in range(m + 1)]
+    mu_geq_at = [[0] * N for _ in range(m)]
+    for p in range(1, N + 1):
+        for k in range(m, 0, -1):
+            at = 0
+            for size in range(1, min(p, m - k + 1) + 1):
+                even, odd = buckets[k - 1][size]
+                term = (-1) ** (p - 1) if size == p else (-1) ** size * mu[p - size - 1]
+                at += term * (even - odd)
+            mu_geq_at[k - 1][p - 1] = at
+            mu_geq[k - 1][p - 1] = mu_geq[k][p - 1] + at
+        mu.append((1 if p == 1 else 0) - mu_geq[0][p - 1])
+    return IndexTable(
+        config=cfg,
+        mu=tuple(mu),
+        mu_geq=tuple(map(tuple, mu_geq)),
+        mu_geq_at=tuple(map(tuple, mu_geq_at)),
     )
 
 

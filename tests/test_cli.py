@@ -192,6 +192,46 @@ def test_verify_flags_bounds_whose_mu_disagrees_with_direct(tmp_path, capsys, mo
     ]
 
 
+@pytest.mark.parametrize("max_m", [1, 0, -3])
+def test_verify_refuses_a_sweep_that_checks_no_pattern(tmp_path, capsys, max_m):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"exhaustive": True, "max_m": max_m}))
+    for extra in (("--exhaustive", "--max-m", str(max_m)), ("--config", str(path))):
+        code, out, err = run(capsys, "verify", *extra, "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = stderr_error(err)
+        assert error["kind"] == "usage"
+        assert error["detail"].startswith(f"--max-m {max_m} is below 2")
+        assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_routes_that_differ_off_the_mu_row_disagree(tmp_path, capsys, monkeypatch):
+    """A direct table for (0, 1, 0) whose mu_{>=m;m} at level 1 is off by one,
+    its ``mu`` row still right, fails both subcommands' cross-check."""
+    real = cli.mu_direct
+
+    def off_by_one(pcfg):
+        table = real(pcfg)
+        if pcfg.parities != (0, 1, 0):
+            return table
+        last = table.mu_geq_at[-1]
+        return replace(table, mu_geq_at=table.mu_geq_at[:-1] + ((last[0] + 1,) + last[1:],))
+
+    monkeypatch.setattr(cli, "mu_direct", off_by_one)
+    code, _, err = run(capsys, "indices", "--parities", "0,1,0", "--N", "4",
+                       "--out", str(tmp_path / "indices"))
+    assert code == cli.EXIT_CONSISTENCY
+    assert stderr_error(err)["detail"] == "counting routes disagree for (0, 1, 0)"
+    assert not (tmp_path / "indices").exists()
+    code, _, _ = run(capsys, "verify", "--exhaustive", "--max-m", "3",
+                     "--max-N", "4", "--out", str(tmp_path / "verify"))
+    assert code == cli.EXIT_CONSISTENCY
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    assert [(r["parities"], r["routes_agree"]) for r in report["failures"]] == [
+        ([0, 1, 0], False)
+    ]
+
+
 # ---- flow ----
 
 

@@ -10,6 +10,7 @@ theorem the tests exercise.
 """
 from __future__ import annotations
 
+import random
 import warnings
 from dataclasses import replace
 from math import comb
@@ -32,7 +33,9 @@ from morsecount import (
     solution_bounds,
 )
 from morsecount import indexcount
+from morsecount.cli import MAX_INDICES_M
 from morsecount.indexcount import _mu_row
+from oracles import bucketed_mu_direct
 
 # ---------------------------------------------------------------------------
 # reference oracle
@@ -283,6 +286,39 @@ def test_solution_bounds_runs_no_rank_recursion(monkeypatch):
     assert solution_bounds(c).mu == mu_direct(c).mu
 
 
+def test_direct_route_equals_the_bucketed_oracle():
+    """Whole tables: every pattern with m <= 10 at N = 1, 2 and 12, forty seeded
+    patterns with m = 11..16 at N = 64, and one at the indices cap with N = 12."""
+    rng = random.Random(29)
+
+    def pattern(m):
+        return (0,) + tuple(rng.getrandbits(1) for _ in range(m - 1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", H3Warning)
+        configs = [
+            cfg(parities, N=N)
+            for m in range(1, 11)
+            for parities in all_parity_patterns(m)
+            for N in (1, 2, 12)
+        ]
+    configs += [cfg(pattern(rng.randint(11, 16)), N=64) for _ in range(40)]
+    configs.append(cfg(pattern(MAX_INDICES_M), N=12))
+    for c in configs:
+        assert mu_direct(c) == bucketed_mu_direct(c), c
+
+
+def test_direct_route_reads_no_other_route(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("mu_direct read another counting route")
+
+    c = cfg((0, 1, 1, 0, 1, 0, 0, 1), N=12)
+    want = bucketed_mu_direct(c)
+    for name in ("_mu_row", "_recurrence_rows", "comb"):
+        monkeypatch.setattr(indexcount, name, forbidden)
+    assert mu_direct(c) == want
+
+
 # ---------------------------------------------------------------------------
 # exhaustive sweep (small): every pattern with m <= 6, N = 8
 # ---------------------------------------------------------------------------
@@ -373,6 +409,19 @@ def test_classification_examples():
 def test_classification_rejects_malformed():
     with pytest.raises(ValueError):
         ParityConfig(n=7, parities=(1, 0), N=2)
+
+
+@pytest.mark.parametrize("field", ["n", "N"])
+def test_a_bool_dimension_or_level_cap_is_refused(field):
+    kwargs = {"n": 7, "parities": (0, 1), "N": 3, field: True}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ParityConfig(**kwargs)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_all_parity_patterns_refuses_fewer_than_one_point(m):
+    with pytest.raises(ValueError, match=f"got m = {m}"):
+        all_parity_patterns(m)
 
 
 @given(tail=st.lists(st.integers(0, 1), min_size=1, max_size=7))
