@@ -16,8 +16,8 @@ _EXPORTS = {
         "Bubble", "BubbleSum", "FlowReport", "JEvaluation",
         "MorseIndexEstimate", "QuadratureNoiseWarning", "I_from_J", "canonical_bubble",
         "constant_one", "equilibrium_scale", "flow_to_critical", "functional_J",
-        "functional_J_detailed", "norm_squared", "reduced_gradient",
-        "reduced_morse_index", "sobolev_constant", "weighted_power_integral",
+        "functional_J_detailed", "norm_squared", "reduced_morse_index",
+        "sobolev_constant", "weighted_power_integral",
     ),
     "indexcount": (
         "ConsistencyError", "H3Warning", "IndexTable", "LevelBound", "ParityConfig",
@@ -28,8 +28,7 @@ _EXPORTS = {
     "kfunc": (
         "BumpTerm", "CriticalPoint", "H1ViolationError", "KFunction",
         "epsilon_membership", "eval_K", "euler_characteristic_diagnostic",
-        "extract_K_infinity", "find_critical_points", "grad_K", "hess_K",
-        "k_infinity_points", "k_range",
+        "extract_K_infinity", "find_critical_points", "k_infinity_points", "k_range",
     ),
     "presets": ("available_presets", "load_preset"),
     "quadrature": ("QuadratureConvergenceError", "QuadratureScheme", "integrate_radial"),

@@ -29,9 +29,10 @@ integral of the ring-averaged K; anything else goes to mixture importance
 sampling.  Every integral and every functional value carries an error
 estimate.
 Chart derivatives of J are exact for one bubble on the 3-sphere under a
-radial scheme (one multi-column integral) and finite differences elsewhere;
-one chart-point evaluator makes that choice for flows and Morse indices alike
-and holds J with the derivatives taken at its point.
+radial scheme (one multi-column integral) and central finite differences
+elsewhere.  One chart-point evaluator, ``_ChartPoint``, owns both routes for
+flows and Morse indices alike and holds J with the derivatives taken at its
+point.
 """
 from __future__ import annotations
 
@@ -666,30 +667,20 @@ class BubbleChart:
 # --------------------------------------------------------------------------
 
 
-def reduced_gradient(
-    u: BubbleSum,
-    K: KFunction,
-    scheme: QuadratureScheme | None = None,
-    *,
-    step: float = 1e-4,
-    chart: BubbleChart | None = None,
-    at: np.ndarray | None = None,
-) -> np.ndarray:
-    """Central finite-difference gradient of J in the gauge-fixed chart.
+def _fd_gradient(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x,
+                 step: float = 1e-4) -> np.ndarray:
+    """Central finite-difference gradient of J at chart point x.
 
     Warns when the quadrature error estimate is comparable to the observed
     finite-difference variation (the gradient is then dominated by noise and
     more nodes/samples are needed).
     """
-    scheme = scheme or QuadratureScheme()
-    chart = chart or BubbleChart(u)
-    x0 = np.zeros(chart.dim) if at is None else np.asarray(at, dtype=float)
     grad = np.zeros(chart.dim)
     noisy = 0
     worst = 0.0
     for i, e_i in enumerate(step * np.eye(chart.dim)):
-        jp = functional_J_detailed(chart.unpack(x0 + e_i), K, scheme)
-        jm = functional_J_detailed(chart.unpack(x0 - e_i), K, scheme)
+        jp = functional_J_detailed(chart.unpack(x + e_i), K, scheme)
+        jm = functional_J_detailed(chart.unpack(x - e_i), K, scheme)
         grad[i] = (jp.value - jm.value) / (2.0 * step)
         spread = abs(jp.value - jm.value)
         noise = jp.error + jm.error
@@ -711,47 +702,32 @@ def reduced_gradient(
     return grad
 
 
-def fd_hessian(
-    u: BubbleSum,
-    K: KFunction,
-    scheme: QuadratureScheme | None = None,
-    *,
-    step: float = 1e-3,
-    chart: BubbleChart | None = None,
-    at: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Symmetric second-difference Hessian of J in the chart.
+def _fd_hessian(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x,
+                j: JEvaluation, step: float = 1e-3) -> tuple[np.ndarray, float]:
+    """Symmetric second-difference Hessian of J around chart point x, where J
+    is already ``j``.
 
     Returns (H, noise) where noise bounds the propagated per-entry error
     from the quadrature error estimates and floating-point cancellation.
     """
-    scheme = scheme or QuadratureScheme()
-    chart = chart or BubbleChart(u)
-    x0 = np.zeros(chart.dim) if at is None else np.asarray(at, dtype=float)
-    j0 = functional_J_detailed(chart.unpack(x0), K, scheme)
-    return _hessian_stencil(chart, K, scheme, x0, j0, step)
-
-
-def _hessian_stencil(chart, K, scheme, x0, j0: JEvaluation, step: float = 1e-3):
-    """``fd_hessian`` around chart point x0, where J is already ``j0``."""
     j_of = lambda vec: functional_J_detailed(chart.unpack(vec), K, scheme)
     E = step * np.eye(chart.dim)
     H = np.zeros((chart.dim, chart.dim))
-    worst_err = j0.error
+    worst_err = j.error
     for i, e_i in enumerate(E):
-        jp, jm = j_of(x0 + e_i), j_of(x0 - e_i)
+        jp, jm = j_of(x + e_i), j_of(x - e_i)
         worst_err = max(worst_err, jp.error, jm.error)
-        H[i, i] = (jp.value - 2.0 * j0.value + jm.value) / (step * step)
+        H[i, i] = (jp.value - 2.0 * j.value + jm.value) / (step * step)
     for i, e_i in enumerate(E):
-        for j in range(i + 1, chart.dim):
-            e_j = E[j]
-            jpp, jpm = j_of(x0 + e_i + e_j), j_of(x0 + e_i - e_j)
-            jmp, jmm = j_of(x0 - e_i + e_j), j_of(x0 - e_i - e_j)
+        for k in range(i + 1, chart.dim):
+            e_k = E[k]
+            jpp, jpm = j_of(x + e_i + e_k), j_of(x + e_i - e_k)
+            jmp, jmm = j_of(x - e_i + e_k), j_of(x - e_i - e_k)
             worst_err = max(worst_err, jpp.error, jpm.error, jmp.error, jmm.error)
-            H[i, j] = H[j, i] = (jpp.value - jpm.value - jmp.value + jmm.value) / (
+            H[i, k] = H[k, i] = (jpp.value - jpm.value - jmp.value + jmm.value) / (
                 4.0 * step * step
             )
-    fp_noise = 8.0 * np.finfo(float).eps * abs(j0.value)
+    fp_noise = 8.0 * np.finfo(float).eps * abs(j.value)
     noise = (4.0 * worst_err + fp_noise) / (step * step)
     return H, float(noise)
 
@@ -865,8 +841,8 @@ class _ChartPoint:
     One bubble on S^3 under a radial scheme gets all of them with J from one
     multi-column integral (``_single_bubble_derivatives``).  Anything else
     gets central finite differences, each taken on first use: the gradient
-    by ``reduced_gradient``, the Hessian by ``fd_hessian``'s stencil around
-    the J held here.
+    by ``_fd_gradient``, the Hessian by ``_fd_hessian``'s stencil around the
+    J held here.
     """
 
     def __init__(self, chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x):
@@ -881,11 +857,11 @@ class _ChartPoint:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        return reduced_gradient(self.chart.base, self.K, self.scheme, chart=self.chart, at=self.x)
+        return _fd_gradient(self.chart, self.K, self.scheme, self.x)
 
     @cached_property
     def hessian(self) -> tuple[np.ndarray, float]:
-        return _hessian_stencil(self.chart, self.K, self.scheme, self.x, self.j)
+        return _fd_hessian(self.chart, self.K, self.scheme, self.x, self.j)
 
 
 @dataclass(frozen=True)
@@ -917,7 +893,7 @@ def reduced_morse_index(
     ``u`` should be a converged critical point; eigenvalues inside the noise
     band are reported as indeterminate rather than classified.  The Hessian
     is exact for one bubble on S^3 under a radial scheme and a finite
-    difference (``fd_hessian``) otherwise.
+    difference (``_fd_hessian``) otherwise.
     """
     scheme = scheme or QuadratureScheme()
     chart = BubbleChart(u)

@@ -266,7 +266,10 @@ def _parity_config(cfg: RunConfig) -> ParityConfig:
         n, parities, N = loaded.n, loaded.parities, loaded.N
     else:
         raise CLIFailure(EXIT_USAGE, "usage", "need --parities or a parity --preset")
-    return ParityConfig(n=n, parities=tuple(parities), N=int(N if cfg.N is None else cfg.N))
+    if cfg.N is not None:
+        _at_least("N = ", cfg.N, 1)
+        N = cfg.N
+    return ParityConfig(n=n, parities=tuple(parities), N=N)
 
 
 def _write(cfg: RunConfig, payload: dict, side_files: dict[str, str] | None = None) -> None:
@@ -288,6 +291,11 @@ def _write(cfg: RunConfig, payload: dict, side_files: dict[str, str] | None = No
 def _at_most(what: str, value: int, limit: int, unit: str = "") -> None:
     if value > limit:
         raise CLIFailure(EXIT_USAGE, "usage", f"{what}{value} exceeds the limit of {limit}{unit}")
+
+
+def _at_least(what: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise CLIFailure(EXIT_USAGE, "usage", f"{what}{value} is below {floor}")
 
 
 def _cross_check(pcfg: ParityConfig) -> tuple[IndexTable, dict]:
@@ -367,11 +375,9 @@ def run_verify(cfg: RunConfig) -> int:
             EXIT_USAGE, "usage", "verify currently only supports --exhaustive sweeps"
         )
     _at_most("--max-m ", cfg.max_m, MAX_VERIFY_M)
-    if cfg.max_m < 2:
-        raise CLIFailure(
-            EXIT_USAGE, "usage", f"--max-m {cfg.max_m} is below 2: the sweep would check no pattern"
-        )
+    _at_least("--max-m ", cfg.max_m, 2)  # below 2 the sweep would check no pattern
     _at_most("--max-N ", cfg.max_N, MAX_LEVEL_N)
+    _at_least("--max-N ", cfg.max_N, 1)
     N = cfg.max_N
     results = [
         _verify_one(ParityConfig(n=7, parities=parities, N=N))

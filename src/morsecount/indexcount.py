@@ -120,7 +120,7 @@ class ParityConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ParityConfig":
         try:
-            return cls(n=int(d["n"]), parities=tuple(d["parities"]), N=int(d["N"]))
+            return cls(n=d["n"], parities=tuple(d["parities"]), N=d["N"])
         except KeyError as exc:
             raise ValueError(f"parity configuration is missing field {exc}") from exc
 
@@ -477,9 +477,9 @@ def admissible_epsilon(N: int, eta: float, n: int) -> float:
     value (the accompanying small-epsilon constant is non-constructive and not
     evaluated here).  Preconditions: N >= 1, n >= 3, 0 < eta < 1/(2N+1).
     """
-    if not isinstance(N, int) or N < 1:
+    if type(N) is not int or N < 1:
         raise ValueError("N must be an integer >= 1")
-    if not isinstance(n, int) or n < 3:
+    if type(n) is not int or n < 3:
         raise ValueError("n must be an integer >= 3")
     if not (0.0 < eta < 1.0 / (2 * N + 1)):
         raise ValueError(

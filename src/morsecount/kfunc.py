@@ -4,7 +4,8 @@ f is a sum of smooth sphere bumps w * exp(-(1 - <x, c>)/s^2), chosen because all
 ambient derivatives are closed-form.  Intrinsic derivatives come from projecting:
 with P = I - x x^T the tangential gradient is P (grad f), the covariant Hessian of
 the restriction is P (Hess f) P - (x . grad f) P, and the sphere Laplacian is its
-trace.  One kernel, ``_derivs``, evaluates both for a stack of points.  The
+trace.  One kernel, ``_derivs``, evaluates both for a stack of points; it is
+the module's only derivative route, and callers take single points as rows.  The
 module locates critical points (Newton batched over a deterministic
 quasi-uniform seed set), classifies them, extracts the admissible concentration
 set {grad K = 0, Lap K < 0} as a parity configuration, and scans K's range.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexcount import H3Warning, ParityConfig, admissible_epsilon  # noqa: F401 (re-export)
-from .sphere import check_unit, quasi_uniform_points, unit
+from .sphere import quasi_uniform_points, unit
 
 
 class H1ViolationError(ValueError):
@@ -79,7 +80,7 @@ class KFunction:
     terms: tuple[BumpTerm, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ValueError("dimension n must be an integer >= 2")
         if not (0.0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
@@ -111,7 +112,7 @@ class KFunction:
     def from_dict(cls, d: dict) -> "KFunction":
         try:
             return cls(
-                n=int(d["n"]),
+                n=d["n"],
                 epsilon=float(d["epsilon"]),
                 terms=tuple(BumpTerm(**t) for t in d["terms"]),
             )
@@ -162,21 +163,6 @@ def _derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     radial = np.matmul(amb_grad[:, None, :], X[:, :, None])[:, 0, 0]
     P = np.eye(K.dim) - X[:, :, None] * X[:, None, :]
     return amb_grad - radial[:, None] * X, P @ amb_hess @ P - radial[:, None, None] * P
-
-
-def grad_K(K: KFunction, x: np.ndarray) -> np.ndarray:
-    """Tangential gradient of K at unit x (single point)."""
-    x = np.asarray(x, dtype=float)
-    check_unit(x)
-    return _derivs(K, x)[0][0]
-
-
-def hess_K(K: KFunction, x: np.ndarray) -> np.ndarray:
-    """Covariant Hessian of K|_{S^n} at unit x, as a (d, d) matrix acting on the
-    tangent space (rows/columns in ambient coordinates)."""
-    x = np.asarray(x, dtype=float)
-    check_unit(x)
-    return _derivs(K, x)[1][0]
 
 
 # -- critical point search ----------------------------------------------------

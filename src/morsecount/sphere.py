@@ -13,13 +13,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def check_unit(x: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise if x is not a unit vector (sphere points are contracts, not hints)."""
-    err = abs(float(np.linalg.norm(x)) - 1.0)
-    if not err <= tol:  # NaN fails too
-        raise ValueError(f"expected a unit vector, |x| deviates by {err:.3e}")
-
-
 @cache
 def sphere_area(n: int) -> float:
     """Surface measure of S^n, n an integer >= 0: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""

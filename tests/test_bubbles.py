@@ -28,7 +28,6 @@ from morsecount.bubbles import (
     functional_J,
     functional_J_detailed,
     norm_squared,
-    reduced_gradient,
     reduced_morse_index,
     sobolev_constant,
     weighted_power_integral,
@@ -38,12 +37,13 @@ from morsecount.bubbles import (
     _chart_sinc,
     _classify,
     _dilate,
+    _fd_gradient,
+    _fd_hessian,
     _invariant_pair_energy,
     _profile,
     _ring_slopes,
     _single_bubble_derivatives,
     _theta_scale,
-    fd_hessian,
 )
 from morsecount.kfunc import BumpTerm, KFunction, find_critical_points, k_infinity_points
 from morsecount.presets import load_preset
@@ -53,7 +53,6 @@ from morsecount.quadrature import (
     integrate_radial,
 )
 from morsecount.sphere import (
-    check_unit,
     exp_map,
     geodesic_distance,
     sphere_area,
@@ -246,7 +245,6 @@ NON_FINITE_FIELDS = {
     "BumpTerm.weight": (lambda v: BumpTerm(center=tuple(E4), weight=v, width=0.4), -1.0),
     "BumpTerm.width": (lambda v: BumpTerm(center=tuple(E4), weight=1.0, width=v), 0.4),
     "KFunction.epsilon": (lambda v: KFunction(n=3, epsilon=v, terms=()), 0.1),
-    "check_unit": (lambda v: check_unit(np.array([v, 0.0, 0.0, 1.0])), 0.0),
 }
 
 
@@ -974,16 +972,29 @@ def test_chart_roundtrip_and_layout():
     assert chart.lam_of(vec, 1) == pytest.approx(18.0)
 
 
+def fd_gradient(u, K, scheme=None, step=1e-4):
+    """``_fd_gradient`` at the origin of u's own chart."""
+    chart = BubbleChart(u)
+    return _fd_gradient(chart, K, scheme or QuadratureScheme(), np.zeros(chart.dim), step)
+
+
+def fd_hessian(u, K, scheme=None):
+    """``_fd_hessian`` at the origin of u's own chart, around J there."""
+    scheme, chart = scheme or QuadratureScheme(), BubbleChart(u)
+    x = np.zeros(chart.dim)
+    return _fd_hessian(chart, K, scheme, x, functional_J_detailed(chart.unpack(x), K, scheme))
+
+
 def test_gradient_vanishes_by_symmetry():
-    g = reduced_gradient(single(E4, 5.0), constant_one(3))
+    g = fd_gradient(single(E4, 5.0), constant_one(3))
     assert np.max(np.abs(g)) < 1e-7
 
 
 def test_gradient_two_stencil_consistency():
     K = bump_candidate([(1.0, E4, 0.4)])
     u = single(unit(np.array([0.3, 0.0, 0.0, 1.0])), 6.0, tau=0.1)
-    g_fine = reduced_gradient(u, K, step=1e-4)
-    g_coarse = reduced_gradient(u, K, step=2e-3)
+    g_fine = fd_gradient(u, K, step=1e-4)
+    g_coarse = fd_gradient(u, K, step=2e-3)
     assert np.max(np.abs(g_fine - g_coarse)) < 1e-4 * max(
         1.0, float(np.max(np.abs(g_fine)))
     )
@@ -995,7 +1006,7 @@ def test_scale_gradient_has_zero_crossing_at_a_max():
     K = bump_candidate([(1.0, E4, 0.4)])
 
     def g_log_lam(lam):
-        return reduced_gradient(single(E4, lam, tau=0.05), K)[-1]
+        return fd_gradient(single(E4, lam, tau=0.05), K)[-1]
 
     lo, hi = 2.0, 200.0
     g_lo, g_hi = g_log_lam(lo), g_log_lam(hi)
@@ -1014,7 +1025,7 @@ def test_scale_gradient_has_zero_crossing_at_a_max():
 def test_gradient_noise_warning_on_coarse_stochastic_scheme():
     scheme = QuadratureScheme(kind="monte-carlo", samples=512, seed=4, tol=1.0)
     with pytest.warns(QuadratureNoiseWarning):
-        reduced_gradient(single(E4, 5.0, tau=0.1), constant_one(3), scheme, step=1e-8)
+        fd_gradient(single(E4, 5.0, tau=0.1), constant_one(3), scheme, step=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,12 +1060,14 @@ def fd_misfit(u, K, g, H, chart, at):
     and the FD Hessian at step 1e-3.  Both truncate at order h^2, so the
     doubled step estimates the truncation as |FD(2h) - FD(h)|/3 (Richardson);
     the bound takes 1.5x that, plus the FD rounding: 64 eps |J|/h for the
-    gradient and twice fd_hessian's propagated noise for the Hessian."""
-    g_fd = reduced_gradient(u, K, step=1e-4, chart=chart, at=at)
-    g_2h = reduced_gradient(u, K, step=2e-4, chart=chart, at=at)
-    H_fd, noise = fd_hessian(u, K, step=1e-3, chart=chart, at=at)
-    H_2h, _ = fd_hessian(u, K, step=2e-3, chart=chart, at=at)
-    j = functional_J(chart.unpack(at), K)
+    gradient and twice _fd_hessian's propagated noise for the Hessian."""
+    scheme = QuadratureScheme()
+    jev = functional_J_detailed(chart.unpack(at), K, scheme)
+    g_fd = _fd_gradient(chart, K, scheme, at, step=1e-4)
+    g_2h = _fd_gradient(chart, K, scheme, at, step=2e-4)
+    H_fd, noise = _fd_hessian(chart, K, scheme, at, jev, step=1e-3)
+    H_2h, _ = _fd_hessian(chart, K, scheme, at, jev, step=2e-3)
+    j = jev.value
     g_tol = 0.5 * np.abs(g_2h - g_fd) + 64 * np.finfo(float).eps * j / 1e-4
     H_tol = 0.5 * np.abs(H_2h - H_fd) + 2.0 * noise
     return max(np.max(np.abs(g - g_fd) / g_tol), np.max(np.abs(H - H_fd) / H_tol))
@@ -1310,8 +1323,8 @@ def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
         monkeypatch.setattr(bubbles, real.__name__, wrapper)
 
     counting("J", bubbles.functional_J_detailed)
-    counting("gradient", bubbles.reduced_gradient)
-    counting("hessian", bubbles._hessian_stencil)
+    counting("gradient", bubbles._fd_gradient)
+    counting("hessian", bubbles._fd_hessian)
     counting("exact", bubbles._single_bubble_derivatives)
     K = load_preset("three-bump-s3")
     u0 = single(K.terms[0].center, 8.0, tau=0.05)
@@ -1349,7 +1362,7 @@ def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
 
 
 def test_monte_carlo_morse_index_reads_the_fd_hessian():
-    """Off the exact route the Morse index classifies fd_hessian's matrix."""
+    """Off the exact route the Morse index classifies _fd_hessian's matrix."""
     K = load_preset("three-bump-s3")
     u = single((0.029331545879812928, 0.012924445470106752, 0.0024021726380739853,
                 0.9994832908519319), 15.621558372734091, tau=0.05)
@@ -1366,13 +1379,13 @@ def test_flow_refuses_bubbles_off_a_common_axis_under_a_radial_scheme(monkeypatc
     starts off the axis raises at its first J."""
     from morsecount import bubbles
 
-    gradients, real = [], bubbles.reduced_gradient
+    gradients, real = [], bubbles._fd_gradient
 
     def noting(*args, **kwargs):
         gradients.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bubbles, "reduced_gradient", noting)
+    monkeypatch.setattr(bubbles, "_fd_gradient", noting)
     K = load_preset("three-bump-s3")
     for center in (-E4, (0.0, 0.0, math.sin(0.5), math.cos(0.5))):
         u0 = BubbleSum(
@@ -1418,17 +1431,17 @@ def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeyp
     """A flow whose step budget runs out ends on a Newton step whose
     gradient it has not taken.  With finite differences (one bubble on S^4;
     the constant candidate keeps every stencil point radial) it takes one
-    more reduced_gradient there, and reports that norm."""
+    more _fd_gradient there, and reports that norm."""
     from morsecount import bubbles
 
-    taken, real = [], bubbles.reduced_gradient
+    taken, real = [], bubbles._fd_gradient
 
-    def noting(u, K, scheme=None, **kwargs):
-        grad = real(u, K, scheme, **kwargs)
-        taken.append((kwargs["chart"].unpack(kwargs["at"]), grad))
+    def noting(chart, K, scheme, x):
+        grad = real(chart, K, scheme, x)
+        taken.append((chart.unpack(x), grad))
         return grad
 
-    monkeypatch.setattr(bubbles, "reduced_gradient", noting)
+    monkeypatch.setattr(bubbles, "_fd_gradient", noting)
     monkeypatch.setattr(bubbles, "NEWTON_STEPS", 2)
     K = constant_one(4)
     u0 = single((0.0, 0.0, 0.0, 0.0, 1.0), 4.0, n=4, tau=0.05)
@@ -1437,7 +1450,7 @@ def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeyp
     assert report.message == f"final gradient norm {report.grad_norm:.3e} above tolerance"
     assert len(taken) == 3 and taken[-1][0] == final
     assert report.grad_norm == float(np.linalg.norm(taken[-1][1]))
-    assert report.grad_norm == pytest.approx(float(np.linalg.norm(real(final, K))), rel=1e-9)
+    assert report.grad_norm == pytest.approx(float(np.linalg.norm(fd_gradient(final, K))), rel=1e-9)
     assert report.grad_norm != pytest.approx(float(np.linalg.norm(taken[-2][1])), rel=1e-3)
 
 

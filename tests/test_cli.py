@@ -283,7 +283,7 @@ def test_flow_evaluates_no_bubble_sum_twice(capsys, monkeypatch):
     from morsecount import bubbles
 
     evaluated, kernel_calls, finite_differences = Counter(), [], []
-    for name in ("reduced_gradient", "fd_hessian", "_hessian_stencil"):
+    for name in ("_fd_gradient", "_fd_hessian"):
         monkeypatch.setattr(
             bubbles, name, lambda *args, name=name, **kwargs: finite_differences.append(name)
         )
@@ -442,7 +442,7 @@ def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
     # the level cap, from the flag or from a config file
     for base, flag, key in ((("indices", "--parities", "0,1,1"), "--N", "N"),
                             (("verify", "--exhaustive", "--max-m", "3"), "--max-N", "max_N")):
-        for value in (64, 65):
+        for value in (0, 64, 65):
             path = tmp_path / f"{base[0]}-{value}.json"
             path.write_text(json.dumps({key: value}))
             for extra in ((flag, str(value)), ("--config", str(path))):
@@ -450,6 +450,8 @@ def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
                 assert code == (0 if value == 64 else 2)
                 if value == 65:
                     assert "65 exceeds the limit of 64" in stderr_error(err)["detail"]
+                if value == 0:
+                    assert "0 is below 1" in stderr_error(err)["detail"]
 
 
 def _subcommand_flags() -> dict[str, dict[str, str]]:

@@ -1,8 +1,8 @@
 """No dead code in the package: every top-level function and class in
 ``src/morsecount`` is referenced outside its own definition somewhere in
 ``src/``, ``bench/`` or ``demos/``.  Tests do not count as callers, and
-neither does the package's ``_EXPORTS`` table: listing a name as public is
-not a call."""
+neither does a string that spells the name: listing a name as public, or
+naming it in a metric, is not a call."""
 from __future__ import annotations
 
 import ast
@@ -14,20 +14,11 @@ PACKAGE = ROOT / "src" / "morsecount"
 SEARCHED = ("src", "bench", "demos")
 
 
-def _export_tables(tree: ast.AST):
-    """The value nodes of every ``_EXPORTS = ...`` assignment."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
-        ):
-            yield node.value
-
-
 def _references(tree: ast.AST):
-    """(name, line) of every name a module mentions: bare names, attributes,
-    imports, and the dotted components of string constants (lazy-binding
-    tables, tracer metric names), except the strings of an export table."""
-    exported = {id(c) for table in _export_tables(tree) for c in ast.walk(table)}
+    """(name, line) of every name a module mentions: bare names, attributes
+    and imports.  String constants do not count, so a name listed in a table
+    of strings (the package's ``_EXPORTS``, a tracer's metric names) is not
+    a caller."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -35,13 +26,6 @@ def _references(tree: ast.AST):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in exported
-        ):
-            for part in node.value.split("."):
-                yield part, node.lineno
 
 
 def test_every_package_definition_has_a_caller():

@@ -16,18 +16,17 @@ from morsecount.kfunc import (
     BumpTerm,
     H1ViolationError,
     KFunction,
+    ParityConfig,
     admissible_epsilon,
     epsilon_membership,
     euler_characteristic_diagnostic,
     eval_K,
     extract_K_infinity,
     find_critical_points,
-    grad_K,
-    hess_K,
     k_range,
 )
 from morsecount import sphere
-from morsecount.presets import load_preset
+from morsecount.presets import available_presets, load_preset
 from morsecount.sphere import quasi_uniform_points, tangent_basis, unit
 from oracles import scipy_quasi_uniform_points
 
@@ -81,7 +80,7 @@ def test_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     for _ in range(5):
         x = unit(rng.standard_normal(4))
-        g = grad_K(K, x)
+        g = kfunc._derivs(K, x)[0][0]
         g_fd = fd_tangential_gradient(K, x)
         assert np.linalg.norm(g - g_fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
         assert abs(np.dot(g, x)) < 1e-12  # tangential
@@ -93,7 +92,7 @@ def test_laplacian_matches_finite_differences(seed):
     rng = np.random.default_rng(200 + seed)
     for _ in range(5):
         x = unit(rng.standard_normal(4))
-        lap = np.trace(hess_K(K, x))
+        lap = np.trace(kfunc._derivs(K, x)[1][0])
         lap_fd = fd_laplacian(K, x)
         assert abs(lap - lap_fd) <= 1e-6 * max(1.0, abs(lap))
 
@@ -123,7 +122,7 @@ def test_hessian_is_tangent_and_traces_to_laplacian():
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = unit(rng.standard_normal(4))
-        H = hess_K(K, x)
+        H = kfunc._derivs(K, x)[1][0]
         assert np.allclose(H, H.T, atol=1e-12)
         assert np.linalg.norm(H @ x) < 1e-12  # x is in the kernel
 
@@ -132,7 +131,7 @@ def test_hessian_matches_second_differences_of_gradient():
     K = sample_K(seed=5)
     x = unit(np.array([0.3, -0.5, 0.2, 0.9]))
     B = tangent_basis(x)
-    H = B.T @ hess_K(K, x) @ B
+    H = B.T @ kfunc._derivs(K, x)[1][0] @ B
     h = 1e-5
     H_fd = np.zeros((3, 3))
     for j in range(3):
@@ -140,8 +139,8 @@ def test_hessian_matches_second_differences_of_gradient():
         xm = unit(x - h * B[:, j])
         # compare tangential gradients transported by projection onto the
         # frame at x (first-order parallel transport is projection here)
-        gp = B.T @ grad_K(K, xp)
-        gm = B.T @ grad_K(K, xm)
+        gp = B.T @ kfunc._derivs(K, xp)[0][0]
+        gm = B.T @ kfunc._derivs(K, xm)[0][0]
         H_fd[:, j] = (gp - gm) / (2 * h)
     H_fd = 0.5 * (H_fd + H_fd.T)
     assert np.max(np.abs(H - H_fd)) < 1e-5 * max(1.0, np.max(np.abs(H)))
@@ -153,18 +152,18 @@ def test_hessian_matches_second_differences_of_gradient():
      load_preset("three-max-one-saddle"), load_preset("two-bump-antipodal")],
 )
 def test_batched_derivatives_are_tangent_and_match_the_wrappers(K):
-    """The Newton step needs H x = 0 and g . x = 0; the public one-point
-    derivatives are rows of the batched kernel."""
+    """The Newton step needs H x = 0 and g . x = 0; a one-point call is a row
+    of the batched kernel."""
     X = unit(np.random.default_rng(17).standard_normal((40, K.dim)))
     grads, hess = kfunc._derivs(K, X)
     assert np.max(np.abs(np.einsum("bij,bj->bi", hess, X))) < 1e-12
     assert np.max(np.abs(np.einsum("bi,bi->b", grads, X))) < 1e-12
     for x, g, H in zip(X, grads, hess):
-        assert np.linalg.norm(hess_K(K, x) @ x) < 1e-12
-        assert abs(np.dot(grad_K(K, x), x)) < 1e-12
+        assert np.linalg.norm(kfunc._derivs(K, x)[1][0] @ x) < 1e-12
+        assert abs(np.dot(kfunc._derivs(K, x)[0][0], x)) < 1e-12
         # row-wise products: a point's derivatives do not depend on its batch
-        assert np.array_equal(grad_K(K, x), g)
-        assert np.array_equal(hess_K(K, x), H)
+        assert np.array_equal(kfunc._derivs(K, x)[0][0], g)
+        assert np.array_equal(kfunc._derivs(K, x)[1][0], H)
 
 
 # critical values (descending) and (K_min, K_max) of the curvature presets, as
@@ -203,15 +202,15 @@ def test_constant_candidate():
     K = KFunction(n=3, epsilon=0.05, terms=())
     x = unit(np.array([1.0, 2.0, -1.0, 0.5]))
     assert eval_K(K, x) == 1.0
-    assert np.all(grad_K(K, x) == 0.0)
-    assert np.trace(hess_K(K, x)) == 0.0
+    assert np.all(kfunc._derivs(K, x)[0][0] == 0.0)
+    assert np.trace(kfunc._derivs(K, x)[1][0]) == 0.0
 
 
 def test_single_bump_center_is_a_max_with_negative_laplacian():
     c = np.array([0.0, 0.0, 0.0, 1.0])
     K = KFunction(n=3, epsilon=0.1, terms=(bump(c, weight=1.0, width=0.5),))
-    assert np.linalg.norm(grad_K(K, c)) < 1e-14
-    H = hess_K(K, c)
+    assert np.linalg.norm(kfunc._derivs(K, c)[0][0]) < 1e-14
+    H = kfunc._derivs(K, c)[1][0]
     eigs = np.linalg.eigvalsh(H)
     # three tangent directions strictly negative, the x-kernel direction zero
     assert np.sum(eigs < -1e-12) == 3
@@ -284,7 +283,7 @@ def newton_per_seed_oracle(K, seeds, iters=80, stall=None):
         steps = np.empty((len(idx), d))
         done = np.zeros(len(idx), dtype=bool)
         for j, x in enumerate(pts):
-            g = grad_K(K, x)
+            g = kfunc._derivs(K, x)[0][0]
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 0.5 * ref[idx[j]]:
                 ref[idx[j]], last[idx[j]] = gnorm, it
@@ -293,7 +292,7 @@ def newton_per_seed_oracle(K, seeds, iters=80, stall=None):
                 steps[j] = 0.0
                 continue
             B = tangent_basis(x)
-            H = B.T @ hess_K(K, x) @ B
+            H = B.T @ kfunc._derivs(K, x)[1][0] @ B
             gt = B.T @ g
             try:
                 delta = np.linalg.solve(H, -gt)
@@ -305,7 +304,7 @@ def newton_per_seed_oracle(K, seeds, iters=80, stall=None):
             steps[j] = B @ delta
         X[idx] = unit(pts + steps)
         alive[idx[done]] = False
-    keep = [x for x in X if float(np.linalg.norm(grad_K(K, x))) < GRAD_NORM_TOL]
+    keep = [x for x in X if float(np.linalg.norm(kfunc._derivs(K, x)[0][0])) < GRAD_NORM_TOL]
     return np.array(keep).reshape(-1, d)
 
 
@@ -372,9 +371,9 @@ def test_newton_survives_an_exactly_singular_hessian(monkeypatch):
     alone, bit for bit.  Singular rows cost no solves of their own."""
     K = KFunction(n=3, epsilon=0.1, terms=(bump([0.0, 0.0, 0.0, 1.0]),))
     seeds = np.array([[1.0, 0.0, 0.0, 0.0], unit(np.array([0.1, 0.0, 0.0, 1.0]))])
-    A = hess_K(K, seeds[0]) + np.outer(seeds[0], seeds[0])
+    A = kfunc._derivs(K, seeds[0])[1][0] + np.outer(seeds[0], seeds[0])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(A, -grad_K(K, seeds[0]))
+        np.linalg.solve(A, -kfunc._derivs(K, seeds[0])[0][0])
     got = kfunc._newton_batch(K, seeds)
     np.testing.assert_allclose(got, [[0, 0, 0, -1.0], [0, 0, 0, 1.0]], atol=1e-12)
     batch = np.vstack([quasi_uniform_points(3, 32), seeds[:1]])
@@ -407,12 +406,12 @@ def dedup_per_point_oracle(converged):
 
 def classify_per_point_oracle(K, converged):
     """find_critical_points' tail as it was: dedup growing the kept rows with
-    vstack, then one tangent frame, hess_K, eigvalsh, eval_K and grad_K per
+    vstack, then one tangent frame, derivative call, eigvalsh and eval_K per
     distinct point.  Returns (the sorted points, the dropped count)."""
     points, dropped = [], 0
     for x in dedup_per_point_oracle(converged):
         B = tangent_basis(x)
-        hess = hess_K(K, x)
+        hess = kfunc._derivs(K, x)[1][0]
         eigs = np.linalg.eigvalsh(B.T @ hess @ B)
         emax = float(np.max(np.abs(eigs)))
         lap = float(np.trace(hess))
@@ -425,7 +424,7 @@ def classify_per_point_oracle(K, converged):
             location=tuple(float(v) for v in x), value=float(eval_K(K, x)),
             morse_index_K=mi, co_index=K.n - mi, laplacian=lap,
             laplacian_sign=1 if lap > 0 else -1,
-            grad_norm=float(np.linalg.norm(grad_K(K, x))),
+            grad_norm=float(np.linalg.norm(kfunc._derivs(K, x)[0][0])),
             hess_eigenvalues=tuple(float(v) for v in eigs),
         ))
     points.sort(key=lambda p: (-p.value, tuple(round(v, 9) for v in p.location)))
@@ -503,12 +502,13 @@ def test_classification_takes_no_tangent_frames(monkeypatch):
     from morsecount import sphere
 
     calls = Counter()
-    for module, name in ((sphere, "tangent_basis"), (kfunc, "hess_K")):
-        def counting(*args, _name=name, _real=getattr(module, name)):
-            calls[_name] += 1
-            return _real(*args)
+    real = sphere.tangent_basis
 
-        monkeypatch.setattr(module, name, counting)
+    def counting(*args):
+        calls["tangent_basis"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sphere, "tangent_basis", counting)
     assert not hasattr(kfunc, "tangent_basis")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # its degenerate circle
@@ -721,6 +721,22 @@ def test_admissible_epsilon_precondition():
         admissible_epsilon(0, 0.1, 7)
     with pytest.raises(ValueError):
         admissible_epsilon(3, 0.1, 2)
+    # a bool is no level cap or dimension (True would read as N = 1)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        admissible_epsilon(True, 0.1, 7)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        admissible_epsilon(3, 0.1, True)
+
+
+def test_from_dict_refuses_a_float_or_bool_dimension_or_level_cap():
+    """``from_dict`` hands n and N to the constructors as given, so a float or
+    a bool is refused rather than truncated; every bundled preset loads."""
+    with pytest.raises(ValueError, match="n must be an integer"):
+        KFunction.from_dict({"n": 3.9, "epsilon": 0.1, "terms": []})
+    for bad in ({"n": 7.9}, {"N": True}, {"n": 7.9, "N": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ParityConfig.from_dict({"n": 7, "parities": [0, 1], "N": 3, **bad})
+    assert len([load_preset(name) for name in available_presets()]) == 16
 
 
 # ---------------------------------------------------------------------------
