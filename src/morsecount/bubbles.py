@@ -25,9 +25,11 @@ coefficient and works in (log(alpha_i/alpha_1), tangential offsets, log lam).
 Pair energies are deterministic under every scheme and in every dimension:
 each pair goes through its Lorentz invariant, one radial integral of one
 profile.  Weighted integrals over (anti)parallel bubbles are one colatitude
-integral of the ring-averaged K; anything else goes to mixture importance
-sampling.  Every integral and every functional value carries an error
-estimate.
+integral of the ring-averaged K, and so is the equilibrium scale's whole
+grid; every radial integral runs ``quadrature``'s rule pair.  Anything else
+goes to mixture importance sampling, which this module owns whole: quotas,
+draws, weights and split-half error.  Every integral and every functional
+value carries an error estimate.
 Chart derivatives of J are exact for one bubble on the 3-sphere under a
 radial scheme (one multi-column integral) and central finite differences
 elsewhere.  One chart-point evaluator, ``_ChartPoint``, owns both routes for
@@ -49,11 +51,8 @@ from .kfunc import KFunction
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureScheme,
-    _allocate,
-    _doubled,
-    _split_half,
     integrate_radial,
-    panel_breakpoints,
+    radial_rule_pair,
 )
 from .sphere import exp_map, gammaln, sphere_area, tangent_basis
 
@@ -211,6 +210,34 @@ def _theta_scale(lam: float) -> float:
 
 _UNIFORM_SHARE = 0.2  # of the sample budget; the bubbles split the rest evenly
 _MC_BLOCK = 8192  # points drawn and weighed at a time
+
+
+def _allocate(weights: np.ndarray, total: int) -> np.ndarray:
+    """Largest-remainder allocation; every count positive and even."""
+    raw = weights / weights.sum() * total
+    counts = np.floor(raw).astype(int)
+    order = np.argsort(raw - counts)[::-1]
+    for i in order[: total - counts.sum()]:
+        counts[i] += 1
+    counts = np.maximum(counts, 2)
+    counts += counts % 2
+    return counts
+
+
+def _split_half(terms: np.ndarray, counts: Sequence[int]) -> tuple[float, float]:
+    """Sum of importance-weighted terms drawn in proposal blocks of the given
+    sizes, with its split-half error: the half-difference of the interleaved
+    half estimates, to which each block contributes equally."""
+    value = float(np.sum(terms))
+    half_a = 0.0
+    half_b = 0.0
+    start = 0
+    for m in counts:
+        block = terms[start : start + m]
+        half_a += 2.0 * float(np.sum(block[0::2]))
+        half_b += 2.0 * float(np.sum(block[1::2]))
+        start += m
+    return value, 0.5 * abs(half_a - half_b)
 
 
 def _dilate(X: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
@@ -382,8 +409,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
     if n != 3:
         if np.any(np.abs(gamma) < _ALIGNED):
             raise ValueError(
-                "deterministic weighted integrals with bumps off the bubble axis "
-                "need n = 3; use a monte-carlo scheme"
+                "radial weighted integrals with bumps off the bubble axis need n = 3"
             )
         gamma = np.sign(gamma)
     sin_g = np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
@@ -554,11 +580,12 @@ def equilibrium_scale(
     The minimum is bracketed on a geometric grid over ``window`` and
     refined with one parabolic fit in log-scale; at the preset targets the
     vertex sits up to about 8e-4 (relative) from the true minimizer, and a
-    flow polishes it.  Under a radial scheme the grid is one integral, a
-    column per scale on one panel set (K's features, the largest scale's
+    flow polishes it.  Under every scheme the grid is one radial integral,
+    a column per scale on one panel set (K's features, the largest scale's
     peak, its mirror at the antipode when the window reaches below 1): K's
-    ring average about the center does not depend on lam.  Each column has
-    its own doubling error and tolerance check; Monte Carlo takes one J each.
+    ring average about the center does not depend on lam.  The scheme lends
+    only ``nodes`` and ``tol``; each column has its own doubling error and
+    tolerance check.
     """
     if tau <= 0:
         raise ValueError("equilibrium scales need a positive subcritical defect tau")
@@ -573,30 +600,24 @@ def equilibrium_scale(
         raise ValueError(f"window must be (lo, hi) with 0 < lo < hi < inf, got {window!r}")
     scheme = scheme or QuadratureScheme()
     lams = np.geomspace(lo, hi, points)
+    n = K.n
+    bubble = Bubble(center=tuple(center), lam=float(lams[-1]))
+    u = BubbleSum(n=n, bubbles=(bubble,), alphas=(1.0,), tau=tau)  # _j_evaluation reads n and tau
+    k_profile, features, _ = _ring_K_profile(K, np.asarray(bubble.center), n)
+    features = [(0.0, _theta_scale(hi)), *features]
+    if lo < 1.0:
+        features.append((math.pi, _theta_scale(1.0 / lo)))
+    q = 2.0 * n / (n - 2.0) - tau
 
-    def at(lam: float) -> BubbleSum:
-        bubble = Bubble(center=tuple(center), lam=float(lam))
-        return BubbleSum(n=K.n, bubbles=(bubble,), alphas=(1.0,), tau=tau)
+    def F(t):  # power and weight reuse the positive (scales, points) profile
+        line = _profile(lams[:, None], t, n)
+        line **= q
+        line *= k_profile(t)[0]
+        return line
 
-    if scheme.kind == "monte-carlo":
-        js = [functional_J(at(lam), K, scheme) for lam in lams]
-    else:
-        u, n = at(lams[-1]), K.n  # _j_evaluation reads only n and tau from u
-        k_profile, features, _ = _ring_K_profile(K, np.asarray(u.bubbles[0].center), n)
-        features = [(0.0, _theta_scale(hi)), *features]
-        if lo < 1.0:
-            features.append((math.pi, _theta_scale(1.0 / lo)))
-        q = 2.0 * n / (n - 2.0) - tau
-
-        def F(t):  # power and weight reuse the positive (scales, points) profile
-            line = _profile(lams[:, None], t, n)
-            line **= q
-            line *= k_profile(t)[0]
-            return line
-
-        line = integrate_radial(F, n, nodes=scheme.nodes, features=features)
-        norm = norm_squared(u, scheme)
-        js = [_j_evaluation(u, norm, weighted, scheme).value for weighted in zip(*line)]
+    line = integrate_radial(F, n, nodes=scheme.nodes, features=features)
+    norm = norm_squared(u, scheme)
+    js = [_j_evaluation(u, norm, weighted, scheme).value for weighted in zip(*line)]
     best = None
     for i in range(1, points - 1):
         if js[i] < js[i - 1] and js[i] <= js[i + 1]:
@@ -796,9 +817,8 @@ def _single_bubble_derivatives(
         return np.vstack([base, base * l1, base * (l1 * l1 + l2),
                           share * g1, share * (g1 * g1 + g2), share * g1 * l1])
 
-    g = lambda theta: columns(np.cos(theta)) * np.sin(theta) ** 2  # integrate_radial's
-    breaks = panel_breakpoints(0.0, np.pi, [(0.0, _theta_scale(lam)), *k_features])
-    fine, coarse = _doubled(g, breaks, scheme.nodes)
+    features = [(0.0, _theta_scale(lam)), *k_features]
+    fine, coarse = radial_rule_pair(columns, 3, scheme.nodes, features)
     ring = sphere_area(2)
     weighted = (ring * fine[0], ring * abs(fine[0] - coarse[0]))
     jev = _j_evaluation(u, norm_squared(u, scheme), weighted, scheme)
@@ -942,10 +962,6 @@ class FlowReport:
     trajectory: tuple[tuple[float, ...], ...]
     message: str = ""
     _last: Optional[_ChartPoint] = field(default=None, compare=False, repr=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
     def morse_index(self) -> MorseIndexEstimate:
         """``reduced_morse_index`` read from the Hessian the flow's last point

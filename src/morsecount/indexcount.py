@@ -83,14 +83,14 @@ class ParityConfig:
     N: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parities", tuple(int(b) for b in self.parities))
+        object.__setattr__(self, "parities", tuple(self.parities))
         if type(self.n) is not int or self.n < 3:
             raise ValueError(f"dimension n must be an integer >= 3, got {self.n!r}")
         if type(self.N) is not int or self.N < 1:
             raise ValueError(f"level cap N must be an integer >= 1, got {self.N!r}")
         if len(self.parities) < 1:
             raise ValueError("at least one concentration point is required")
-        if any(b not in (0, 1) for b in self.parities):
+        if any(type(b) is not int or b not in (0, 1) for b in self.parities):
             raise ValueError(f"parities must be bits, got {self.parities!r}")
         if self.parities[0] != 0:
             raise ValueError(
@@ -385,8 +385,6 @@ def classify_case(cfg: ParityConfig) -> tuple[CaseLabel, Optional[int]]:
     The five branches are exhaustive and mutually exclusive, so a configuration
     with index_K != 1 always lands in one of the four cases.
     """
-    if cfg.parities[0] != 0:
-        raise ValueError("malformed configuration: parities[0] must be even")
     tail = cfg.parities[1:]
     e = sum(1 for b in tail if b == 0)
     o = sum(1 for b in tail if b == 1)

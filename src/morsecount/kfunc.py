@@ -9,7 +9,6 @@ the module's only derivative route, and callers take single points as rows.  The
 module locates critical points (Newton batched over a deterministic
 quasi-uniform seed set), classifies them, extracts the admissible concentration
 set {grad K = 0, Lap K < 0} as a parity configuration, and scans K's range.
-``admissible_epsilon`` is re-exported from ``indexcount``, which needs no numpy.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexcount import H3Warning, ParityConfig, admissible_epsilon  # noqa: F401 (re-export)
+from .indexcount import ParityConfig
 from .sphere import quasi_uniform_points, unit
 
 
@@ -340,8 +339,9 @@ def extract_K_infinity(points: list[CriticalPoint], N: int = 1) -> ParityConfig:
     """Parity configuration of the admissible concentration set.
 
     The level cap N is carried into the configuration (defaults to 1; callers
-    computing tables generally override it).  Warns when m < 2, and when the
-    inventory fails the Euler characteristic check (points were missed).
+    computing tables generally override it).  Warns when the inventory fails
+    the Euler characteristic check (points were missed); ``ParityConfig``
+    warns when m < 2 and refuses a highest point that is not a maximum.
     """
     admissible = k_infinity_points(points)
     n = len(admissible[0].location) - 1
@@ -353,14 +353,6 @@ def extract_K_infinity(points: list[CriticalPoint], N: int = 1) -> ParityConfig:
             stacklevel=2,
         )
     parities = tuple(p.co_index % 2 for p in admissible)
-    if parities and parities[0] != 0:
-        warnings.warn(
-            "highest-value admissible point is not a local maximum; the "
-            "critical inventory is likely incomplete",
-            stacklevel=2,
-        )
-    if len(parities) < 2:
-        warnings.warn("m < 2: multiplicity hypotheses fail", H3Warning, stacklevel=2)
     return ParityConfig(n=n, parities=parities, N=N)
 
 

@@ -3,10 +3,9 @@
 Panelled Gauss-Legendre for zonal integrands, reduced to one colatitude
 integral: the value takes ``nodes`` points per panel, the error its change
 from ``nodes // 2``, and the integrand is called once on both rules' points.
-Integrals with no such reduction are mixture Monte Carlo sums (``bubbles``
-draws and weights the points); this module splits their sample budget over
-the proposals and reduces the weighted terms to a value and a split-half
-error.
+``radial_rule_pair`` is the one route to that rule pair, and
+``integrate_radial`` scales it to the sphere.  The scheme also declares the
+mixture Monte Carlo route, whose sums ``bubbles`` owns whole.
 """
 from __future__ import annotations
 
@@ -150,6 +149,25 @@ def _doubled(f, breaks, nodes):
 # --------------------------------------------------------------------------
 
 
+def radial_rule_pair(
+    F: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    nodes: int,
+    features: Sequence[tuple[float, float]],
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """``_doubled``'s (fine, coarse) pair of int_0^pi F(cos t) sin^{n-1} t dt
+    on panels refined at ``features``, without the |S^{n-1}| factor.  F's
+    array output is weighted in place, so it must be a fresh array."""
+
+    def g(theta):
+        vals = np.asarray(F(np.cos(theta)), dtype=float)
+        weight = np.sin(theta) ** (n - 1)
+        own = vals.shape[-1:] == weight.shape  # a scalar F has no array to reuse
+        return np.multiply(vals, weight, out=vals if own else None)
+
+    return _doubled(g, panel_breakpoints(0.0, np.pi, features), nodes)
+
+
 def integrate_radial(
     F: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -178,46 +196,5 @@ def integrate_radial(
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
     ring = sphere_area(n - 1)
-
-    def g(theta):
-        vals = np.asarray(F(np.cos(theta)), dtype=float)
-        weight = np.sin(theta) ** (n - 1)
-        own = vals.shape[-1:] == weight.shape  # a scalar F has no array to reuse
-        return np.multiply(vals, weight, out=vals if own else None)
-
-    breaks = panel_breakpoints(0.0, np.pi, features)
-    fine, coarse = _doubled(g, breaks, nodes)
+    fine, coarse = radial_rule_pair(F, n, nodes, features)
     return ring * fine, ring * abs(fine - coarse)
-
-
-# --------------------------------------------------------------------------
-# Monte Carlo bookkeeping
-# --------------------------------------------------------------------------
-
-
-def _allocate(weights: np.ndarray, total: int) -> np.ndarray:
-    """Largest-remainder allocation; every count positive and even."""
-    raw = weights / weights.sum() * total
-    counts = np.floor(raw).astype(int)
-    order = np.argsort(raw - counts)[::-1]
-    for i in order[: total - counts.sum()]:
-        counts[i] += 1
-    counts = np.maximum(counts, 2)
-    counts += counts % 2
-    return counts
-
-
-def _split_half(terms: np.ndarray, counts: Sequence[int]) -> tuple[float, float]:
-    """Sum of importance-weighted terms drawn in proposal blocks of the given
-    sizes, with its split-half error: the half-difference of the interleaved
-    half estimates, to which each block contributes equally."""
-    value = float(np.sum(terms))
-    half_a = 0.0
-    half_b = 0.0
-    start = 0
-    for m in counts:
-        block = terms[start : start + m]
-        half_a += 2.0 * float(np.sum(block[0::2]))
-        half_b += 2.0 * float(np.sum(block[1::2]))
-        start += m
-    return value, 0.5 * abs(half_a - half_b)

@@ -50,10 +50,12 @@ from morsecount.bubbles import (
     _UNIFORM_SHARE,
     Bubble,
     BubbleSum,
+    _allocate,
     _axis_signs,
     _canonical_sum,
     _dilate,
     _profile,
+    _split_half,
     _theta_scale,
     c0,
     canonical_bubble,
@@ -61,14 +63,7 @@ from morsecount.bubbles import (
 )
 from morsecount.indexcount import IndexTable, ParityConfig
 from morsecount.kfunc import KFunction, eval_K
-from morsecount.quadrature import (
-    _allocate,
-    _doubled,
-    _gl_rule,
-    _split_half,
-    integrate_radial,
-    panel_breakpoints,
-)
+from morsecount.quadrature import _doubled, _gl_rule, integrate_radial, panel_breakpoints
 from morsecount.sphere import sphere_area, unit
 
 

@@ -1139,7 +1139,7 @@ def test_flow_morse_index_agrees_with_the_canonical_chart(preset_targets, monkey
     for K, y, lam_bar in preset_targets:
         for seed in (single(y, lam_bar, tau=0.05), single(-y, 1.0 / lam_bar, tau=0.05)):
             final, rep = flow_to_critical(seed, K)
-            assert rep.converged and rep._last.chart.base.bubbles[0].lam > 1.0
+            assert rep.status == "converged" and rep._last.chart.base.bubbles[0].lam > 1.0
             flows.append((K, final, rep))
     monkeypatch.setattr(bubbles, "_single_bubble_derivatives", None)  # a call fails
     held = [rep.morse_index() for _, _, rep in flows]
@@ -1211,9 +1211,9 @@ def test_exact_derivatives_take_nodes_and_half_nodes_points_per_panel(monkeypatc
     """The kernel's one multi-column integral runs the rule pair of
     integrate_radial: one call on (64 + 32) points per panel at the default
     scheme."""
-    from morsecount import bubbles
+    from morsecount import quadrature
 
-    real, seen = bubbles._doubled, []
+    real, seen = quadrature._doubled, []
 
     def counting(f, breaks, nodes):
         def g(theta):
@@ -1222,7 +1222,7 @@ def test_exact_derivatives_take_nodes_and_half_nodes_points_per_panel(monkeypatc
 
         return real(g, breaks, nodes)
 
-    monkeypatch.setattr(bubbles, "_doubled", counting)
+    monkeypatch.setattr(quadrature, "_doubled", counting)
     K = load_preset("three-bump-s3")
     exact_at(single(K.terms[0].center, 40.0, tau=0.05), K)
     panels = seen[0][1]
@@ -1270,7 +1270,7 @@ def test_reduced_index_zero_at_equilibrium_over_a_max():
     K = bump_candidate([(1.0, E4, 0.4)])
     u0 = single(E4, 10.0, tau=0.05)
     final, report = flow_to_critical(u0, K)
-    assert report.converged
+    assert report.status == "converged"
     est = reduced_morse_index(final, K)
     assert isinstance(est, MorseIndexEstimate)
     assert est.index == 0
@@ -1404,7 +1404,7 @@ def test_flow_constant_candidate_flattens_in_place():
     constant function; the report says so."""
     u0 = single(E4, 3.0, tau=0.2)
     final, report = flow_to_critical(u0, constant_one(3))
-    assert report.converged
+    assert report.status == "converged"
     assert "near" in report.message and "constant" in report.message
     assert 0.9 < final.bubbles[0].lam < 1.1
     assert geodesic_distance(np.asarray(final.bubbles[0].center), E4) < 1e-3
@@ -1558,13 +1558,30 @@ def test_scale_line_matches_the_per_scale_oracle(preset_targets, monkeypatch):
     assert pinned == 11 and straddled == 3
 
 
-def test_monte_carlo_scale_line_is_the_per_scale_loop(monkeypatch):
+def test_monte_carlo_scale_line_is_the_radial_one(monkeypatch):
+    """The scale line is one radial integral under every scheme: a Monte
+    Carlo scheme lends it only ``nodes`` and ``tol``, so its line and scale
+    equal the radial scheme's bit for bit, whatever its samples and seed."""
     K = bump_candidate([(1.0, E4, 0.4)], epsilon=0.3)
-    scheme = QuadratureScheme(kind="monte-carlo", samples=2000, seed=3, tol=1.0)
-    line, lam = scale_line(monkeypatch, K, E4, 0.05, scheme, window=(2.0, 40.0), points=9)
-    want_line, want = per_scale_line(K, E4, 0.05, scheme, window=(2.0, 40.0), points=9)
-    assert len(line) == 9 and line == want_line
-    assert lam is not None and lam == want
+    radial = QuadratureScheme(nodes=32, tol=1e-8)
+    want_line, want = scale_line(monkeypatch, K, E4, 0.05, radial, window=(2.0, 40.0), points=9)
+    assert len(want_line) == 9 and want is not None
+    for samples, seed in ((2000, 3), (50_000, 11)):
+        mc = QuadratureScheme(kind="monte-carlo", nodes=32, samples=samples, seed=seed, tol=1e-8)
+        line, lam = scale_line(monkeypatch, K, E4, 0.05, mc, window=(2.0, 40.0), points=9)
+        assert line == want_line and lam == want
+
+
+@pytest.mark.parametrize("kind", ["radial-1d", "monte-carlo"])
+def test_scale_line_refuses_off_axis_bumps_off_the_3_sphere_without_advice(kind):
+    """Off the 3-sphere a bump off the center's axis has no ring average in
+    closed form, and no scheme changes that for the scale line, so the
+    refusal names n = 3 and suggests no scheme."""
+    E5 = (0.0, 0.0, 0.0, 0.0, 1.0)
+    K = bump_candidate([(0.5, unit(np.array([1.0, 0.0, 0.0, 0.0, 1.0])), 0.5)], n=4)
+    with pytest.raises(ValueError, match="n = 3") as info:
+        equilibrium_scale(K, E5, 0.05, QuadratureScheme(kind=kind))
+    assert "monte-carlo" not in str(info.value)
 
 
 def test_scale_line_enforces_the_scheme_tolerance():

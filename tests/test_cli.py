@@ -601,9 +601,8 @@ def test_every_export_resolves_on_a_cold_package():
 
 def test_admissible_epsilon_is_one_function_on_every_path():
     import morsecount
-    from morsecount import indexcount, kfunc
+    from morsecount import indexcount
 
-    assert kfunc.admissible_epsilon is indexcount.admissible_epsilon
     assert morsecount.admissible_epsilon is indexcount.admissible_epsilon
 
 

@@ -1,8 +1,10 @@
 """No dead code in the package: every top-level function and class in
-``src/morsecount`` is referenced outside its own definition somewhere in
-``src/``, ``bench/`` or ``demos/``.  Tests do not count as callers, and
-neither does a string that spells the name: listing a name as public, or
-naming it in a metric, is not a call."""
+``src/morsecount``, and every method and property of its classes, is
+referenced outside its own definition somewhere in ``src/``, ``bench/`` or
+``demos/``.  Tests do not count as callers, and neither does a string that
+spells the name: listing a name as public, or naming it in a metric, is not
+a call.  Dunder hooks (``__post_init__``, ``__call__``, ...) run implicitly
+and are not checked."""
 from __future__ import annotations
 
 import ast
@@ -36,12 +38,26 @@ def test_every_package_definition_has_a_caller():
                 used[name].append((path, line))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue  # module hooks such as __getattr__ run implicitly
+        for node, qualname in _definitions(ast.parse(path.read_text(), str(path))):
             own = range(node.lineno, node.end_lineno + 1)
             if all(p == path and line in own for p, line in used[node.name]):
-                dead.append(f"{path.stem}.{node.name}")
+                dead.append(f"{path.stem}.{qualname}")
     assert dead == []
+
+
+def _definitions(tree: ast.Module):
+    """(node, qualified name) of every top-level function and class, and of
+    every method and property of those classes; dunder hooks are skipped."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or _is_dunder(node.name):
+            continue
+        yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, defs) and not _is_dunder(member.name):
+                    yield member, f"{node.name}.{member.name}"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")

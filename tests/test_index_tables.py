@@ -411,6 +411,15 @@ def test_classification_rejects_malformed():
         ParityConfig(n=7, parities=(1, 0), N=2)
 
 
+@pytest.mark.parametrize("parities", [(0, 1.9, True), (0, True), (0, 1.0), (0, "1"), (False, 1)])
+def test_a_parity_that_is_not_an_int_is_refused(parities):
+    """A float, bool or string parity used to be coerced by int()."""
+    with pytest.raises(ValueError, match="parities"):
+        ParityConfig(n=7, parities=parities, N=2)
+    with pytest.raises(ValueError, match="parities"):
+        ParityConfig.from_dict({"n": 7, "parities": list(parities), "N": 2})
+
+
 @pytest.mark.parametrize("field", ["n", "N"])
 def test_a_bool_dimension_or_level_cap_is_refused(field):
     kwargs = {"n": 7, "parities": (0, 1), "N": 3, field: True}

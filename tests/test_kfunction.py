@@ -17,7 +17,6 @@ from morsecount.kfunc import (
     H1ViolationError,
     KFunction,
     ParityConfig,
-    admissible_epsilon,
     epsilon_membership,
     euler_characteristic_diagnostic,
     eval_K,
@@ -26,6 +25,7 @@ from morsecount.kfunc import (
     k_range,
 )
 from morsecount import sphere
+from morsecount.indexcount import H3Warning, admissible_epsilon
 from morsecount.presets import available_presets, load_preset
 from morsecount.sphere import quasi_uniform_points, tangent_basis, unit
 from oracles import scipy_quasi_uniform_points
@@ -669,6 +669,32 @@ def test_extract_k_infinity_flags_an_incomplete_inventory():
         "critical inventory is incomplete: 1 points, alternating index sum -1 "
         "!= Euler characteristic 0"
     ]
+
+
+def test_extract_k_infinity_leaves_the_m_below_2_warning_to_the_configuration():
+    """three-bump-s3 with its lower maxima and its saddles dropped keeps the
+    Euler sum (the top maximum and the minimum) and m = 1: one H3Warning,
+    from ``ParityConfig``, and no other warning."""
+    pts = find_critical_points(load_preset("three-bump-s3"))
+    assert [p.morse_index_K for p in pts] == [3, 3, 3, 2, 2, 0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = extract_K_infinity([pts[0], pts[-1]])
+    assert cfg.parities == (0,)
+    assert [w.category for w in caught] == [H3Warning]
+
+
+def test_extract_k_infinity_refuses_an_odd_top_point_without_warning_first():
+    """three-bump-s3 with its maxima dropped puts a saddle (co-index 1) on
+    top: ``ParityConfig`` refuses it, and the only warning before the
+    refusal is the incomplete Euler sum."""
+    pts = find_critical_points(load_preset("three-bump-s3"))
+    saddles_and_minimum = [p for p in pts if p.morse_index_K != 3]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="parities"):
+            extract_K_infinity(saddles_and_minimum)
+    assert [str(w.message).split(":")[0] for w in caught] == ["critical inventory is incomplete"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from morsecount.bubbles import (
     _UNIFORM_SHARE,
     Bubble,
     BubbleSum,
+    _allocate,
     _canonical_sum,
     constant_one,
     weighted_power_integral,
 )
 from morsecount.presets import load_preset
-from morsecount.quadrature import QuadratureScheme, _allocate
+from morsecount.quadrature import QuadratureScheme
 from morsecount.sphere import unit
 from oracles import one_pass_mc_weighted_integral
 

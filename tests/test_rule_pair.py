@@ -1,9 +1,10 @@
 """Every radial integral calls its integrand once, on the points of both
-rules of ``quadrature._doubled``.  Fusing the calls must not move a bit: the
-value and the error equal the two-call rule's (``oracles.two_call_doubled``)
-on the integrands of energy-scan's towers, pairs and pin locations, of single
-bubbles in n = 3..7, of the scale line and of the derivative columns, and of
-a scalar F, at 16, 17, 64 and 128 nodes, on any SIMD kernels numpy picks."""
+rules of ``quadrature._doubled``, which only ``quadrature`` binds.  Fusing
+the calls must not move a bit: the value and the error equal the two-call
+rule's (``oracles.two_call_doubled``) on the integrands of energy-scan's
+towers, pairs and pin locations, of single bubbles in n = 3..7, of the scale
+line and of the derivative columns, and of a scalar F, at 16, 17, 64 and 128
+nodes, on any SIMD kernels numpy picks."""
 from __future__ import annotations
 
 import json
@@ -39,8 +40,8 @@ def _pole(n, sign=1.0):
 
 def _workload(es):
     """(label, call) for every radial route: energy-scan's towers, pairs and
-    pins (scale line, then Morse index through the derivative columns), single
-    bubbles on K = 1 and on a K with bumps, and a scalar F."""
+    pins (the scale line, then the Morse index through the derivative
+    columns), single bubbles on K = 1 and on a K with bumps, and a scalar F."""
     for t in es["towers"]:
         n, lam = t["n"], t["lam"]
         u = BubbleSum(n=n, bubbles=(Bubble(_pole(n), lam), Bubble(_pole(n, -1.0), lam)),
@@ -51,14 +52,11 @@ def _workload(es):
                       alphas=(1.0, 1.0))
         yield f"pair {i}", lambda u=u: norm_squared(u)
     for i, p in enumerate(es["pins"]):
-        K = load_preset(p["preset"])
-
-        def pin(K=K, p=p):
-            lam = equilibrium_scale(K, p["location"], p["tau"])
-            u = BubbleSum(n=3, bubbles=(Bubble(tuple(p["location"]), lam),), alphas=(1.0,), tau=p["tau"])
-            reduced_morse_index(u, K)
-
-        yield f"pin {i}", pin
+        K, lam = load_preset(p["preset"]), []
+        # the scale call has run by the time the generator resumes for the columns
+        yield f"scale {i}", lambda K=K, p=p, lam=lam: lam.append(equilibrium_scale(K, p["location"], p["tau"]))
+        u = BubbleSum(n=3, bubbles=(Bubble(tuple(p["location"]), lam[0]),), alphas=(1.0,), tau=p["tau"])
+        yield f"columns {i}", lambda u=u, K=K: reduced_morse_index(u, K)
     for n in range(3, 8):
         for lam in (1.5, 40.0, 2000.0):
             u = BubbleSum(n=n, bubbles=(Bubble(_pole(n), lam),), alphas=(1.0,))
@@ -81,7 +79,6 @@ def _integrands():
 
     mp = pytest.MonkeyPatch()
     mp.setattr(quadrature, "_doubled", capture)
-    mp.setattr(bubbles, "_doubled", capture)
     try:
         for label, call in _workload(es):
             call()
@@ -105,7 +102,7 @@ def _mismatches() -> list[str]:
 
 def test_every_route_reaches_the_rule_pair():
     labels = {label.split()[0] for label, _, _ in _integrands()}
-    assert labels == {"tower", "pair", "pin", "single", "scalar"}
+    assert labels == {"tower", "pair", "scale", "columns", "single", "scalar"}
 
 
 def test_fused_rule_equals_the_two_call_oracle_bit_for_bit():
