@@ -44,7 +44,7 @@ if __name__ == "__main__":
     # converges to the saddle-type points as well as to the maxima
     for pt in targets:
         center = np.asarray(pt.location)
-        iota = 3 - pt.morse_index_K
+        iota = pt.co_index
         lam_bar = equilibrium_scale(K, center, TAU)
         if lam_bar is None:
             print(f"co-index {iota}: no pinned scale (well too shallow)")

@@ -30,11 +30,10 @@ grid; every radial integral runs ``quadrature``'s rule pair.  Anything else
 goes to mixture importance sampling, which this module owns whole: quotas,
 draws, weights and split-half error.  Every integral and every functional
 value carries an error estimate.
-Chart derivatives of J are exact for one bubble on the 3-sphere under a
-radial scheme (one multi-column integral) and central finite differences
-elsewhere.  One chart-point evaluator, ``_ChartPoint``, owns both routes for
-flows and Morse indices alike and holds J with the derivatives taken at its
-point.
+Chart derivatives of J are exact for one bubble on the 3-sphere under every
+scheme (one multi-column integral) and central finite differences for several
+bubbles or n != 3.  One chart-point evaluator, ``_ChartPoint``, picks the route
+from the bubble sum alone and holds J with the derivatives taken at its point.
 """
 from __future__ import annotations
 
@@ -287,7 +286,7 @@ def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, se
     ends = np.cumsum(counts)
     rng = np.random.default_rng(seed)
     centers = np.vstack([[b.center for b in u.bubbles], K.centers()])
-    widths = np.array([term.width**2 for term in K.terms])[:, None]
+    widths = np.array([term.width * term.width for term in K.terms])[:, None]
     weights = np.array([term.weight for term in K.terms])
     q_crit = 2.0 * n / (n - 2.0)
     terms = np.zeros(ends[-1])  # per block: sum alpha_k B_k, then F/mix in place
@@ -440,8 +439,8 @@ def weighted_power_integral(
     Bubbles whose centers are (anti)parallel make |u|^q zonal about their
     axis, so the integral is one colatitude integral of the ring average of
     K times |u|^q: in any dimension when every bump sits on the axis, and on
-    the 3-sphere for any bumps.  Anything else needs a monte-carlo scheme.
-    Returns (value, error_estimate).
+    the 3-sphere for any bumps.  A monte-carlo scheme samples anything; this
+    is the one reader of a scheme's kind.  Returns (value, error_estimate).
     """
     scheme = scheme or QuadratureScheme()
     u = _canonical_sum(u)
@@ -465,7 +464,10 @@ def weighted_power_integral(
             "centers; use a monte-carlo scheme"
         )
     axis, signs = aligned
-    k_profile, k_features, _ = _ring_K_profile(K, axis, n)
+    try:
+        k_profile, k_features, _ = _ring_K_profile(K, axis, n)
+    except ValueError as exc:  # a bump off the axis off S^3, which Monte Carlo integrates
+        raise ValueError(f"{exc}; use a monte-carlo scheme") from None
 
     def F(t):
         t = np.asarray(t, dtype=float)
@@ -858,17 +860,17 @@ class _ChartPoint:
     """J at chart point ``x``, with its chart gradient ``grad`` and its
     ``hessian`` = (H, noise); the one place that picks how they are taken.
 
-    One bubble on S^3 under a radial scheme gets all of them with J from one
-    multi-column integral (``_single_bubble_derivatives``).  Anything else
-    gets central finite differences, each taken on first use: the gradient
-    by ``_fd_gradient``, the Hessian by ``_fd_hessian``'s stencil around the
-    J held here.
+    One bubble on S^3 gets all of them with J from one multi-column integral
+    (``_single_bubble_derivatives``), under every scheme.  Several bubbles or
+    n != 3 get central finite differences, each taken on first use: the
+    gradient by ``_fd_gradient``, the Hessian by ``_fd_hessian``'s stencil
+    around the J held here.
     """
 
     def __init__(self, chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x):
         self.chart, self.K, self.scheme, self.x = chart, K, scheme, x
         base = chart.base
-        if base.p == 1 and base.n == 3 and scheme.kind == "radial-1d":
+        if base.p == 1 and base.n == 3:
             # instance values shadow the finite-difference cached properties
             self.j, self.grad, H, noise = _single_bubble_derivatives(chart, K, scheme, x)
             self.hessian = H, noise
@@ -912,8 +914,8 @@ def reduced_morse_index(
 
     ``u`` should be a converged critical point; eigenvalues inside the noise
     band are reported as indeterminate rather than classified.  The Hessian
-    is exact for one bubble on S^3 under a radial scheme and a finite
-    difference (``_fd_hessian``) otherwise.
+    is exact for one bubble on S^3 under every scheme and a finite
+    difference (``_fd_hessian``) for several bubbles or n != 3.
     """
     scheme = scheme or QuadratureScheme()
     chart = BubbleChart(u)
@@ -985,13 +987,13 @@ def flow_to_critical(
     (saddles included), so the seed should already sit near one, e.g. at
     its equilibrium scale.  Each point the flow visits is one chart-point
     evaluator: J with the gradient and Hessian there, exact for one bubble
-    on S^3 under a radial scheme and finite differences taken on first use
-    otherwise, so no bubble sum's J is taken twice.  The subcritical defect
-    must be positive, otherwise concentration can run away; scales crossing
-    ``LAM_CAP`` classify the run as "blow-up-escape".  A scale sinking
-    through 1 re-anchors the chart at the mirrored representative
-    (B_{a,lam} = B_{-a,1/lam}), so reported centers always mark the
-    concentration point.
+    on S^3 under every scheme and finite differences taken on first use for
+    several bubbles or n != 3, so no bubble sum's J is taken twice.  The
+    subcritical defect must be positive, otherwise concentration can run
+    away; scales crossing ``LAM_CAP`` classify the run as "blow-up-escape".
+    A scale sinking through 1 re-anchors the chart at the mirrored
+    representative (B_{a,lam} = B_{-a,1/lam}), so reported centers always
+    mark the concentration point.
     """
     if u0.tau <= 0:
         raise ValueError("flows need a positive subcritical defect tau")

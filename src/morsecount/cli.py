@@ -439,7 +439,7 @@ def run_flow(cfg: RunConfig) -> int:
     # (of any index) that the Newton flow converges to
     for i, pt in enumerate(targets):
         center = pt.location
-        iota = int(3 - pt.morse_index_K)
+        iota = pt.co_index
         lam_bar = equilibrium_scale(K, center, tau, scheme)
         row = {
             "target": [float(c) for c in center],

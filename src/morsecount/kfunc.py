@@ -141,7 +141,7 @@ def eval_K(K: KFunction, x: np.ndarray) -> float | np.ndarray:
     as in ``_derivs``, never threaded BLAS), so a point rounds alike in any batch."""
     x = np.asarray(x, dtype=float)
     w = np.array([term.weight for term in K.terms])
-    s2 = np.array([term.width**2 for term in K.terms])
+    s2 = np.array([term.width * term.width for term in K.terms])
     cos = np.einsum("bi,ti->bt", np.atleast_2d(x), K.centers())
     f = np.einsum("bt,t->b", np.exp((cos - 1.0) / s2), w)
     out = 1.0 + K.epsilon * f
@@ -155,7 +155,7 @@ def _derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     C = K.centers()
     w = np.array([term.weight for term in K.terms])
-    s2 = np.array([term.width**2 for term in K.terms])
+    s2 = np.array([term.width * term.width for term in K.terms])
     wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
     amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * K.epsilon
     amb_hess = np.matmul(C.T * (wg / s2**2)[:, None, :], C) * K.epsilon
@@ -185,7 +185,7 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
     # characteristic gradient magnitude, for the convergence threshold
-    gscale = K.epsilon * sum(abs(t.weight) / t.width**2 for t in K.terms)
+    gscale = K.epsilon * sum(abs(t.weight) / (t.width * t.width) for t in K.terms)
     tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
     # each seed's gradient norm at its last halving, and that iteration
     ref, last = np.full(len(X), np.inf), np.zeros(len(X), dtype=int)

@@ -71,6 +71,7 @@ from oracles import (
 )
 
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
+E5 = (0.0, 0.0, 0.0, 0.0, 1.0)
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
@@ -872,13 +873,35 @@ def test_ring_route_takes_gamma_past_one_by_rounding():
         )
 
 
+def test_ring_profile_squares_a_width_as_eval_k_does():
+    """Along the bubble axis the ring average of a bump on the axis is K
+    itself, so it equals eval_K bit for bit: both square a width as the
+    correctly rounded width * width.  At this width libm's pow(width, 2) is
+    one ulp above that square, and an eval_K that took it differed at 43 of
+    these points."""
+    from morsecount.bubbles import _ring_K_profile
+    from morsecount.kfunc import eval_K
+
+    K = bump_candidate([(1.0, E4, 0.7011994105297183)], epsilon=0.2)
+    t = np.linspace(-1.0, 1.0, 2001)
+    x = np.zeros((len(t), 4))
+    x[:, 0], x[:, 3] = np.sqrt((1.0 - t) * (1.0 + t)), t
+    profile = _ring_K_profile(K, E4, 3)[0]
+    assert np.array_equal(profile(t)[0], eval_K(K, x))
+
+
 def test_off_axis_bumps_need_the_3_sphere():
-    u = single(unit(np.array([0.0, 0.0, 0.0, 0.0, 1.0])), 6.0, n=4)
+    """Off S^3 the radial route takes only bumps on the axis; its refusal of
+    one off the axis names the monte-carlo scheme, which integrates it."""
+    u = single(E5, 6.0, n=4)
     on_axis = bump_candidate([(0.5, (0.0, 0.0, 0.0, 0.0, -1.0), 0.5)], n=4)
     assert weighted_power_integral(u, on_axis)[0] > 0.0
     off_axis = bump_candidate([(0.5, unit(np.array([1.0, 0.0, 0.0, 0.0, 1.0])), 0.5)], n=4)
-    with pytest.raises(ValueError, match="n = 3"):
+    with pytest.raises(ValueError, match="n = 3.*monte-carlo"):
         weighted_power_integral(u, off_axis)
+    mc = QuadratureScheme(kind="monte-carlo", samples=20_000, seed=3)
+    val, err = weighted_power_integral(u, off_axis, mc)
+    assert val > 0.0 and err < 0.05 * val
 
 
 # (value, error, weighted integral, weighted error) as float.hex at nodes =
@@ -1301,24 +1324,26 @@ MC_FLOW_SCHEME = QuadratureScheme(kind="monte-carlo", samples=4000, seed=5, tol=
 
 
 def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
-    """A Monte Carlo scheme sends the flow down the finite-difference route:
-    one bubble on three-bump-s3 from its first bump center (lam = 8).  A
-    fixed-seed J is deterministic, so the run is pinned bit for bit; it takes
-    4 FD gradients and 3 FD Hessians, each Hessian stencil around the J the
-    flow already holds, and no bubble sum's J twice (132 calls).  The Morse
-    index then takes one more stencil, at the flow's last point."""
+    """Off the exact route (one bubble on S^4, under a Monte Carlo scheme) a
+    flow takes one FD gradient per visited point and one FD Hessian per
+    Newton step, each stencil around the J its point already holds, so no
+    bubble sum's J is taken twice.  The Morse index takes one more stencil,
+    at the returned sum, only when asked, and classifies that matrix."""
     from collections import Counter
 
     from morsecount import bubbles
 
-    evaluated, calls = Counter(), Counter()
+    evaluated, calls, stencils = Counter(), Counter(), []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = real(*args, **kwargs)
             if name == "J":
                 evaluated[args[0]] += 1
-            calls[name] += 1
-            return real(*args, **kwargs)
+            elif name == "hessian":
+                stencils.append((args[0].unpack(args[3]), out))
+            return out
 
         monkeypatch.setattr(bubbles, real.__name__, wrapper)
 
@@ -1326,50 +1351,57 @@ def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
     counting("gradient", bubbles._fd_gradient)
     counting("hessian", bubbles._fd_hessian)
     counting("exact", bubbles._single_bubble_derivatives)
-    K = load_preset("three-bump-s3")
-    u0 = single(K.terms[0].center, 8.0, tau=0.05)
-    monkeypatch.setattr(bubbles, "NEWTON_STEPS", 5)
-    with pytest.warns(QuadratureNoiseWarning):
-        final, report = flow_to_critical(u0, K, MC_FLOW_SCHEME)
-    assert calls == {"J": 132, "gradient": 4, "hessian": 3}
-    assert len(evaluated) == 132
-    assert final == single(
-        (0.029331545879812928, 0.012924445470106752, 0.0024021726380739853, 0.9994832908519319),
-        15.621558372734091,
-        tau=0.05,
-    )
-    assert report == bubbles.FlowReport(
-        status="converged",
-        steps=3,
-        j_value=5.3092240926776455,
-        j_error=0.004987980660164958,
-        grad_norm=1.615177730533395e-06,
-        trajectory=(
-            (0.0, 5.323257251120221, 0.0, 0.0, 0.0, 1.0, 8.0),
-            (1.0, 5.309968820917774, 0.03425996360983955, 0.011091616463716565,
-             0.0012120092206766458, 0.9993506701710483, 13.172628130519417),
-            (2.0, 5.309226365259598, 0.0285536494222337, 0.013070067218891368,
-             0.0021792309565824277, 0.9995044339071256, 15.495196346591591),
-            (3.0, 5.3092240926776455, 0.029331545879812928, 0.012924445470106752,
-             0.0024021726380739853, 0.9994832908519319, 15.621558372734091),
-        ),
-        message="",
-    )
-    # the last point's stencil (32 J) runs only when its Morse index is asked
+    monkeypatch.setattr(bubbles, "NEWTON_STEPS", 2)
+    u0 = single(E5, 4.0, n=4, tau=0.05)
+    dim = BubbleChart(u0).dim
+    with pytest.warns(QuadratureNoiseWarning):  # the estimator's noise swamps each stencil
+        final, report = flow_to_critical(u0, constant_one(4), MC_FLOW_SCHEME)
+    steps = report.steps
+    assert steps >= 1
+    # a J per point, 2 dim per gradient stencil and 2 dim^2 per Hessian one
+    flow_j = (steps + 1) * (1 + 2 * dim) + steps * 2 * dim * dim
+    assert calls == {"J": flow_j, "gradient": steps + 1, "hessian": steps}
+    assert len(evaluated) == flow_j
     est = report.morse_index()
-    assert calls == {"J": 164, "gradient": 4, "hessian": 4}
-    assert (est.index, est.indeterminate) == (0, 4)  # Monte Carlo noise swamps all
+    assert report.morse_index() == est  # the stencil is taken once
+    assert calls == {"J": flow_j + 2 * dim * dim, "gradient": steps + 1, "hessian": steps + 1}
+    assert len(evaluated) == calls["J"]
+    at, (H, noise) = stencils[-1]
+    assert at == final
+    assert est.eigenvalues == tuple(np.linalg.eigvalsh(H))
+    assert est.noise == noise and est.band == 10 * noise
 
 
 def test_monte_carlo_morse_index_reads_the_fd_hessian():
     """Off the exact route the Morse index classifies _fd_hessian's matrix."""
-    K = load_preset("three-bump-s3")
-    u = single((0.029331545879812928, 0.012924445470106752, 0.0024021726380739853,
-                0.9994832908519319), 15.621558372734091, tau=0.05)
-    est = reduced_morse_index(u, K, MC_FLOW_SCHEME)
-    H, noise = fd_hessian(u, K, MC_FLOW_SCHEME)
+    u = single(E5, 4.0, n=4, tau=0.05)
+    est = reduced_morse_index(u, constant_one(4), MC_FLOW_SCHEME)
+    H, noise = fd_hessian(u, constant_one(4), MC_FLOW_SCHEME)
     assert est.eigenvalues == tuple(np.linalg.eigvalsh(H))
     assert est.noise == noise and est.band == 10 * noise
+
+
+def test_monte_carlo_single_bubble_flow_is_the_radial_one(monkeypatch):
+    """One bubble on S^3 takes the exact route under every scheme, which
+    lends it only ``nodes`` and ``tol``: from three-bump-s3's first bump
+    center at lam = 8, a Monte Carlo scheme's flow, report and Morse index
+    equal the radial scheme's bit for bit, whatever its samples and seed,
+    and no finite difference is taken.  The index is conclusive."""
+    from morsecount import bubbles
+
+    K = load_preset("three-bump-s3")
+    u0 = single(K.terms[0].center, 8.0, tau=0.05)
+    want_final, want = flow_to_critical(u0, K, QuadratureScheme(tol=1.0))
+    want_index = want.morse_index()
+    assert want.status == "converged"
+    assert (want_index.index, want_index.indeterminate) == (0, 0)
+    for name in ("_fd_gradient", "_fd_hessian"):
+        monkeypatch.setattr(bubbles, name, None)  # a call would raise
+    for samples, seed in ((4000, 5), (50_000, 11)):
+        mc = QuadratureScheme(kind="monte-carlo", samples=samples, seed=seed, tol=1.0)
+        final, report = flow_to_critical(u0, K, mc)
+        assert final == want_final and report == want
+        assert report.morse_index() == want_index
 
 
 def test_flow_refuses_bubbles_off_a_common_axis_under_a_radial_scheme(monkeypatch):
@@ -1444,7 +1476,7 @@ def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeyp
     monkeypatch.setattr(bubbles, "_fd_gradient", noting)
     monkeypatch.setattr(bubbles, "NEWTON_STEPS", 2)
     K = constant_one(4)
-    u0 = single((0.0, 0.0, 0.0, 0.0, 1.0), 4.0, n=4, tau=0.05)
+    u0 = single(E5, 4.0, n=4, tau=0.05)
     final, report = flow_to_critical(u0, K)
     assert report.status == "non-convergence" and report.steps == 2
     assert report.message == f"final gradient norm {report.grad_norm:.3e} above tolerance"
@@ -1530,7 +1562,6 @@ def scale_line_cases(preset_targets):
     """(K, center, tau, window) at every preset target, with the default
     window and one straddling lam = 1, and an n = 4 candidate whose bump
     sits on the bubble axis."""
-    E5 = (0.0, 0.0, 0.0, 0.0, 1.0)
     K4 = bump_candidate([(1.0, E5, 0.4)], epsilon=0.1, n=4)
     cases = [(K, y, 0.05, w) for K, y, _ in preset_targets for w in ({}, {"window": (0.5, 8.0)})]
     return cases + [(K4, E5, 0.05, {}), (K4, E5, 0.1, {"window": (0.5, 8.0)})]
@@ -1577,7 +1608,6 @@ def test_scale_line_refuses_off_axis_bumps_off_the_3_sphere_without_advice(kind)
     """Off the 3-sphere a bump off the center's axis has no ring average in
     closed form, and no scheme changes that for the scale line, so the
     refusal names n = 3 and suggests no scheme."""
-    E5 = (0.0, 0.0, 0.0, 0.0, 1.0)
     K = bump_candidate([(0.5, unit(np.array([1.0, 0.0, 0.0, 0.0, 1.0])), 0.5)], n=4)
     with pytest.raises(ValueError, match="n = 3") as info:
         equilibrium_scale(K, E5, 0.05, QuadratureScheme(kind=kind))
