@@ -13,6 +13,7 @@ set {grad K = 0, Lap K < 0} as a parity configuration, and scans K's range.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -175,12 +176,13 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     when the tangent Hessian B^T H B is (B any orthonormal tangent frame), and
     the solution of A delta = -g is the tangent Newton step
     B (B^T H B)^{-1} (-B^T g) with zero x-component.  One stacked solve thus
-    replaces the per-seed frames.  One batched slogdet finds the exactly
-    singular A (sign 0); those rows take the gradient step -g and the rest
-    are solved as one stack.  A seed stops when its gradient norm is below
-    the convergence threshold, when it has not halved in ``STALL_ITERS``
-    iterations, or at the ``NEWTON_ITERS`` cap; an abandoned seed fails the
-    final ``GRAD_NORM_TOL`` filter unless it had already converged.
+    replaces the per-seed frames.  Only if it raises does a batched slogdet
+    find the exactly singular A (sign 0): those rows take the gradient step
+    -g and the rest are solved as one stack, with the same bits, as LAPACK
+    factors each matrix on its own.  A seed stops when its gradient norm is
+    below the convergence threshold, when it has not halved in
+    ``STALL_ITERS`` iterations, or at the ``NEWTON_ITERS`` cap; an abandoned
+    seed fails the final ``GRAD_NORM_TOL`` filter unless it had converged.
     """
     X = seeds.copy()
     alive = np.ones(len(X), dtype=bool)
@@ -201,9 +203,12 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
         ref[idx[halved]], last[idx[halved]] = gnorm[halved], it
         done = (gnorm < tol) | (it - last[idx] >= STALL_ITERS)
         A = hess + pts[:, :, None] * pts[:, None, :]
-        regular = np.linalg.slogdet(A)[0] != 0
         steps = -grads  # gradient fallback at singular Hessians
-        steps[regular] = np.linalg.solve(A[regular], steps[regular, :, None])[..., 0]
+        try:
+            steps = np.linalg.solve(A, steps[:, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            regular = np.linalg.slogdet(A)[0] != 0
+            steps[regular] = np.linalg.solve(A[regular], steps[regular, :, None])[..., 0]
         nrm = np.linalg.norm(steps, axis=1)
         # trust region: cap the geodesic step
         steps *= np.minimum(1.0, 0.5 / np.maximum(nrm, 1e-300))[:, None]
@@ -218,11 +223,17 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
 def _distinct(points: np.ndarray) -> np.ndarray:
     """Greedy first-seen dedup by geodesic distance (the cross-norm atan2 form,
     accurate at small angles): each kept point, in order, drops the later rows
-    within 1e-6 rad of it.  One matrix-vector product per kept point and no N x N
-    one; only rows with cosine above 1 - 1e-10 (within 1.5e-5 rad) can be that
-    close, so only they take the atan2 form."""
+    within 1e-6 rad of it.  Only rows with cosine above 1 - 1e-10 (chord below
+    1.415e-5) take the atan2 form, and they project within that chord on any
+    unit axis: so only rows within 2e-5 of another on a fixed axis take a
+    matrix-vector scan, found by one sort, and no N x N product is formed."""
+    proj = points @ unit(np.arange(1.0, points.shape[1] + 1))
+    order = np.argsort(proj)
+    close = np.zeros(len(points), dtype=bool)
+    pair = np.diff(proj[order]) <= 2e-5
+    close[order[1:][pair]] = close[order[:-1][pair]] = True
     keep = np.ones(len(points), dtype=bool)
-    for i in range(len(points)):
+    for i in np.flatnonzero(close):
         if keep[i]:
             x = points[i]
             c = points[i + 1:] @ x
@@ -252,6 +263,12 @@ def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
     numerically zero are dropped with a warning, since they violate the
     standing nondegeneracy hypotheses.
     """
+    try:
+        seeds = operator.index(seeds)
+    except TypeError:
+        raise ValueError(f"seeds must be an integer, got {seeds!r}") from None
+    if seeds < 0:
+        raise ValueError(f"seeds must be at least 0, got {seeds}")
     if not K.terms or all(t.weight == 0.0 for t in K.terms) or K.epsilon == 0.0:
         raise H1ViolationError(
             "H1 violated: f vanishes identically, every point of the sphere "

@@ -32,6 +32,13 @@ None is used by ``morsecount`` itself:
   filled its buckets one minimum rank at a time and summed each level as dot
   products: every subset keyed by its lowest set bit, and one signed term per
   (level, rank, size).  The direct route must give equal tables.
+- ``slogdet_first_newton_batch``: ``kfunc._newton_batch`` as it was before
+  it tried one stacked solve first, with one batched ``slogdet`` every
+  iteration to set the exactly singular rows on the gradient step; the
+  search must return the same points bit for bit.
+- ``scan_every_point_distinct``: ``kfunc._distinct`` as it was before it
+  sorted the rows by their projection on one axis, with one matrix-vector
+  scan per kept point; the kept rows must be the same.
 - ``scipy_quasi_uniform_points``: quasi-uniform points on S^n from
   ``scipy.stats``' unscrambled ``qmc.Sobol`` and ``norm.ppf``, the route
   ``sphere.quasi_uniform_points`` took before it drew its Sobol points from
@@ -62,6 +69,7 @@ from morsecount.bubbles import (
     sobolev_constant,
 )
 from morsecount.indexcount import IndexTable, ParityConfig
+from morsecount import kfunc
 from morsecount.kfunc import KFunction, eval_K
 from morsecount.quadrature import _doubled, _gl_rule, integrate_radial, panel_breakpoints
 from morsecount.sphere import sphere_area, unit
@@ -480,3 +488,47 @@ def scipy_quasi_uniform_points(n: int, count: int) -> np.ndarray:
     if np.any(bad):
         g[bad] = norm.ppf(0.5 + 0.1 * (np.arange(d) + 1.0) / d)
     return unit(g)
+
+
+def slogdet_first_newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
+    """The batched Newton search with a slogdet before every stacked solve."""
+    X = seeds.copy()
+    alive = np.ones(len(X), dtype=bool)
+    gscale = K.epsilon * sum(abs(t.weight) / (t.width * t.width) for t in K.terms)
+    tol = max(kfunc.GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
+    ref, last = np.full(len(X), np.inf), np.zeros(len(X), dtype=int)
+    for it in range(kfunc.NEWTON_ITERS):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        pts = X[idx]
+        grads, hess = kfunc._derivs(K, pts)
+        gnorm = np.linalg.norm(grads, axis=1)
+        halved = gnorm <= 0.5 * ref[idx]
+        ref[idx[halved]], last[idx[halved]] = gnorm[halved], it
+        done = (gnorm < tol) | (it - last[idx] >= kfunc.STALL_ITERS)
+        A = hess + pts[:, :, None] * pts[:, None, :]
+        regular = np.linalg.slogdet(A)[0] != 0
+        steps = -grads
+        steps[regular] = np.linalg.solve(A[regular], steps[regular, :, None])[..., 0]
+        nrm = np.linalg.norm(steps, axis=1)
+        steps *= np.minimum(1.0, 0.5 / np.maximum(nrm, 1e-300))[:, None]
+        steps[done] = 0.0
+        X[idx] = unit(pts + steps)
+        alive[idx[done]] = False
+    return X[np.linalg.norm(kfunc._derivs(K, X)[0], axis=1) < kfunc.GRAD_NORM_TOL]
+
+
+def scan_every_point_distinct(points: np.ndarray) -> np.ndarray:
+    """Greedy first-seen dedup with one scan of the later rows per kept point."""
+    keep = np.ones(len(points), dtype=bool)
+    for i in range(len(points)):
+        if keep[i]:
+            x = points[i]
+            c = points[i + 1:] @ x
+            near = i + 1 + np.flatnonzero(c > 1.0 - 1e-10)
+            if len(near):
+                rest, c = points[near], np.clip(c[near - i - 1], -1.0, 1.0)
+                s = np.linalg.norm(rest - x, axis=1) * np.linalg.norm(rest + x, axis=1)
+                keep[near] &= np.arctan2(s / 2.0, c) > 1e-6
+    return points[keep]

@@ -3,8 +3,13 @@ critical point location vs dense grid search, admissibility threshold vs a
 high-precision oracle."""
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -28,7 +33,11 @@ from morsecount import sphere
 from morsecount.indexcount import H3Warning, admissible_epsilon
 from morsecount.presets import available_presets, load_preset
 from morsecount.sphere import quasi_uniform_points, tangent_basis, unit
-from oracles import scipy_quasi_uniform_points
+from oracles import (
+    scan_every_point_distinct,
+    scipy_quasi_uniform_points,
+    slogdet_first_newton_batch,
+)
 
 
 def bump(center, weight=1.0, width=0.5):
@@ -335,9 +344,10 @@ def test_batched_newton_matches_the_per_seed_oracle(K, monkeypatch):
 
 
 def count_search_work(monkeypatch, K):
-    """(derivative rows, derivative calls, solve calls, exactly singular rows)
-    of one default find_critical_points search."""
-    work = dict(rows=0, calls=0, solves=0, singular=0)
+    """The work of one default find_critical_points search: derivative rows
+    and calls, LU factorizations (solve and slogdet calls, failed solves
+    included), exactly singular rows, and the linear-algebra calls in order."""
+    work = dict(rows=0, calls=0, factorizations=0, singular=0, events=[])
     derivs, solve, slogdet = kfunc._derivs, np.linalg.solve, np.linalg.slogdet
 
     def counting_derivs(K, X):
@@ -346,10 +356,18 @@ def count_search_work(monkeypatch, K):
         return derivs(K, X)
 
     def counting_solve(*args):
-        work["solves"] += 1
-        return solve(*args)
+        work["factorizations"] += 1
+        try:
+            out = solve(*args)
+        except np.linalg.LinAlgError:
+            work["events"].append("raised")
+            raise
+        work["events"].append("solved")
+        return out
 
     def counting_slogdet(A):
+        work["factorizations"] += 1
+        work["events"].append("slogdet")
         sign, logdet = slogdet(A)
         work["singular"] += int(np.sum(sign == 0))
         return sign, logdet
@@ -361,14 +379,14 @@ def count_search_work(monkeypatch, K):
         warnings.simplefilter("ignore", UserWarning)  # degenerate circle and equator
         find_critical_points(K)
     monkeypatch.undo()
-    return work["rows"], work["calls"], work["solves"], work["singular"]
+    return work
 
 
 def test_newton_survives_an_exactly_singular_hessian(monkeypatch):
     """On the equator of a single bump the Hessian is rank one, so the
     augmented system is exactly singular; that seed must take the gradient
     step while its batch-mates keep Newton, each on the path it follows
-    alone, bit for bit.  Singular rows cost no solves of their own."""
+    alone, bit for bit.  Singular rows cost no factorizations of their own."""
     K = KFunction(n=3, epsilon=0.1, terms=(bump([0.0, 0.0, 0.0, 1.0]),))
     seeds = np.array([[1.0, 0.0, 0.0, 0.0], unit(np.array([0.1, 0.0, 0.0, 1.0]))])
     A = kfunc._derivs(K, seeds[0])[1][0] + np.outer(seeds[0], seeds[0])
@@ -384,12 +402,18 @@ def test_newton_survives_an_exactly_singular_hessian(monkeypatch):
     # the minimum's basin, where an ascent step would reach the maximum's
     K = KFunction(n=3, epsilon=1.0, terms=(bump([0.0, 0.0, 0.0, 1.0], 10.0, 1.5),))
     np.testing.assert_allclose(kfunc._newton_batch(K, seeds[:1]), [[0, 0, 0, -1.0]], atol=1e-12)
-    # three-max-one-saddle meets exactly singular rows, yet takes at most one
-    # solve per Newton iteration; the search makes one derivative call per
-    # iteration, one for the final gradient filter and one for the classification
-    _, calls, solves, singular = count_search_work(monkeypatch, load_preset("three-max-one-saddle"))
-    assert singular > 0
-    assert solves <= calls - 2
+    # three-max-one-saddle meets exactly singular rows.  Each Newton iteration
+    # factors its stack once; only one whose stacked solve raised takes a
+    # slogdet and a solve of the regular rows.  The search makes one
+    # derivative call per iteration, one for the final gradient filter and
+    # one for the classification
+    work = count_search_work(monkeypatch, load_preset("three-max-one-saddle"))
+    events = work["events"]
+    raised = events.count("raised")
+    assert work["singular"] > 0 and raised > 0
+    assert all(events[k - 1] == "raised" for k, e in enumerate(events) if e == "slogdet")
+    assert events.count("slogdet") == raised
+    assert work["factorizations"] <= work["calls"] - 2 + 2 * raised
 
 
 def dedup_per_point_oracle(converged):
@@ -476,24 +500,187 @@ def test_batched_classification_matches_the_per_point_oracle(K, monkeypatch):
         assert np.max(np.abs(np.subtract(p.hess_eigenvalues, q.hess_eigenvalues))) <= 1e-13 * scale
 
 
-@pytest.mark.filterwarnings("ignore:dropped")
-@pytest.mark.parametrize("K", CLASSIFIED, ids=CLASSIFIED_IDS)
-def test_dedup_matches_the_per_point_greedy_loop(K, monkeypatch):
+def converged_rows(K, seeds=512):
+    """The rows find_critical_points hands to its dedup."""
     newton = []
     real = kfunc._newton_batch
-    monkeypatch.setattr(kfunc, "_newton_batch", lambda *a: newton.append(real(*a)) or newton[0])
-    find_critical_points(K)
-    assert np.array_equal(kfunc._distinct(newton[0]), dedup_per_point_oracle(newton[0]))
+    with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # degenerate circle and equator
+        m.setattr(kfunc, "_newton_batch", lambda *a: newton.append(real(*a)) or newton[0])
+        find_critical_points(K, seeds)
+    return newton[0]
+
+
+def pairs_apart(angle, count=64, d=4, seed=0):
+    """`count` pairs of rows `angle` rad apart, at random points along random
+    tangent directions, each pair in consecutive rows."""
+    rng = np.random.default_rng(seed)
+    x = unit(rng.standard_normal((count, d)))
+    t = rng.standard_normal((count, d))
+    t = unit(t - np.sum(t * x, axis=1)[:, None] * x)
+    return np.stack([x, math.cos(angle) * x + math.sin(angle) * t], axis=1).reshape(-1, d)
+
+
+def on_one_projection(angles, d=4):
+    """Points at these angles along a circle whose rows all share one
+    projection on _distinct's axis, so every row has a neighbour there."""
+    axis = unit(np.arange(1.0, d + 1))
+    frame = np.linalg.qr(np.column_stack([axis, np.eye(d)[:, :2]]))[0]
+    ring = np.cos(angles)[:, None] * frame[:, 1] + np.sin(angles)[:, None] * frame[:, 2]
+    return 0.5 * axis + math.sqrt(0.75) * ring
+
+
+DEDUP_CASES = [lambda K=K: converged_rows(K) for K in CLASSIFIED] + [
+    lambda: pairs_apart(0.99e-6),
+    lambda: pairs_apart(1.01e-6),
+    lambda: on_one_projection(np.linspace(0.0, 2 * np.pi, 200, endpoint=False)),
+    lambda: np.repeat(converged_rows(CLASSIFIED[0])[:40], 3, axis=0),
+    lambda: np.vstack([converged_rows(CLASSIFIED[0])] * 2),
+    lambda: np.zeros((0, 4)),
+    lambda: converged_rows(CLASSIFIED[0])[:1],
+]
+DEDUP_IDS = CLASSIFIED_IDS + ["pairs-0.99e-6", "pairs-1.01e-6", "one-projection-ring",
+                              "each-row-thrice", "rows-twice", "empty", "one-row"]
+
+
+@pytest.mark.parametrize("rows", DEDUP_CASES, ids=DEDUP_IDS)
+def test_dedup_matches_the_per_point_greedy_loop(rows):
+    rows = rows()
+    got = kfunc._distinct(rows)
+    assert np.array_equal(got, dedup_per_point_oracle(rows))
+    assert np.array_equal(got, scan_every_point_distinct(rows))
 
 
 def test_dedup_is_greedy_along_a_chain():
     """A-B and B-C are 0.8e-6 rad apart, A-C 1.6e-6: closeness is not
-    transitive, and first-seen greedy keeps A and C."""
+    transitive, and first-seen greedy keeps A and C.  So too along a chain
+    whose rows share one projection on _distinct's axis, and over pairs just
+    inside and just outside 1e-6 rad."""
     angles = np.array([0.0, 0.8e-6, 1.6e-6])
     chain = np.zeros((3, 4))
     chain[:, 0], chain[:, 1] = np.cos(angles), np.sin(angles)
-    for route in (kfunc._distinct, dedup_per_point_oracle):
-        assert np.array_equal(route(chain), chain[[0, 2]])
+    level = on_one_projection(angles)
+    inside, outside = pairs_apart(0.99e-6), pairs_apart(1.01e-6)
+    for rows, kept in [(chain, chain[[0, 2]]), (level, level[[0, 2]]),
+                       (inside, inside[::2]), (outside, outside)]:
+        for route in (kfunc._distinct, dedup_per_point_oracle):
+            assert np.array_equal(route(rows), kept)
+
+
+class CountingRows(np.ndarray):
+    """Rows that count the matrix products taken of them."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingRows.products += 1
+        return np.asarray(self) @ other
+
+
+def dedup_scans(route, rows):
+    """Matrix-vector scans of the later rows that a dedup route makes, not
+    counting _distinct's one projection."""
+    CountingRows.products = 0
+    route(rows.view(CountingRows))
+    return CountingRows.products - (route is kfunc._distinct)
+
+
+def test_dedup_scans_only_rows_that_can_meet():
+    """The saddle's degenerate circle keeps 314 of its 524 converged rows, and
+    the per-point route scans each; a scan is needed only where two rows
+    project within 2e-5 (17 measured, guarded at +10%).  On a ring sharing
+    one projection every row is scanned, as before."""
+    rows = converged_rows(load_preset("three-max-one-saddle"))
+    assert (len(rows), len(kfunc._distinct(rows))) == (524, 314)
+    assert dedup_scans(scan_every_point_distinct, rows) == 314
+    assert dedup_scans(kfunc._distinct, rows) <= 1.1 * 17
+    ring = on_one_projection(np.linspace(0.0, 2 * np.pi, 200, endpoint=False))
+    assert dedup_scans(kfunc._distinct, ring) == 200
+
+
+def _search_mismatches() -> list[str]:
+    """Where the search differs in any bit from its oracle routes
+    (oracles.slogdet_first_newton_batch, oracles.scan_every_point_distinct):
+    every CLASSIFIED candidate at 128 and 512 seeds (the converged rows, the
+    kept rows and the classified points), the singular-Hessian seeds and
+    batch of test_newton_survives_an_exactly_singular_hessian, and k_range's
+    two-row batches."""
+
+    def search(K, seeds, newton, distinct):
+        seen = []
+        with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            m.setattr(kfunc, "_newton_batch", lambda *a: seen.append(newton(*a)) or seen[-1])
+            m.setattr(kfunc, "_distinct", lambda *a: seen.append(distinct(*a)) or seen[-1])
+            points = find_critical_points(K, seeds)
+        return seen, points
+
+    bad = []
+    for label, K in zip(CLASSIFIED_IDS, CLASSIFIED):
+        for seeds in (128, 512):
+            got, got_points = search(K, seeds, kfunc._newton_batch, kfunc._distinct)
+            want, want_points = search(K, seeds, slogdet_first_newton_batch,
+                                       scan_every_point_distinct)
+            if got_points != want_points or not all(map(np.array_equal, got, want)):
+                bad.append(f"{label} at {seeds}")
+        batches = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kfunc, "_newton_batch", lambda K, X: batches.append(X) or X)
+            k_range(K)
+        for X in batches:
+            if not np.array_equal(kfunc._newton_batch(K, X), slogdet_first_newton_batch(K, X)):
+                bad.append(f"{label} k_range")
+    equator = np.array([[1.0, 0.0, 0.0, 0.0]])
+    seeds = np.vstack([equator, unit(np.array([0.1, 0.0, 0.0, 1.0]))])
+    narrow = KFunction(n=3, epsilon=0.1, terms=(bump([0.0, 0.0, 0.0, 1.0]),))
+    wide = KFunction(n=3, epsilon=1.0, terms=(bump([0.0, 0.0, 0.0, 1.0], 10.0, 1.5),))
+    for label, K, X in [("singular seeds", narrow, seeds), ("singular wide", wide, equator),
+                        ("singular batch", narrow,
+                         np.vstack([quasi_uniform_points(3, 32), equator]))]:
+        if not np.array_equal(kfunc._newton_batch(K, X), slogdet_first_newton_batch(K, X)):
+            bad.append(label)
+    return bad
+
+
+def test_search_equals_its_oracle_routes_bit_for_bit():
+    assert _search_mismatches() == []
+
+
+def test_search_equals_its_oracle_routes_without_avx512_kernels():
+    """Without AVX-512 numpy runs its AVX2 kernels; a route whose rows round
+    apart by their place in the stack would move bits."""
+    # numpy ignores a feature the host lacks, so without AVX-512 nothing is disabled
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(Path(kfunc.__file__).resolve().parents[1]),
+                                    str(Path(__file__).resolve().parent)]),
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+    )
+    body = "import json, test_kfunction as t\nprint(json.dumps(t._search_mismatches()))"
+    proc = subprocess.run([sys.executable, "-c", body], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("seeds, message", [
+    (3.0, "seeds must be an integer, got 3.0"),
+    (-1, "seeds must be at least 0, got -1"),
+])
+def test_search_refuses_a_bad_seed_count_before_any_work(seeds, message, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(kfunc, "quasi_uniform_points", no_work)
+    monkeypatch.setattr(kfunc, "_derivs", no_work)
+    with pytest.raises(ValueError, match=message):
+        find_critical_points(load_preset("three-bump-s3"), seeds=seeds)
+
+
+def test_a_search_without_quasi_uniform_seeds_keeps_working():
+    """seeds=0 starts Newton from the centers, antipodes and pair seeds only."""
+    points = find_critical_points(load_preset("three-bump-s3"), seeds=0)
+    assert euler_characteristic_diagnostic(points, 3)[2]
 
 
 def test_classification_takes_no_tangent_frames(monkeypatch):
@@ -557,21 +744,21 @@ def test_stall_rule_keeps_k_range(K, monkeypatch):
     assert got == k_range(K)
 
 
-# (derivative rows, solve calls) of one default search, as measured; the
-# guard at +10% catches a regression in work that timing noise would hide
+# (derivative rows, LU factorizations) of one default search, as measured;
+# the guard at +10% catches a regression in work that timing noise would hide
 SEARCH_WORK = {
     "three-bump-s3": (5502, 19),
-    "three-max-one-saddle": (4012, 8),
+    "three-max-one-saddle": (4012, 16),
     "two-bump-antipodal": (5234, 11),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_WORK))
 def test_search_work_stays_within_its_measured_budget(name, monkeypatch):
-    rows, _, solves, _ = count_search_work(monkeypatch, load_preset(name))
-    max_rows, max_solves = SEARCH_WORK[name]
-    assert rows <= 1.1 * max_rows
-    assert solves <= 1.1 * max_solves
+    work = count_search_work(monkeypatch, load_preset(name))
+    max_rows, max_factorizations = SEARCH_WORK[name]
+    assert work["rows"] <= 1.1 * max_rows
+    assert work["factorizations"] <= 1.1 * max_factorizations
 
 
 def grid_search_extrema(K, samples=1_000_000):
