@@ -843,10 +843,11 @@ def _single_bubble_derivatives(
     def derivatives(cols):
         D, D_l, D_ll = ring * cols[:3]
         G1, G2, G3 = ring * cols[3:].reshape(3, -1)
-        grad_D = np.append(G1 @ d_gam, flip * D_l)
-        cross = flip * (G3 @ d_gam)[:, None]
-        vv_D = np.einsum("j,ja,jb->ab", G2, d_gam, d_gam) + np.tensordot(G1, dd_gam, 1)
-        H_D = np.block([[vv_D, cross], [cross.T, D_ll]])
+        grad_D, H_D = np.empty(4), np.empty((4, 4))
+        grad_D[:3], grad_D[3] = G1 @ d_gam, flip * D_l
+        H_D[:3, :3] = np.einsum("j,ja,jb->ab", G2, d_gam, d_gam) + np.tensordot(G1, dd_gam, 1)
+        H_D[:3, 3] = H_D[3, :3] = flip * (G3 @ d_gam)
+        H_D[3, 3] = D_ll
         J = jev.norm_squared ** (0.5 * jev.q_exponent * e) * D ** (-e)
         H = J * (e * (e + 1.0) * np.outer(grad_D, grad_D) / (D * D) - e * H_D / D)
         return -e * J * grad_D / D, H

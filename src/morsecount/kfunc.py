@@ -4,11 +4,15 @@ f is a sum of smooth sphere bumps w * exp(-(1 - <x, c>)/s^2), chosen because all
 ambient derivatives are closed-form.  Intrinsic derivatives come from projecting:
 with P = I - x x^T the tangential gradient is P (grad f), the covariant Hessian of
 the restriction is P (Hess f) P - (x . grad f) P, and the sphere Laplacian is its
-trace.  One kernel, ``_derivs``, evaluates both for a stack of points; it is
-the module's only derivative route, and callers take single points as rows.  The
-module locates critical points (Newton batched over a deterministic
-quasi-uniform seed set), classifies them, extracts the admissible concentration
-set {grad K = 0, Lap K < 0} as a parity configuration, and scans K's range.
+trace.  One kernel evaluates both for a stack of points, in two stages:
+``_gradients``, then ``_hessians`` from the bump factors the first stage
+leaves, for any subset of its rows; ``_derivs`` runs both.  It is the module's
+only derivative route, and callers take single points as rows.  The module
+locates critical points (Newton batched over a deterministic quasi-uniform
+seed set; only the seeds still moving take Hessians and the stacked solve,
+and a slogdet runs only when that solve raises), classifies them, extracts
+the admissible concentration set {grad K = 0, Lap K < 0} as a parity
+configuration, and scans K's range.
 """
 from __future__ import annotations
 
@@ -149,20 +153,41 @@ def eval_K(K: KFunction, x: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if x.ndim == 1 else out
 
 
-def _derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangential gradients (B, d) and covariant Hessians (B, d, d) of K at a
-    stack of unit points X (B, d).  Products run row by row (einsum, stacked
-    matmul), so a point's derivatives round alike in any batch."""
+def _gradients(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The derivative kernel's first stage at a stack of unit points X (B, d):
+    tangential gradients (B, d), and the bump factors (B, t) and radial parts
+    (B,) that ``_hessians`` builds the Hessians from.  Products run row by row
+    (einsum, stacked matmul), so a point's derivatives round alike in any
+    batch, and a Hessian built from a subset of these rows rounds as one
+    built from all of them."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     C = K.centers()
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width * term.width for term in K.terms])
     wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
     amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * K.epsilon
-    amb_hess = np.matmul(C.T * (wg / s2**2)[:, None, :], C) * K.epsilon
     radial = np.matmul(amb_grad[:, None, :], X[:, :, None])[:, 0, 0]
+    return amb_grad - radial[:, None] * X, wg / s2**2, radial
+
+
+def _hessians(
+    K: KFunction, X: np.ndarray, bumps: np.ndarray, radial: np.ndarray
+) -> np.ndarray:
+    """The kernel's second stage: covariant Hessians (B, d, d) at the unit
+    points X (B, d), from the first stage's bump factors and radial parts at
+    those points."""
+    C = K.centers()
+    amb_hess = np.matmul(C.T * bumps[:, None, :], C) * K.epsilon
     P = np.eye(K.dim) - X[:, :, None] * X[:, None, :]
-    return amb_grad - radial[:, None] * X, P @ amb_hess @ P - radial[:, None, None] * P
+    return P @ amb_hess @ P - radial[:, None, None] * P
+
+
+def _derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangential gradients (B, d) and covariant Hessians (B, d, d) of K at a
+    stack of unit points X (B, d): both stages of the kernel."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    grads, bumps, radial = _gradients(K, X)
+    return grads, _hessians(K, X, bumps, radial)
 
 
 # -- critical point search ----------------------------------------------------
@@ -176,33 +201,44 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     when the tangent Hessian B^T H B is (B any orthonormal tangent frame), and
     the solution of A delta = -g is the tangent Newton step
     B (B^T H B)^{-1} (-B^T g) with zero x-component.  One stacked solve thus
-    replaces the per-seed frames.  Only if it raises does a batched slogdet
-    find the exactly singular A (sign 0): those rows take the gradient step
-    -g and the rest are solved as one stack, with the same bits, as LAPACK
-    factors each matrix on its own.  A seed stops when its gradient norm is
+    replaces the per-seed frames.  A seed stops when its gradient norm is
     below the convergence threshold, when it has not halved in
     ``STALL_ITERS`` iterations, or at the ``NEWTON_ITERS`` cap; an abandoned
     seed fails the final ``GRAD_NORM_TOL`` filter unless it had converged.
+
+    The live rows travel as one compacted stack.  Each iteration takes their
+    gradients and retires the rows that stop; only the rows still moving
+    take a Hessian and a place in the stacked solve.  Only if that solve
+    raises does a batched slogdet find the exactly singular A (sign 0): those
+    rows take the gradient step -g and the rest are solved as one stack, with
+    the same bits, as LAPACK factors each matrix on its own.  The final
+    filter takes gradients only.
     """
     X = seeds.copy()
-    alive = np.ones(len(X), dtype=bool)
     # characteristic gradient magnitude, for the convergence threshold
     gscale = K.epsilon * sum(abs(t.weight) / (t.width * t.width) for t in K.terms)
     tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
-    # each seed's gradient norm at its last halving, and that iteration
+    # the live rows: their places in X, their points, and each one's gradient
+    # norm at its last halving and that iteration
+    idx, pts = np.arange(len(X)), seeds
     ref, last = np.full(len(X), np.inf), np.zeros(len(X), dtype=int)
 
     for it in range(NEWTON_ITERS):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        pts = X[idx]
-        grads, hess = _derivs(K, pts)
+        grads, bumps, radial = _gradients(K, pts)
         gnorm = np.linalg.norm(grads, axis=1)
-        halved = gnorm <= 0.5 * ref[idx]
-        ref[idx[halved]], last[idx[halved]] = gnorm[halved], it
-        done = (gnorm < tol) | (it - last[idx] >= STALL_ITERS)
-        A = hess + pts[:, :, None] * pts[:, None, :]
+        halved = gnorm <= 0.5 * ref
+        ref[halved], last[halved] = gnorm[halved], it
+        done = (gnorm < tol) | (it - last >= STALL_ITERS)
+        # a stopped row is written back as after a zero step (+ 0.0 turns -0.0
+        # into 0.0, which a reported location would show)
+        X[idx[done]] = unit(pts[done] + 0.0)
+        moving = ~done
+        idx, pts, grads, bumps, radial, ref, last = (
+            a[moving] for a in (idx, pts, grads, bumps, radial, ref, last)
+        )
+        if not len(idx):
+            break
+        A = _hessians(K, pts, bumps, radial) + pts[:, :, None] * pts[:, None, :]
         steps = -grads  # gradient fallback at singular Hessians
         try:
             steps = np.linalg.solve(A, steps[:, :, None])[..., 0]
@@ -212,12 +248,11 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(steps, axis=1)
         # trust region: cap the geodesic step
         steps *= np.minimum(1.0, 0.5 / np.maximum(nrm, 1e-300))[:, None]
-        steps[done] = 0.0
-        X[idx] = unit(pts + steps)
-        alive[idx[done]] = False
+        pts = unit(pts + steps)
+    X[idx] = pts  # rows still moving at the iteration cap
 
     # final filter: keep points whose gradient truly vanished
-    return X[np.linalg.norm(_derivs(K, X)[0], axis=1) < GRAD_NORM_TOL]
+    return X[np.linalg.norm(_gradients(K, X)[0], axis=1) < GRAD_NORM_TOL]
 
 
 def _distinct(points: np.ndarray) -> np.ndarray:

@@ -32,10 +32,15 @@ None is used by ``morsecount`` itself:
   filled its buckets one minimum rank at a time and summed each level as dot
   products: every subset keyed by its lowest set bit, and one signed term per
   (level, rank, size).  The direct route must give equal tables.
+- ``one_stage_derivs``: ``kfunc._derivs`` as it was before it ran as two
+  stages, gradients first and then Hessians from their bump factors; both
+  stages together must equal it bit for bit.
 - ``slogdet_first_newton_batch``: ``kfunc._newton_batch`` as it was before
-  it tried one stacked solve first, with one batched ``slogdet`` every
-  iteration to set the exactly singular rows on the gradient step; the
-  search must return the same points bit for bit.
+  it tried one stacked solve first and kept only its moving rows, with one
+  batched ``slogdet`` every iteration to set the exactly singular rows on
+  the gradient step, every live row factored and solved, and its
+  derivatives from ``one_stage_derivs``; the search must return the same
+  points bit for bit.
 - ``scan_every_point_distinct``: ``kfunc._distinct`` as it was before it
   sorted the rows by their projection on one axis, with one matrix-vector
   scan per kept point; the kept rows must be the same.
@@ -490,6 +495,21 @@ def scipy_quasi_uniform_points(n: int, count: int) -> np.ndarray:
     return unit(g)
 
 
+def one_stage_derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangential gradients (B, d) and covariant Hessians (B, d, d) of K at a
+    stack of unit points X (B, d), in one pass."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    C = K.centers()
+    w = np.array([term.weight for term in K.terms])
+    s2 = np.array([term.width * term.width for term in K.terms])
+    wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
+    amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * K.epsilon
+    amb_hess = np.matmul(C.T * (wg / s2**2)[:, None, :], C) * K.epsilon
+    radial = np.matmul(amb_grad[:, None, :], X[:, :, None])[:, 0, 0]
+    P = np.eye(K.dim) - X[:, :, None] * X[:, None, :]
+    return amb_grad - radial[:, None] * X, P @ amb_hess @ P - radial[:, None, None] * P
+
+
 def slogdet_first_newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     """The batched Newton search with a slogdet before every stacked solve."""
     X = seeds.copy()
@@ -502,7 +522,7 @@ def slogdet_first_newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
             break
         idx = np.flatnonzero(alive)
         pts = X[idx]
-        grads, hess = kfunc._derivs(K, pts)
+        grads, hess = one_stage_derivs(K, pts)
         gnorm = np.linalg.norm(grads, axis=1)
         halved = gnorm <= 0.5 * ref[idx]
         ref[idx[halved]], last[idx[halved]] = gnorm[halved], it
@@ -516,7 +536,7 @@ def slogdet_first_newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
         steps[done] = 0.0
         X[idx] = unit(pts + steps)
         alive[idx[done]] = False
-    return X[np.linalg.norm(kfunc._derivs(K, X)[0], axis=1) < kfunc.GRAD_NORM_TOL]
+    return X[np.linalg.norm(one_stage_derivs(K, X)[0], axis=1) < kfunc.GRAD_NORM_TOL]
 
 
 def scan_every_point_distinct(points: np.ndarray) -> np.ndarray:

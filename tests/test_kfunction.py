@@ -3,6 +3,7 @@ critical point location vs dense grid search, admissibility threshold vs a
 high-precision oracle."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from morsecount.indexcount import H3Warning, admissible_epsilon
 from morsecount.presets import available_presets, load_preset
 from morsecount.sphere import quasi_uniform_points, tangent_basis, unit
 from oracles import (
+    one_stage_derivs,
     scan_every_point_distinct,
     scipy_quasi_uniform_points,
     slogdet_first_newton_batch,
@@ -52,6 +54,12 @@ def sample_K(n=3, seed=7):
         for c, w, s in zip(centers, (0.4, -0.25, 0.3), (0.45, 0.6, 0.35))
     )
     return KFunction(n=n, epsilon=0.1, terms=terms)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: unlike np.array_equal, 0.0 and -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,13 @@ def test_batched_derivatives_are_tangent_and_match_the_wrappers(K):
         # row-wise products: a point's derivatives do not depend on its batch
         assert np.array_equal(kfunc._derivs(K, x)[0][0], g)
         assert np.array_equal(kfunc._derivs(K, x)[1][0], H)
+    # the two stages round as the one-stage kernel did, and Hessians built
+    # from some rows of the first stage as the same rows built from all
+    want_grads, want_hess = one_stage_derivs(K, X)
+    assert same_bits(grads, want_grads) and same_bits(hess, want_hess)
+    rows = np.arange(0, len(X), 3)
+    _, bumps, radial = kfunc._gradients(K, X)
+    assert same_bits(kfunc._hessians(K, X[rows], bumps[rows], radial[rows]), hess[rows])
 
 
 # critical values (descending) and (K_min, K_max) of the curvature presets, as
@@ -343,17 +358,24 @@ def test_batched_newton_matches_the_per_seed_oracle(K, monkeypatch):
         assert np.max(np.abs(np.subtract(p.location, q.location))) < 1e-10
 
 
-def count_search_work(monkeypatch, K):
-    """The work of one default find_critical_points search: derivative rows
-    and calls, LU factorizations (solve and slogdet calls, failed solves
+@contextlib.contextmanager
+def counting_work():
+    """Counts, while open, the rows of each derivative stage, the Hessian
+    stage's calls, LU factorizations (solve and slogdet calls, failed solves
     included), exactly singular rows, and the linear-algebra calls in order."""
-    work = dict(rows=0, calls=0, factorizations=0, singular=0, events=[])
-    derivs, solve, slogdet = kfunc._derivs, np.linalg.solve, np.linalg.slogdet
+    work = dict(gradient_rows=0, hessian_rows=0, hessian_calls=0, factorizations=0,
+                singular=0, events=[])
+    gradients, hessians = kfunc._gradients, kfunc._hessians
+    solve, slogdet = np.linalg.solve, np.linalg.slogdet
 
-    def counting_derivs(K, X):
-        work["rows"] += len(X)
-        work["calls"] += 1
-        return derivs(K, X)
+    def counting_gradients(K, X):
+        work["gradient_rows"] += len(X)
+        return gradients(K, X)
+
+    def counting_hessians(K, X, bumps, radial):
+        work["hessian_rows"] += len(X)
+        work["hessian_calls"] += 1
+        return hessians(K, X, bumps, radial)
 
     def counting_solve(*args):
         work["factorizations"] += 1
@@ -372,17 +394,23 @@ def count_search_work(monkeypatch, K):
         work["singular"] += int(np.sum(sign == 0))
         return sign, logdet
 
-    monkeypatch.setattr(kfunc, "_derivs", counting_derivs)
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
-    with warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kfunc, "_gradients", counting_gradients)
+        m.setattr(kfunc, "_hessians", counting_hessians)
+        m.setattr(np.linalg, "solve", counting_solve)
+        m.setattr(np.linalg, "slogdet", counting_slogdet)
+        yield work
+
+
+def count_search_work(K):
+    """The work of one default find_critical_points search (``counting_work``)."""
+    with counting_work() as work, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # degenerate circle and equator
         find_critical_points(K)
-    monkeypatch.undo()
     return work
 
 
-def test_newton_survives_an_exactly_singular_hessian(monkeypatch):
+def test_newton_survives_an_exactly_singular_hessian():
     """On the equator of a single bump the Hessian is rank one, so the
     augmented system is exactly singular; that seed must take the gradient
     step while its batch-mates keep Newton, each on the path it follows
@@ -398,22 +426,28 @@ def test_newton_survives_an_exactly_singular_hessian(monkeypatch):
     alone = np.vstack([kfunc._newton_batch(K, seed[None]) for seed in batch])
     assert len(alone) > 30
     assert np.array_equal(kfunc._newton_batch(K, batch), alone)
+    # the equator seed is still moving when its system is singular: alone
+    # and in its batch, the first stacked solve raises, one slogdet finds
+    # that one row, and the regular rows are solved as one stack; every
+    # later iteration factors its stack once
+    for X in (seeds[:1], batch):
+        with counting_work() as work:
+            kfunc._newton_batch(K, X)
+        events = work["events"]
+        assert events[:3] == ["raised", "slogdet", "solved"]
+        assert events[3:] == ["solved"] * (work["hessian_calls"] - 1)
+        assert work["singular"] == 1
     # a strong, wide bump: the capped descent step -g leaves the equator for
     # the minimum's basin, where an ascent step would reach the maximum's
     K = KFunction(n=3, epsilon=1.0, terms=(bump([0.0, 0.0, 0.0, 1.0], 10.0, 1.5),))
     np.testing.assert_allclose(kfunc._newton_batch(K, seeds[:1]), [[0, 0, 0, -1.0]], atol=1e-12)
-    # three-max-one-saddle meets exactly singular rows.  Each Newton iteration
-    # factors its stack once; only one whose stacked solve raised takes a
-    # slogdet and a solve of the regular rows.  The search makes one
-    # derivative call per iteration, one for the final gradient filter and
-    # one for the classification
-    work = count_search_work(monkeypatch, load_preset("three-max-one-saddle"))
-    events = work["events"]
-    raised = events.count("raised")
-    assert work["singular"] > 0 and raised > 0
-    assert all(events[k - 1] == "raised" for k, e in enumerate(events) if e == "slogdet")
-    assert events.count("slogdet") == raised
-    assert work["factorizations"] <= work["calls"] - 2 + 2 * raised
+    # three-max-one-saddle's exactly singular rows all stop in the iteration
+    # that meets them, so only moving rows are factored and no solve raises:
+    # one factorization per Newton iteration with moving rows (one Hessian
+    # call each, besides the classification's) and no slogdet
+    work = count_search_work(load_preset("three-max-one-saddle"))
+    assert work["events"] == ["solved"] * (work["hessian_calls"] - 1)
+    assert work["factorizations"] == work["hessian_calls"] - 1 > 0
 
 
 def dedup_per_point_oracle(converged):
@@ -621,14 +655,14 @@ def _search_mismatches() -> list[str]:
             got, got_points = search(K, seeds, kfunc._newton_batch, kfunc._distinct)
             want, want_points = search(K, seeds, slogdet_first_newton_batch,
                                        scan_every_point_distinct)
-            if got_points != want_points or not all(map(np.array_equal, got, want)):
+            if repr(got_points) != repr(want_points) or not all(map(same_bits, got, want)):
                 bad.append(f"{label} at {seeds}")
         batches = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(kfunc, "_newton_batch", lambda K, X: batches.append(X) or X)
             k_range(K)
         for X in batches:
-            if not np.array_equal(kfunc._newton_batch(K, X), slogdet_first_newton_batch(K, X)):
+            if not same_bits(kfunc._newton_batch(K, X), slogdet_first_newton_batch(K, X)):
                 bad.append(f"{label} k_range")
     equator = np.array([[1.0, 0.0, 0.0, 0.0]])
     seeds = np.vstack([equator, unit(np.array([0.1, 0.0, 0.0, 1.0]))])
@@ -637,7 +671,7 @@ def _search_mismatches() -> list[str]:
     for label, K, X in [("singular seeds", narrow, seeds), ("singular wide", wide, equator),
                         ("singular batch", narrow,
                          np.vstack([quasi_uniform_points(3, 32), equator]))]:
-        if not np.array_equal(kfunc._newton_batch(K, X), slogdet_first_newton_batch(K, X)):
+        if not same_bits(kfunc._newton_batch(K, X), slogdet_first_newton_batch(K, X)):
             bad.append(label)
     return bad
 
@@ -671,8 +705,8 @@ def test_search_refuses_a_bad_seed_count_before_any_work(seeds, message, monkeyp
     def no_work(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(kfunc, "quasi_uniform_points", no_work)
-    monkeypatch.setattr(kfunc, "_derivs", no_work)
+    for name in ("quasi_uniform_points", "_gradients", "_hessians"):
+        monkeypatch.setattr(kfunc, name, no_work)
     with pytest.raises(ValueError, match=message):
         find_critical_points(load_preset("three-bump-s3"), seeds=seeds)
 
@@ -744,20 +778,22 @@ def test_stall_rule_keeps_k_range(K, monkeypatch):
     assert got == k_range(K)
 
 
-# (derivative rows, LU factorizations) of one default search, as measured;
-# the guard at +10% catches a regression in work that timing noise would hide
+# (gradient rows, Hessian rows, LU factorizations) of one default search, as
+# measured; the guard at +10% catches a regression in work that timing noise
+# would hide
 SEARCH_WORK = {
-    "three-bump-s3": (5502, 19),
-    "three-max-one-saddle": (4012, 16),
-    "two-bump-antipodal": (5234, 11),
+    "three-bump-s3": (5502, 4454, 18),
+    "three-max-one-saddle": (4012, 2964, 7),
+    "two-bump-antipodal": (5234, 4200, 10),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_WORK))
-def test_search_work_stays_within_its_measured_budget(name, monkeypatch):
-    work = count_search_work(monkeypatch, load_preset(name))
-    max_rows, max_factorizations = SEARCH_WORK[name]
-    assert work["rows"] <= 1.1 * max_rows
+def test_search_work_stays_within_its_measured_budget(name):
+    work = count_search_work(load_preset(name))
+    max_gradient_rows, max_hessian_rows, max_factorizations = SEARCH_WORK[name]
+    assert work["gradient_rows"] <= 1.1 * max_gradient_rows
+    assert work["hessian_rows"] <= 1.1 * max_hessian_rows
     assert work["factorizations"] <= 1.1 * max_factorizations
 
 
