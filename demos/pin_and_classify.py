@@ -13,8 +13,6 @@ Example:
     python3 demos/pin_and_classify.py
 """
 
-import numpy as np
-
 from morsecount import (
     Bubble,
     BubbleSum,
@@ -43,7 +41,7 @@ if __name__ == "__main__":
     # seeds start near-stationary by construction, so the Newton flow
     # converges to the saddle-type points as well as to the maxima
     for pt in targets:
-        center = np.asarray(pt.location)
+        center = pt.location
         iota = pt.co_index
         lam_bar = equilibrium_scale(K, center, TAU)
         if lam_bar is None:
@@ -51,13 +49,13 @@ if __name__ == "__main__":
             continue
         seed = BubbleSum(
             n=3,
-            bubbles=(Bubble(center=tuple(center), lam=lam_bar),),
+            bubbles=(Bubble(center=center, lam=lam_bar),),
             alphas=(1.0,),
             tau=TAU,
         )
         final, rep = flow_to_critical(seed, K)
         est = rep.morse_index()
-        drift = geodesic_distance(np.asarray(final.bubbles[0].center), center)
+        drift = geodesic_distance(final.bubbles[0].center, center)
         print(
             f"co-index {iota}: equilibrium scale {lam_bar:6.2f} -> {rep.status} "
             f"in {rep.steps} steps, drift {drift:.1e}, "

@@ -53,7 +53,7 @@ from .quadrature import (
     integrate_radial,
     radial_rule_pair,
 )
-from .sphere import exp_map, gammaln, sphere_area, tangent_basis
+from .sphere import exp_map, gammaln, sphere_area, tangent_basis, unit_center
 
 _ALIGNED = 1.0 - 1e-9
 
@@ -101,10 +101,7 @@ class Bubble:
     lam: float
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.center, dtype=float)
-        if not abs(np.linalg.norm(c) - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError("bubble center must be a unit vector")
-        object.__setattr__(self, "center", tuple(float(v) for v in c))
+        object.__setattr__(self, "center", unit_center(self.center, "bubble center"))
         if not (0.0 < self.lam < math.inf):
             raise ValueError("bubble scale must be positive and finite")
 
@@ -179,8 +176,10 @@ def _canonical_sum(u: BubbleSum, *, below: float = 1.0) -> BubbleSum:
     )
 
 
+@cache
 def constant_one(n: int) -> KFunction:
-    """The trivial curvature candidate K = 1."""
+    """The trivial curvature candidate K = 1, built once per dimension (a
+    candidate is immutable, its arrays read-only)."""
     return KFunction(n=n, epsilon=1.0, terms=())
 
 
@@ -285,9 +284,7 @@ def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, se
     )
     ends = np.cumsum(counts)
     rng = np.random.default_rng(seed)
-    centers = np.vstack([[b.center for b in u.bubbles], K.centers()])
-    widths = np.array([term.width * term.width for term in K.terms])[:, None]
-    weights = np.array([term.weight for term in K.terms])
+    centers = np.vstack([[b.center for b in u.bubbles], K.centers])
     q_crit = 2.0 * n / (n - 2.0)
     terms = np.zeros(ends[-1])  # per block: sum alpha_k B_k, then F/mix in place
     for lo in range(0, len(terms), _MC_BLOCK):
@@ -313,9 +310,9 @@ def _mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples: int, se
             mix += B
         bumps = cos[p:]
         bumps -= 1.0
-        bumps /= widths
+        bumps /= K.widths2[:, None]
         np.exp(bumps, out=bumps)
-        f = np.einsum("tm,t->m", bumps, weights)
+        f = np.einsum("tm,t->m", bumps, K.weights)
         np.abs(t, out=t)
         t **= q
         t *= 1.0 + K.epsilon * f
@@ -401,10 +398,9 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
     """
     if not K.terms:
         return lambda t: (1.0, np.empty((0,) + np.shape(t))), [], np.empty(0)
-    w = np.array([term.weight for term in K.terms])
-    s2 = np.array([term.width * term.width for term in K.terms])[:, None]
+    w, s2 = K.weights[:, None], K.widths2[:, None]
     # |gamma| may pass 1 by rounding (centers are unit only to 1e-9)
-    gamma = np.clip(np.einsum("ti,i->t", K.centers(), axis), -1.0, 1.0)
+    gamma = np.clip(np.einsum("ti,i->t", K.centers, axis), -1.0, 1.0)
     if n != 3:
         if np.any(np.abs(gamma) < _ALIGNED):
             raise ValueError(
@@ -412,9 +408,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
             )
         gamma = np.sign(gamma)
     sin_g = np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
-    features = [
-        (float(np.arccos(g)), term.width) for g, term in zip(gamma, K.terms)
-    ]
+    features = [(float(np.arccos(g)), s) for g, s in zip(gamma, K.widths.tolist())]
 
     def profile(t):
         t = np.asarray(t, dtype=float)
@@ -424,7 +418,7 @@ def _ring_K_profile(K: KFunction, axis: np.ndarray, n: int):
             -np.expm1(-two_b), two_b, out=np.ones_like(two_b), where=two_b > 0
         )
         c_t = gamma[:, None] * t + sin_t * sin_g
-        terms = w[:, None] * np.exp((c_t - 1.0) / s2) * ring
+        terms = w * np.exp((c_t - 1.0) / s2) * ring
         k_bar = 1.0 + K.epsilon * np.sum(terms, axis=0)
         return k_bar, terms
 
@@ -801,7 +795,7 @@ def _single_bubble_derivatives(
     b, alpha = canonical_bubble(u.bubbles[0]), u.alphas[0]
     lam, q = b.lam, 6.0 - u.tau
     k_profile, k_features, gamma = _ring_K_profile(K, np.asarray(b.center), 3)
-    kap = np.array([1.0 / (term.width * term.width) for term in K.terms])[:, None]
+    kap = 1.0 / K.widths2[:, None]
     gam, sin_g = gamma[:, None], np.sqrt((1.0 - gamma) * (1.0 + gamma))[:, None]
 
     def columns(t):
@@ -836,8 +830,8 @@ def _single_bubble_derivatives(
         -a0[:, None, None] * (sg * eye + sh * vv) + w[:, None, None] * (sh * eye + sk * vv)
         + sh * (frame[:, :, None] * v + frame[:, None, :] * v[:, None])
     )
-    d_gam = flip * K.centers() @ d_center
-    dd_gam = flip * np.tensordot(K.centers(), dd_center, 1)
+    d_gam = flip * K.centers @ d_center
+    dd_gam = flip * np.tensordot(K.centers, dd_center, 1)
     e = jev.e_exponent
 
     def derivatives(cols):

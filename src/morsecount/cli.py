@@ -412,8 +412,6 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_flow(cfg: RunConfig) -> int:
-    import numpy as np  # numerical subcommands only
-
     K = _preset(cfg.preset or "three-bump-s3", parity=False)
     if K.n != 3:
         raise CLIFailure(
@@ -466,9 +464,7 @@ def run_flow(cfg: RunConfig) -> int:
         est = rep.morse_index()
         row.update(
             status=rep.status,
-            distance=geodesic_distance(
-                np.asarray(final.bubbles[0].center), np.asarray(center, dtype=float)
-            ),
+            distance=geodesic_distance(final.bubbles[0].center, center),
             final_scale=final.bubbles[0].lam,
             reduced_index=est.index,
             indeterminate=est.indeterminate,

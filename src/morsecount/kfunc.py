@@ -12,19 +12,21 @@ locates critical points (Newton batched over a deterministic quasi-uniform
 seed set; only the seeds still moving take Hessians and the stacked solve,
 and a slogdet runs only when that solve raises), classifies them, extracts
 the admissible concentration set {grad K = 0, Lap K < 0} as a parity
-configuration, and scans K's range.
+configuration, and scans K's range.  Every kernel, here and in ``bubbles``,
+reads K through the arrays ``KFunction`` builds once (``centers``, ``weights``,
+``widths``, ``widths2``); only ``KFunction`` reads its terms one by one.
 """
 from __future__ import annotations
 
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .indexcount import ParityConfig
-from .sphere import quasi_uniform_points, unit
+from .sphere import quasi_uniform_points, unit, unit_center
 
 
 class H1ViolationError(ValueError):
@@ -59,10 +61,7 @@ class BumpTerm:
     width: float
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.center, dtype=float)
-        if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError("bump center must be a unit vector")
-        object.__setattr__(self, "center", tuple(float(v) for v in c))
+        object.__setattr__(self, "center", unit_center(self.center, "bump center"))
         if not math.isfinite(self.weight):
             raise ValueError("bump weight must be finite")
         if not (0.0 < self.width < math.inf):
@@ -77,11 +76,16 @@ class KFunction:
     """Curvature candidate K = 1 + epsilon * f on S^n.  `epsilon` is the
     declared oscillation bound (membership requires K_max/K_min - 1 < epsilon).
     A constant factor on K scales J and moves no critical point, so K carries
-    none."""
+    none.  Its bumps are built once into read-only arrays, ``centers`` (t, n+1),
+    ``weights``, ``widths`` and ``widths2`` (t,), which every kernel reads."""
 
     n: int
     epsilon: float
     terms: tuple[BumpTerm, ...]
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    widths2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 2:
@@ -95,15 +99,16 @@ class KFunction:
                 raise ValueError(
                     f"bump center has {len(t.center)} components, expected {self.n + 1}"
                 )
+        widths = np.array([t.width for t in terms], dtype=float)
+        for name, a in [("centers", np.array([t.center for t in terms]).reshape(-1, self.dim)),
+                        ("weights", np.array([t.weight for t in terms], dtype=float)),
+                        ("widths", widths), ("widths2", widths * widths)]:
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
         return self.n + 1
-
-    def centers(self) -> np.ndarray:
-        return np.array([t.center for t in self.terms], dtype=float).reshape(
-            -1, self.dim
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -145,10 +150,8 @@ def eval_K(K: KFunction, x: np.ndarray) -> float | np.ndarray:
     """K(x) at a point (d,) or a batch (B, d).  Products run row by row (einsum,
     as in ``_derivs``, never threaded BLAS), so a point rounds alike in any batch."""
     x = np.asarray(x, dtype=float)
-    w = np.array([term.weight for term in K.terms])
-    s2 = np.array([term.width * term.width for term in K.terms])
-    cos = np.einsum("bi,ti->bt", np.atleast_2d(x), K.centers())
-    f = np.einsum("bt,t->b", np.exp((cos - 1.0) / s2), w)
+    cos = np.einsum("bi,ti->bt", np.atleast_2d(x), K.centers)
+    f = np.einsum("bt,t->b", np.exp((cos - 1.0) / K.widths2), K.weights)
     out = 1.0 + K.epsilon * f
     return float(out[0]) if x.ndim == 1 else out
 
@@ -161,10 +164,8 @@ def _gradients(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     batch, and a Hessian built from a subset of these rows rounds as one
     built from all of them."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    C = K.centers()
-    w = np.array([term.weight for term in K.terms])
-    s2 = np.array([term.width * term.width for term in K.terms])
-    wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
+    C, s2 = K.centers, K.widths2
+    wg = K.weights * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)
     amb_grad = np.einsum("bt,ti->bi", wg / s2, C) * K.epsilon
     radial = np.matmul(amb_grad[:, None, :], X[:, :, None])[:, 0, 0]
     return amb_grad - radial[:, None] * X, wg / s2**2, radial
@@ -176,7 +177,7 @@ def _hessians(
     """The kernel's second stage: covariant Hessians (B, d, d) at the unit
     points X (B, d), from the first stage's bump factors and radial parts at
     those points."""
-    C = K.centers()
+    C = K.centers
     amb_hess = np.matmul(C.T * bumps[:, None, :], C) * K.epsilon
     P = np.eye(K.dim) - X[:, :, None] * X[:, None, :]
     return P @ amb_hess @ P - radial[:, None, None] * P
@@ -216,7 +217,7 @@ def _newton_batch(K: KFunction, seeds: np.ndarray) -> np.ndarray:
     """
     X = seeds.copy()
     # characteristic gradient magnitude, for the convergence threshold
-    gscale = K.epsilon * sum(abs(t.weight) / (t.width * t.width) for t in K.terms)
+    gscale = K.epsilon * sum(np.abs(K.weights) / K.widths2)
     tol = max(GRAD_NORM_TOL * 0.1, 1e-15 * gscale)
     # the live rows: their places in X, their points, and each one's gradient
     # norm at its last halving and that iteration
@@ -304,16 +305,13 @@ def find_critical_points(K: KFunction, seeds: int = 512) -> list[CriticalPoint]:
         raise ValueError(f"seeds must be an integer, got {seeds!r}") from None
     if seeds < 0:
         raise ValueError(f"seeds must be at least 0, got {seeds}")
-    if not K.terms or all(t.weight == 0.0 for t in K.terms) or K.epsilon == 0.0:
+    if not K.weights.any():
         raise H1ViolationError(
             "H1 violated: f vanishes identically, every point of the sphere "
             "is a degenerate critical point"
         )
-    d = K.dim
-    seed_pts = [quasi_uniform_points(K.n, seeds)]
-    C = K.centers()
-    seed_pts.append(C)
-    seed_pts.append(-C)
+    d, C = K.dim, K.centers
+    seed_pts = [quasi_uniform_points(K.n, seeds), C, -C]
     for i in range(len(C)):
         for j in range(i + 1, len(C)):
             for combo in (C[i] + C[j], C[i] - C[j]):

@@ -23,8 +23,17 @@ def sphere_area(n: int) -> float:
     return float(2.0 * math.pi ** ((n + 1) / 2) / math.exp(gammaln((n + 1) / 2)))
 
 
-def geodesic_distance(x: np.ndarray, y: np.ndarray) -> float:
+def unit_center(center, label: str) -> tuple[float, ...]:
+    """``center`` as a tuple of floats, refused unless its norm is within 1e-9 of 1."""
+    c = np.asarray(center, dtype=float)
+    if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"{label} must be a unit vector")
+    return tuple(float(v) for v in c)
+
+
+def geodesic_distance(x, y) -> float:
     """Great-circle distance, computed through the cross-norm for small-angle accuracy."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     c = float(np.clip(np.dot(x, y), -1.0, 1.0))
     s = float(np.linalg.norm(x - y) * np.linalg.norm(x + y) / 2.0)
     return math.atan2(s, c)

@@ -398,7 +398,7 @@ def one_pass_mc_weighted_integral(u: BubbleSum, K: KFunction, q: float, samples:
     for b, lo, hi in zip(u.bubbles, ends[:-1], ends[1:]):
         _dilate(X[:, lo:hi], np.asarray(b.center), b.lam)
 
-    cos = np.einsum("ci,im->cm", np.vstack([[b.center for b in u.bubbles], K.centers()]), X)
+    cos = np.einsum("ci,im->cm", np.vstack([[b.center for b in u.bubbles], K.centers]), X)
     q_crit = 2.0 * n / (n - 2.0)
     terms = np.zeros(X.shape[1])  # sum alpha_k B_k, then F/mix in place
     mix = np.full(X.shape[1], counts[0] * (1.0 / sphere_area(n)))
@@ -499,7 +499,7 @@ def one_stage_derivs(K: KFunction, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Tangential gradients (B, d) and covariant Hessians (B, d, d) of K at a
     stack of unit points X (B, d), in one pass."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    C = K.centers()
+    C = K.centers
     w = np.array([term.weight for term in K.terms])
     s2 = np.array([term.width * term.width for term in K.terms])
     wg = w * np.exp((np.einsum("bi,ti->bt", X, C) - 1.0) / s2)

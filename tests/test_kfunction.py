@@ -4,6 +4,7 @@ high-precision oracle."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -230,6 +231,36 @@ def test_constant_candidate():
     assert np.trace(kfunc._derivs(K, x)[1][0]) == 0.0
 
 
+ARRAY_FORM = ("centers", "weights", "widths", "widths2")
+
+
+def test_array_form_is_read_only_and_built_from_the_terms():
+    K = sample_K()
+    for name in ARRAY_FORM:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(K, name)[0] = 0.0
+    assert same_bits(K.centers, np.array([t.center for t in K.terms]))
+    assert same_bits(K.weights, np.array([t.weight for t in K.terms]))
+    assert same_bits(K.widths, np.array([t.width for t in K.terms]))
+    assert same_bits(K.widths2, np.array([t.width * t.width for t in K.terms]))
+
+    empty = KFunction(n=4, epsilon=0.05, terms=())
+    assert empty.centers.shape == (0, 5)
+    assert [getattr(empty, name).shape for name in ARRAY_FORM[1:]] == [(0,)] * 3
+
+    one = dataclasses.replace(K, terms=K.terms[1:2])
+    assert same_bits(one.centers, K.centers[1:2])
+    assert same_bits(one.widths2, K.widths2[1:2])
+    assert one.weights.tolist() == [K.terms[1].weight]
+
+
+def test_array_form_leaves_equality_hash_and_repr_to_the_terms():
+    K, twin = sample_K(), sample_K()
+    assert K == twin and hash(K) == hash(twin)
+    assert K != dataclasses.replace(K, terms=K.terms[:2])
+    assert repr(K) == f"KFunction(n=3, epsilon=0.1, terms={K.terms!r})"
+
+
 def test_single_bump_center_is_a_max_with_negative_laplacian():
     c = np.array([0.0, 0.0, 0.0, 1.0])
     K = KFunction(n=3, epsilon=0.1, terms=(bump(c, weight=1.0, width=0.5),))
@@ -342,7 +373,7 @@ def newton_per_seed_oracle(K, seeds, iters=80, stall=None):
 def test_batched_newton_matches_the_per_seed_oracle(K, monkeypatch):
     """Seed by seed against the per-seed loop under the same stall rule; the
     inventory against the per-seed loop without it (all 80 iterations)."""
-    seeds = np.vstack([quasi_uniform_points(K.n, 128), K.centers(), -K.centers()])
+    seeds = np.vstack([quasi_uniform_points(K.n, 128), K.centers, -K.centers])
     got = kfunc._newton_batch(K, seeds)
     want = newton_per_seed_oracle(K, seeds, stall=kfunc.STALL_ITERS)
     assert got.shape == want.shape
