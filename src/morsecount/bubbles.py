@@ -30,10 +30,10 @@ grid; every radial integral runs ``quadrature``'s rule pair.  Anything else
 goes to mixture importance sampling, which this module owns whole: quotas,
 draws, weights and split-half error.  Every integral and every functional
 value carries an error estimate.
-Chart derivatives of J are exact for one bubble on the 3-sphere under every
-scheme (one multi-column integral) and central finite differences for several
-bubbles or n != 3.  One chart-point evaluator, ``_ChartPoint``, picks the route
-from the bubble sum alone and holds J with the derivatives taken at its point.
+Chart derivatives of J are taken one way: exactly, for one bubble on the
+3-sphere under every scheme, by one multi-column integral
+(``_single_bubble_derivatives``).  Flows and Morse indices of any other sum
+are refused before a J is taken.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ _ALIGNED = 1.0 - 1e-9
 
 
 class QuadratureNoiseWarning(UserWarning):
-    """Integration error is comparable to a finite-difference variation."""
+    """A Monte Carlo weighted integral in dimension n >= 7, slow to converge."""
 
 
 @cache
@@ -684,71 +684,6 @@ class BubbleChart:
 # --------------------------------------------------------------------------
 
 
-def _fd_gradient(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x,
-                 step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference gradient of J at chart point x.
-
-    Warns when the quadrature error estimate is comparable to the observed
-    finite-difference variation (the gradient is then dominated by noise and
-    more nodes/samples are needed).
-    """
-    grad = np.zeros(chart.dim)
-    noisy = 0
-    worst = 0.0
-    for i, e_i in enumerate(step * np.eye(chart.dim)):
-        jp = functional_J_detailed(chart.unpack(x + e_i), K, scheme)
-        jm = functional_J_detailed(chart.unpack(x - e_i), K, scheme)
-        grad[i] = (jp.value - jm.value) / (2.0 * step)
-        spread = abs(jp.value - jm.value)
-        noise = jp.error + jm.error
-        # a coordinate whose variation AND error are both at machine level
-        # is flat, not noisy: the implied gradient uncertainty is orders of
-        # magnitude below any usable tolerance
-        floor = 1024.0 * np.finfo(float).eps * max(abs(jp.value), abs(jm.value))
-        if noise > max(spread, floor, 1e-300):
-            noisy += 1
-            worst = max(worst, noise)
-    if noisy:
-        warnings.warn(
-            f"quadrature error (~{worst:.2e}) exceeds the finite-difference "
-            f"variation in {noisy}/{chart.dim} coordinates at step {step:.1e}; "
-            "increase nodes/samples or the step",
-            QuadratureNoiseWarning,
-            stacklevel=2,
-        )
-    return grad
-
-
-def _fd_hessian(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x,
-                j: JEvaluation, step: float = 1e-3) -> tuple[np.ndarray, float]:
-    """Symmetric second-difference Hessian of J around chart point x, where J
-    is already ``j``.
-
-    Returns (H, noise) where noise bounds the propagated per-entry error
-    from the quadrature error estimates and floating-point cancellation.
-    """
-    j_of = lambda vec: functional_J_detailed(chart.unpack(vec), K, scheme)
-    E = step * np.eye(chart.dim)
-    H = np.zeros((chart.dim, chart.dim))
-    worst_err = j.error
-    for i, e_i in enumerate(E):
-        jp, jm = j_of(x + e_i), j_of(x - e_i)
-        worst_err = max(worst_err, jp.error, jm.error)
-        H[i, i] = (jp.value - 2.0 * j.value + jm.value) / (step * step)
-    for i, e_i in enumerate(E):
-        for k in range(i + 1, chart.dim):
-            e_k = E[k]
-            jpp, jpm = j_of(x + e_i + e_k), j_of(x + e_i - e_k)
-            jmp, jmm = j_of(x - e_i + e_k), j_of(x - e_i - e_k)
-            worst_err = max(worst_err, jpp.error, jpm.error, jmp.error, jmm.error)
-            H[i, k] = H[k, i] = (jpp.value - jpm.value - jmp.value + jmm.value) / (
-                4.0 * step * step
-            )
-    fp_noise = 8.0 * np.finfo(float).eps * abs(j.value)
-    noise = (4.0 * worst_err + fp_noise) / (step * step)
-    return H, float(noise)
-
-
 # Taylor series in z = b^2 of T = sinh(b)/b, S = T'(b)/b, U = S'(b)/b (at
 # z = -r^2: sin(r)/r, its -r-derivative/r, ...); 1e-19 for |z| <= 1/4
 _SINC_SERIES = np.array([[1.0, 2 * m + 2, (2 * m + 2) * (2 * m + 4)] for m in range(8)])
@@ -788,8 +723,12 @@ def _single_bubble_derivatives(
     through gamma(v) = <c, exp_a0(B0 v)> and J = ||u||^{qe} D^{-e} follows; a
     mirrored bubble is integrated as its lam >= 1 twin, flipping gamma and
     ell.  The noise is the largest Hessian entry change from nodes // 2 to
-    nodes Gauss points per panel, plus rounding.
+    nodes Gauss points per panel, plus rounding.  Any other sum raises a
+    ValueError before a J is taken.
     """
+    if chart.base.p != 1 or chart.base.n != 3:
+        raise ValueError("chart derivatives of J are taken for one bubble on S^3 only; "
+                         f"got {chart.base.p} bubble(s) on S^{chart.base.n}")
     u = chart.unpack(x)
     flip = -1.0 if u.bubbles[0].lam < 1.0 else 1.0
     b, alpha = canonical_bubble(u.bubbles[0]), u.alphas[0]
@@ -851,36 +790,6 @@ def _single_bubble_derivatives(
     return jev, grad, H, float(noise)
 
 
-class _ChartPoint:
-    """J at chart point ``x``, with its chart gradient ``grad`` and its
-    ``hessian`` = (H, noise); the one place that picks how they are taken.
-
-    One bubble on S^3 gets all of them with J from one multi-column integral
-    (``_single_bubble_derivatives``), under every scheme.  Several bubbles or
-    n != 3 get central finite differences, each taken on first use: the
-    gradient by ``_fd_gradient``, the Hessian by ``_fd_hessian``'s stencil
-    around the J held here.
-    """
-
-    def __init__(self, chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x):
-        self.chart, self.K, self.scheme, self.x = chart, K, scheme, x
-        base = chart.base
-        if base.p == 1 and base.n == 3:
-            # instance values shadow the finite-difference cached properties
-            self.j, self.grad, H, noise = _single_bubble_derivatives(chart, K, scheme, x)
-            self.hessian = H, noise
-        else:
-            self.j = functional_J_detailed(chart.unpack(x), K, scheme)
-
-    @cached_property
-    def grad(self) -> np.ndarray:
-        return _fd_gradient(self.chart, self.K, self.scheme, self.x)
-
-    @cached_property
-    def hessian(self) -> tuple[np.ndarray, float]:
-        return _fd_hessian(self.chart, self.K, self.scheme, self.x, self.j)
-
-
 @dataclass(frozen=True)
 class MorseIndexEstimate:
     """Count of negative chart-Hessian eigenvalues with a noise verdict.
@@ -888,7 +797,7 @@ class MorseIndexEstimate:
     Eigenvalues within ``band`` (= 10x the noise) of zero, or NaN, are
     neither negative nor positive but ``indeterminate``.  The noise is the
     exact Hessian's change from nodes // 2 to nodes Gauss points per panel,
-    or the FD stencil's propagated error.
+    plus rounding.
     """
 
     index: int
@@ -909,12 +818,13 @@ def reduced_morse_index(
 
     ``u`` should be a converged critical point; eigenvalues inside the noise
     band are reported as indeterminate rather than classified.  The Hessian
-    is exact for one bubble on S^3 under every scheme and a finite
-    difference (``_fd_hessian``) for several bubbles or n != 3.
+    is exact, for one bubble on S^3 under every scheme; any other sum raises
+    a ValueError before a J is taken.
     """
     scheme = scheme or QuadratureScheme()
     chart = BubbleChart(u)
-    return _classify(*_ChartPoint(chart, K, scheme, np.zeros(chart.dim)).hessian)
+    _, _, H, noise = _single_bubble_derivatives(chart, K, scheme, np.zeros(chart.dim))
+    return _classify(H, noise)
 
 
 def _classify(H: np.ndarray, noise: float) -> MorseIndexEstimate:
@@ -958,18 +868,17 @@ class FlowReport:
     grad_norm: float
     trajectory: tuple[tuple[float, ...], ...]
     message: str = ""
-    _last: Optional[_ChartPoint] = field(default=None, compare=False, repr=False)
+    _hessian: Optional[tuple[np.ndarray, float]] = field(default=None, compare=False, repr=False)
 
     def morse_index(self) -> MorseIndexEstimate:
-        """``reduced_morse_index`` read from the Hessian the flow's last point
-        holds, in that point's chart.  At a critical point a change of chart
-        changes the Hessian by a congruence plus an O(gradient) term, so by
-        Sylvester's law the index is the one taken in the returned sum's own
-        chart.  The exact route holds the Hessian already; the
-        finite-difference route takes its stencil on this first call."""
-        if self._last is None:
+        """``reduced_morse_index`` read from the (Hessian, noise) the flow took
+        at its last point, in that point's chart.  At a critical point a
+        change of chart changes the Hessian by a congruence plus an
+        O(gradient) term, so by Sylvester's law the index is the one taken in
+        the returned sum's own chart."""
+        if self._hessian is None:
             raise ValueError("this report holds no flow point to take a Morse index at")
-        return _classify(*self._last.hessian)
+        return _classify(*self._hessian)
 
 
 def flow_to_critical(
@@ -980,21 +889,21 @@ def flow_to_critical(
     A damped Newton iteration in the chart, each step capped at
     ``NEWTON_TRUST``, converges to the nearby critical point of any index
     (saddles included), so the seed should already sit near one, e.g. at
-    its equilibrium scale.  Each point the flow visits is one chart-point
-    evaluator: J with the gradient and Hessian there, exact for one bubble
-    on S^3 under every scheme and finite differences taken on first use for
-    several bubbles or n != 3, so no bubble sum's J is taken twice.  The
-    subcritical defect must be positive, otherwise concentration can run
-    away; scales crossing ``LAM_CAP`` classify the run as "blow-up-escape".
-    A scale sinking through 1 re-anchors the chart at the mirrored
-    representative (B_{a,lam} = B_{-a,1/lam}), so reported centers always
-    mark the concentration point.
+    its equilibrium scale.  At each point the flow visits, one call of
+    ``_single_bubble_derivatives`` takes J with the exact gradient and
+    Hessian, so no bubble sum's J is taken twice; the flow is one bubble on
+    S^3 under every scheme, and any other sum raises a ValueError before a J
+    is taken.  The subcritical defect must be positive, otherwise
+    concentration can run away; scales crossing ``LAM_CAP`` classify the
+    run as "blow-up-escape".  A scale sinking through 1 re-anchors the chart
+    at the mirrored representative (B_{a,lam} = B_{-a,1/lam}), so reported
+    centers always mark the concentration point.
     """
     if u0.tau <= 0:
         raise ValueError("flows need a positive subcritical defect tau")
     scheme = scheme or QuadratureScheme()
 
-    def point_at(chart: BubbleChart, x: np.ndarray) -> _ChartPoint:
+    def reanchored(chart: BubbleChart, x: np.ndarray):
         # a scale sinking well below 1 switches to the mirrored twin before
         # it can shrink toward 0 while the center points at the antipode;
         # the threshold leaves a hysteresis band so flows settling at
@@ -1003,37 +912,38 @@ def flow_to_critical(
         if any(chart.lam_of(x, i) < 0.75 for i in range(chart.base.p)):
             chart = BubbleChart(_canonical_sum(chart.unpack(x)))
             x = np.zeros(chart.dim)
-        return _ChartPoint(chart, K, scheme, x)
+        return chart, x
 
-    def record(step: int, point: _ChartPoint) -> bool:
+    def record(step: int, u: BubbleSum, j: JEvaluation) -> bool:
         """Append a trajectory row; True when a scale crossed the cap."""
-        u = _canonical_sum(point.chart.unpack(point.x), below=0.75)
+        u = _canonical_sum(u, below=0.75)
         centers_lams = [v for b in u.bubbles for v in (*b.center, b.lam)]
-        rows.append(tuple(float(v) for v in (step, point.j.value, *centers_lams)))
+        rows.append(tuple(float(v) for v in (step, j.value, *centers_lams)))
         return any(b.lam > LAM_CAP for b in u.bubbles)
 
     chart = BubbleChart(u0)
-    here = _ChartPoint(chart, K, scheme, np.zeros(chart.dim))
+    x = np.zeros(chart.dim)
+    j, grad, H, noise = _single_bubble_derivatives(chart, K, scheme, x)
     rows: list[tuple[float, ...]] = []
-    record(0, here)
+    record(0, chart.unpack(x), j)
     escaped = False
     steps = 0
-    while steps < NEWTON_STEPS and float(np.linalg.norm(here.grad)) >= GRAD_TOL:
-        H, _ = here.hessian
+    while steps < NEWTON_STEPS and float(np.linalg.norm(grad)) >= GRAD_TOL:
         try:
-            delta = np.linalg.solve(H, -here.grad)
+            delta = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(H, -here.grad, rcond=None)[0]
+            delta = np.linalg.lstsq(H, -grad, rcond=None)[0]
         dn = float(np.linalg.norm(delta))
         if dn > NEWTON_TRUST:
             delta *= NEWTON_TRUST / dn
-        here = point_at(here.chart, here.x + delta)
+        chart, x = reanchored(chart, x + delta)
+        j, grad, H, noise = _single_bubble_derivatives(chart, K, scheme, x)
         steps += 1
-        if record(steps, here):
+        if record(steps, chart.unpack(x), j):
             escaped = True
             break
     # the reported norm belongs to the returned sum, whatever ended the flow
-    gnorm = float(np.linalg.norm(here.grad))
+    gnorm = float(np.linalg.norm(grad))
     if escaped:
         status, message = "blow-up-escape", f"a concentration scale crossed the cap {LAM_CAP:g}"
     elif gnorm < 10.0 * GRAD_TOL:
@@ -1041,7 +951,7 @@ def flow_to_critical(
     else:
         status, message = "non-convergence", f"final gradient norm {gnorm:.3e} above tolerance"
 
-    final = _canonical_sum(here.chart.unpack(here.x), below=0.75)
+    final = _canonical_sum(chart.unpack(x), below=0.75)
     if status == "converged" and any(b.lam < 1.25 for b in final.bubbles):
         message = (
             "a scale settled near 1: the configuration is nearly constant "
@@ -1050,11 +960,11 @@ def flow_to_critical(
     report = FlowReport(
         status=status,
         steps=steps,
-        j_value=float(here.j.value),
-        j_error=float(here.j.error),
+        j_value=float(j.value),
+        j_error=float(j.error),
         grad_norm=gnorm,
         trajectory=tuple(rows),
         message=message,
-        _last=here,
+        _hessian=(H, noise),
     )
     return final, report

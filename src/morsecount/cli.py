@@ -13,6 +13,7 @@ import argparse
 import importlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -423,7 +424,13 @@ def run_flow(cfg: RunConfig) -> int:
     if not tau > 0:
         raise CLIFailure(EXIT_INVARIANT, "invariant", "tau must be positive for flows")
     scheme = QuadratureScheme()
-    points = find_critical_points(K)
+    # the search's warnings (dropped degenerate points) go to stdout beside
+    # the inventory check, not to stderr under this file's path and line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = find_critical_points(K)
+    for w in caught:
+        print(f"warning: {w.message}")
     euler_sum, euler_expected, euler_match = euler_characteristic_diagnostic(points, K.n)
     if not euler_match:
         print(

@@ -48,10 +48,15 @@ None is used by ``morsecount`` itself:
   ``scipy.stats``' unscrambled ``qmc.Sobol`` and ``norm.ppf``, the route
   ``sphere.quasi_uniform_points`` took before it drew its Sobol points from
   its own direction-number table and its own port of Cephes' ``ndtri``.
+- ``_fd_gradient`` and ``_fd_hessian``: central finite differences of J in
+  a bubble chart, the route ``bubbles`` took for chart derivatives beside
+  the exact one until that kernel became its only route; the exact
+  gradient and Hessian must sit inside their Richardson-estimated bounds.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -61,7 +66,10 @@ import numpy as np
 from morsecount.bubbles import (
     _UNIFORM_SHARE,
     Bubble,
+    BubbleChart,
     BubbleSum,
+    JEvaluation,
+    QuadratureNoiseWarning,
     _allocate,
     _axis_signs,
     _canonical_sum,
@@ -71,12 +79,13 @@ from morsecount.bubbles import (
     _theta_scale,
     c0,
     canonical_bubble,
+    functional_J_detailed,
     sobolev_constant,
 )
 from morsecount.indexcount import IndexTable, ParityConfig
 from morsecount import kfunc
 from morsecount.kfunc import KFunction, eval_K
-from morsecount.quadrature import _doubled, _gl_rule, integrate_radial, panel_breakpoints
+from morsecount.quadrature import QuadratureScheme, _doubled, _gl_rule, integrate_radial, panel_breakpoints
 from morsecount.sphere import sphere_area, unit
 
 
@@ -552,3 +561,74 @@ def scan_every_point_distinct(points: np.ndarray) -> np.ndarray:
                 s = np.linalg.norm(rest - x, axis=1) * np.linalg.norm(rest + x, axis=1)
                 keep[near] &= np.arctan2(s / 2.0, c) > 1e-6
     return points[keep]
+
+
+def _fd_gradient(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x,
+                 step: float = 1e-4) -> np.ndarray:
+    """Central finite-difference gradient of J at chart point x.
+
+    Warns when the quadrature error estimate is comparable to the observed
+    finite-difference variation (the gradient is then dominated by noise and
+    more nodes/samples are needed).
+    """
+    grad = np.zeros(chart.dim)
+    noisy = 0
+    worst = 0.0
+    for i, e_i in enumerate(step * np.eye(chart.dim)):
+        jp = functional_J_detailed(chart.unpack(x + e_i), K, scheme)
+        jm = functional_J_detailed(chart.unpack(x - e_i), K, scheme)
+        grad[i] = (jp.value - jm.value) / (2.0 * step)
+        spread = abs(jp.value - jm.value)
+        noise = jp.error + jm.error
+        # a coordinate whose variation AND error are both at machine level
+        # is flat, not noisy: the implied gradient uncertainty is orders of
+        # magnitude below any usable tolerance
+        floor = 1024.0 * np.finfo(float).eps * max(abs(jp.value), abs(jm.value))
+        if noise > max(spread, floor, 1e-300):
+            noisy += 1
+            worst = max(worst, noise)
+    if noisy:
+        warnings.warn(
+            f"quadrature error (~{worst:.2e}) exceeds the finite-difference "
+            f"variation in {noisy}/{chart.dim} coordinates at step {step:.1e}; "
+            "increase nodes/samples or the step",
+            QuadratureNoiseWarning,
+            stacklevel=2,
+        )
+    return grad
+
+
+def _fd_hessian(chart: BubbleChart, K: KFunction, scheme: QuadratureScheme, x,
+                j: JEvaluation, step: float = 1e-3) -> tuple[np.ndarray, float]:
+    """Symmetric second-difference Hessian of J around chart point x, where J
+    is already ``j``.
+
+    Returns (H, noise) where noise bounds the propagated per-entry error
+    from the quadrature error estimates and floating-point cancellation.
+    It omits the stencil's O(step^2) truncation, which dominates: at step
+    1e-3 the Hessian differs from the exact one by up to 5.2e-6 where the
+    noise is 8.8e-8, 6x the band of 10x noise that a Morse index classifies
+    with (three-bump-s3, fourth target, lam = 40).  The tests bound the
+    truncation by Richardson's |FD(2h) - FD(h)|/3 (``fd_misfit`` in
+    ``test_bubbles.py``), not by this noise.
+    """
+    j_of = lambda vec: functional_J_detailed(chart.unpack(vec), K, scheme)
+    E = step * np.eye(chart.dim)
+    H = np.zeros((chart.dim, chart.dim))
+    worst_err = j.error
+    for i, e_i in enumerate(E):
+        jp, jm = j_of(x + e_i), j_of(x - e_i)
+        worst_err = max(worst_err, jp.error, jm.error)
+        H[i, i] = (jp.value - 2.0 * j.value + jm.value) / (step * step)
+    for i, e_i in enumerate(E):
+        for k in range(i + 1, chart.dim):
+            e_k = E[k]
+            jpp, jpm = j_of(x + e_i + e_k), j_of(x + e_i - e_k)
+            jmp, jmm = j_of(x - e_i + e_k), j_of(x - e_i - e_k)
+            worst_err = max(worst_err, jpp.error, jpm.error, jmp.error, jmm.error)
+            H[i, k] = H[k, i] = (jpp.value - jpm.value - jmp.value + jmm.value) / (
+                4.0 * step * step
+            )
+    fp_noise = 8.0 * np.finfo(float).eps * abs(j.value)
+    noise = (4.0 * worst_err + fp_noise) / (step * step)
+    return H, float(noise)

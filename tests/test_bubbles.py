@@ -37,8 +37,6 @@ from morsecount.bubbles import (
     _chart_sinc,
     _classify,
     _dilate,
-    _fd_gradient,
-    _fd_hessian,
     _invariant_pair_energy,
     _profile,
     _ring_slopes,
@@ -61,6 +59,8 @@ from morsecount.sphere import (
 )
 
 from oracles import (
+    _fd_gradient,
+    _fd_hessian,
     aligned_pair_energy,
     cos_scale,
     eval_bubble,
@@ -1158,11 +1158,19 @@ def test_flow_morse_index_agrees_with_the_canonical_chart(preset_targets, monkey
     chart re-anchors at its lam >= 1 representative."""
     from morsecount import bubbles
 
+    charts, real = [], bubbles._single_bubble_derivatives
+
+    def noting(chart, *args):
+        charts.append(chart)
+        return real(chart, *args)
+
+    monkeypatch.setattr(bubbles, "_single_bubble_derivatives", noting)
     flows = []
     for K, y, lam_bar in preset_targets:
         for seed in (single(y, lam_bar, tau=0.05), single(-y, 1.0 / lam_bar, tau=0.05)):
             final, rep = flow_to_critical(seed, K)
-            assert rep.status == "converged" and rep._last.chart.base.bubbles[0].lam > 1.0
+            # the last kernel call took the Hessian the report holds
+            assert rep.status == "converged" and charts[-1].base.bubbles[0].lam > 1.0
             flows.append((K, final, rep))
     monkeypatch.setattr(bubbles, "_single_bubble_derivatives", None)  # a call fails
     held = [rep.morse_index() for _, _, rep in flows]
@@ -1323,70 +1331,55 @@ def test_a_report_built_by_hand_has_no_morse_index():
 MC_FLOW_SCHEME = QuadratureScheme(kind="monte-carlo", samples=4000, seed=5, tol=1.0)
 
 
-def test_monte_carlo_flow_takes_finite_differences_once_per_point(monkeypatch):
-    """Off the exact route (one bubble on S^4, under a Monte Carlo scheme) a
-    flow takes one FD gradient per visited point and one FD Hessian per
-    Newton step, each stencil around the J its point already holds, so no
-    bubble sum's J is taken twice.  The Morse index takes one more stencil,
-    at the returned sum, only when asked, and classifies that matrix."""
-    from collections import Counter
+def off_route_sums(K3):
+    """(sum, K) off the exact route: an antipodal pair on S^3, which has a J,
+    a pair off a common axis on S^3, and one bubble on S^4."""
+    pairs = [
+        BubbleSum(n=3, bubbles=(Bubble(tuple(E4), 5.0), Bubble(tuple(center), 3.0)),
+                  alphas=(1.0, 0.7), tau=0.05)
+        for center in (-E4, (0.0, 0.0, math.sin(0.5), math.cos(0.5)))
+    ]
+    return [(u, K3) for u in pairs] + [(single(E5, 4.0, n=4, tau=0.05), constant_one(4))]
 
+
+def assert_refused_before_any_j(monkeypatch, call, K3):
+    """``call(u, K)`` raises the kernel's refusal on every off-route sum,
+    and no J, pair energy or weighted integral is taken first."""
     from morsecount import bubbles
 
-    evaluated, calls, stencils = Counter(), Counter(), []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            out = real(*args, **kwargs)
-            if name == "J":
-                evaluated[args[0]] += 1
-            elif name == "hessian":
-                stencils.append((args[0].unpack(args[3]), out))
-            return out
-
-        monkeypatch.setattr(bubbles, real.__name__, wrapper)
-
-    counting("J", bubbles.functional_J_detailed)
-    counting("gradient", bubbles._fd_gradient)
-    counting("hessian", bubbles._fd_hessian)
-    counting("exact", bubbles._single_bubble_derivatives)
-    monkeypatch.setattr(bubbles, "NEWTON_STEPS", 2)
-    u0 = single(E5, 4.0, n=4, tau=0.05)
-    dim = BubbleChart(u0).dim
-    with pytest.warns(QuadratureNoiseWarning):  # the estimator's noise swamps each stencil
-        final, report = flow_to_critical(u0, constant_one(4), MC_FLOW_SCHEME)
-    steps = report.steps
-    assert steps >= 1
-    # a J per point, 2 dim per gradient stencil and 2 dim^2 per Hessian one
-    flow_j = (steps + 1) * (1 + 2 * dim) + steps * 2 * dim * dim
-    assert calls == {"J": flow_j, "gradient": steps + 1, "hessian": steps}
-    assert len(evaluated) == flow_j
-    est = report.morse_index()
-    assert report.morse_index() == est  # the stencil is taken once
-    assert calls == {"J": flow_j + 2 * dim * dim, "gradient": steps + 1, "hessian": steps + 1}
-    assert len(evaluated) == calls["J"]
-    at, (H, noise) = stencils[-1]
-    assert at == final
-    assert est.eigenvalues == tuple(np.linalg.eigvalsh(H))
-    assert est.noise == noise and est.band == 10 * noise
+    taken = []
+    for name in ("functional_J_detailed", "norm_squared", "weighted_power_integral"):
+        monkeypatch.setattr(bubbles, name, lambda *a, name=name, **k: taken.append(name))
+    for u, K in off_route_sums(K3):
+        with pytest.raises(
+            ValueError,
+            match=rf"for one bubble on S\^3 only; got {u.p} bubble\(s\) on S\^{u.n}$",
+        ):
+            call(u, K)
+    assert taken == []
 
 
-def test_monte_carlo_morse_index_reads_the_fd_hessian():
-    """Off the exact route the Morse index classifies _fd_hessian's matrix."""
-    u = single(E5, 4.0, n=4, tau=0.05)
-    est = reduced_morse_index(u, constant_one(4), MC_FLOW_SCHEME)
-    H, noise = fd_hessian(u, constant_one(4), MC_FLOW_SCHEME)
-    assert est.eigenvalues == tuple(np.linalg.eigvalsh(H))
-    assert est.noise == noise and est.band == 10 * noise
+def test_monte_carlo_flow_refuses_a_sum_off_the_exact_route(monkeypatch):
+    """A Monte Carlo scheme opens no other derivative route: a flow of two
+    bubbles, or of one bubble on S^4, raises before its first J."""
+    call = lambda u, K: flow_to_critical(u, K, MC_FLOW_SCHEME)
+    assert_refused_before_any_j(monkeypatch, call, constant_one(3))
+
+
+def test_monte_carlo_morse_index_refuses_a_sum_off_the_exact_route(monkeypatch):
+    """The Morse index of two bubbles, or of one bubble on S^4, under a
+    Monte Carlo scheme raises before its first J."""
+    call = lambda u, K: reduced_morse_index(u, K, MC_FLOW_SCHEME)
+    assert_refused_before_any_j(monkeypatch, call, constant_one(3))
 
 
 def test_monte_carlo_single_bubble_flow_is_the_radial_one(monkeypatch):
     """One bubble on S^3 takes the exact route under every scheme, which
     lends it only ``nodes`` and ``tol``: from three-bump-s3's first bump
     center at lam = 8, a Monte Carlo scheme's flow, report and Morse index
-    equal the radial scheme's bit for bit, whatever its samples and seed,
-    and no finite difference is taken.  The index is conclusive."""
+    equal the radial scheme's bit for bit, whatever its samples and seed.
+    The kernel is the only derivative call, once per visited point, and no
+    J is taken outside it.  The index is conclusive."""
     from morsecount import bubbles
 
     K = load_preset("three-bump-s3")
@@ -1395,40 +1388,27 @@ def test_monte_carlo_single_bubble_flow_is_the_radial_one(monkeypatch):
     want_index = want.morse_index()
     assert want.status == "converged"
     assert (want_index.index, want_index.indeterminate) == (0, 0)
-    for name in ("_fd_gradient", "_fd_hessian"):
-        monkeypatch.setattr(bubbles, name, None)  # a call would raise
+    kernel_calls, other_j, real = [], [], bubbles._single_bubble_derivatives
+    monkeypatch.setattr(
+        bubbles, "_single_bubble_derivatives", lambda *a: kernel_calls.append(a) or real(*a)
+    )
+    for name in ("functional_J_detailed", "weighted_power_integral"):
+        monkeypatch.setattr(bubbles, name, lambda *a, name=name, **k: other_j.append(name))
     for samples, seed in ((4000, 5), (50_000, 11)):
         mc = QuadratureScheme(kind="monte-carlo", samples=samples, seed=seed, tol=1.0)
         final, report = flow_to_critical(u0, K, mc)
         assert final == want_final and report == want
         assert report.morse_index() == want_index
+    assert other_j == [] and len(kernel_calls) == 2 * (want.steps + 1)
 
 
 def test_flow_refuses_bubbles_off_a_common_axis_under_a_radial_scheme(monkeypatch):
-    """Bubbles that are not (anti)parallel have no radial reduction.  An
-    antipodal pair has a J, but its first gradient's stencil moves a center
-    off the axis, and the flow raises there instead of guessing; a pair that
-    starts off the axis raises at its first J."""
-    from morsecount import bubbles
-
-    gradients, real = [], bubbles._fd_gradient
-
-    def noting(*args, **kwargs):
-        gradients.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(bubbles, "_fd_gradient", noting)
+    """Under the radial scheme too, the flow and the Morse index of two
+    bubbles (an antipodal pair, which has a J, and a pair off a common axis)
+    or of one bubble on S^4 raise the kernel's refusal before any J."""
     K = load_preset("three-bump-s3")
-    for center in (-E4, (0.0, 0.0, math.sin(0.5), math.cos(0.5))):
-        u0 = BubbleSum(
-            n=3,
-            bubbles=(Bubble(tuple(E4), 5.0), Bubble(tuple(center), 3.0)),
-            alphas=(1.0, 0.7),
-            tau=0.05,
-        )
-        with pytest.raises(ValueError, match="monte-carlo"):
-            flow_to_critical(u0, K)
-    assert len(gradients) == 1
+    assert_refused_before_any_j(monkeypatch, flow_to_critical, K)
+    assert_refused_before_any_j(monkeypatch, reduced_morse_index, K)
 
 
 def test_flow_constant_candidate_flattens_in_place():
@@ -1459,30 +1439,32 @@ def test_flow_escapes_from_a_shallow_defect(monkeypatch):
     assert report.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
 
 
-def test_finite_difference_flow_reports_the_gradient_at_the_returned_sum(monkeypatch):
-    """A flow whose step budget runs out ends on a Newton step whose
-    gradient it has not taken.  With finite differences (one bubble on S^4;
-    the constant candidate keeps every stencil point radial) it takes one
-    more _fd_gradient there, and reports that norm."""
+def test_flow_reports_the_gradient_at_the_returned_sum(monkeypatch):
+    """A flow whose step budget runs out ends on a Newton step; the kernel
+    call there takes the gradient it reports, at the returned sum (one bubble
+    on S^3 over a bump's center, which it keeps by symmetry, so the gradient
+    is its chart-independent log-scale part)."""
     from morsecount import bubbles
 
-    taken, real = [], bubbles._fd_gradient
+    taken, real = [], bubbles._single_bubble_derivatives
 
     def noting(chart, K, scheme, x):
-        grad = real(chart, K, scheme, x)
-        taken.append((chart.unpack(x), grad))
-        return grad
+        out = real(chart, K, scheme, x)
+        taken.append((chart.unpack(x), out[1]))
+        return out
 
-    monkeypatch.setattr(bubbles, "_fd_gradient", noting)
+    monkeypatch.setattr(bubbles, "_single_bubble_derivatives", noting)
     monkeypatch.setattr(bubbles, "NEWTON_STEPS", 2)
-    K = constant_one(4)
-    u0 = single(E5, 4.0, n=4, tau=0.05)
+    K = bump_candidate([(1.0, E4, 0.4)])
+    u0 = single(E4, 40.0, tau=0.05)  # unbudgeted, it converges in 5 steps
     final, report = flow_to_critical(u0, K)
     assert report.status == "non-convergence" and report.steps == 2
     assert report.message == f"final gradient norm {report.grad_norm:.3e} above tolerance"
     assert len(taken) == 3 and taken[-1][0] == final
     assert report.grad_norm == float(np.linalg.norm(taken[-1][1]))
-    assert report.grad_norm == pytest.approx(float(np.linalg.norm(fd_gradient(final, K))), rel=1e-9)
+    monkeypatch.undo()
+    _, (_, grad, _, _) = exact_at(final, K)
+    assert report.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
     assert report.grad_norm != pytest.approx(float(np.linalg.norm(taken[-2][1])), rel=1e-3)
 
 
