@@ -2,8 +2,8 @@
 
 Exact blow-up index tables and multiplicity bounds from co-index parities, plus
 a numerical lab for the variational side: analytic curvature candidates, bubble
-energies, reduced gradient flows, and Morse indices (from exact chart
-derivatives, for one bubble on S^3).
+energies, damped-Newton flows to critical points, and Morse indices (from
+exact chart derivatives, for one bubble on S^3).
 
 Exports load on first access (PEP 562), so the exact side runs without
 importing numpy.

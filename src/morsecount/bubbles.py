@@ -20,8 +20,8 @@ e_tau = 2(n-2)/(2n - tau(n-2)),
     J(u) = ||u||^{q_tau*e_tau} * (int K |u|^{q_tau} dV)^{-e_tau},
     I(j) = j^{n/2}/n,
 
-is invariant under scaling of u, so the parameter chart fixes the first
-coefficient and works in (log(alpha_i/alpha_1), tangential offsets, log lam).
+is invariant under scaling of u, so the parameter chart of a flow keeps the
+coefficient fixed and works in (tangential offset, log lam).
 Pair energies are deterministic under every scheme and in every dimension:
 each pair goes through its Lorentz invariant, one radial integral of one
 profile.  Weighted integrals over (anti)parallel bubbles are one colatitude
@@ -32,15 +32,15 @@ draws, weights and split-half error.  Every integral and every functional
 value carries an error estimate.
 Chart derivatives of J are taken one way: exactly, for one bubble on the
 3-sphere under every scheme, by one multi-column integral
-(``_single_bubble_derivatives``).  Flows and Morse indices of any other sum
-are refused before a J is taken.
+(``_single_bubble_derivatives``), in a chart that holds that one bubble and
+refuses any other sum before a J is taken.
 """
 from __future__ import annotations
 
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Optional, Sequence
 
@@ -636,47 +636,35 @@ def equilibrium_scale(
 
 
 class BubbleChart:
-    """Local coordinates around a base configuration with the scaling gauge
-    fixed: the first coefficient stays frozen, the rest move by log-ratio.
+    """Local coordinates around one bubble on S^3 with the scaling gauge
+    fixed: the coefficient stays frozen.  A parameter vector (dimension
+    n + 1) is laid out as
 
-    Layout of a parameter vector for p bubbles on the n-sphere
-    (dimension p*(n+2) - 1):
+        [tangential offset (n) | log lam]
 
-        [log alpha ratios (p-1) | tangential offsets (p blocks of n) | log lam (p)]
-
-    The chart is centered: the zero vector reproduces the base sum.
+    and the zero vector reproduces the base sum.  Any other sum raises a
+    ValueError here, the one place that refuses it, before a J is taken.
     """
 
     def __init__(self, base: BubbleSum):
+        if base.p != 1 or base.n != 3:
+            raise ValueError("chart derivatives of J are taken for one bubble on S^3 only; "
+                             f"got {base.p} bubble(s) on S^{base.n}")
         self.base = base
-        self.frames = tuple(
-            tangent_basis(np.asarray(b.center)) for b in base.bubbles
-        )
-        self.dim = (base.p - 1) + base.p * base.n + base.p
+        self.center = np.asarray(base.bubbles[0].center)
+        self.frame = tangent_basis(self.center)
+        self.dim = base.n + 1
 
     def unpack(self, vec: np.ndarray) -> BubbleSum:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.dim,):
             raise ValueError(f"parameter vector must have length {self.dim}")
-        p, n = self.base.p, self.base.n
-        ratios = vec[: p - 1]
-        offsets = vec[p - 1 : p - 1 + p * n].reshape(p, n)
-        log_lams = vec[p - 1 + p * n :]
-        alphas = [self.base.alphas[0]]
-        alphas += [
-            self.base.alphas[i] * math.exp(ratios[i - 1]) for i in range(1, p)
-        ]
-        bubbles = []
-        for i, b in enumerate(self.base.bubbles):
-            center = exp_map(np.asarray(b.center), self.frames[i] @ offsets[i])
-            bubbles.append(Bubble(center=tuple(center), lam=b.lam * math.exp(log_lams[i])))
-        return BubbleSum(
-            n=n, bubbles=tuple(bubbles), alphas=tuple(alphas), tau=self.base.tau
-        )
+        center = exp_map(self.center, self.frame @ vec[:-1])
+        bubble = Bubble(center=tuple(center), lam=self.lam(vec))
+        return replace(self.base, bubbles=(bubble,))
 
-    def lam_of(self, vec: np.ndarray, i: int) -> float:
-        log_lams = np.asarray(vec, dtype=float)[self.base.p - 1 + self.base.p * self.base.n :]
-        return self.base.bubbles[i].lam * math.exp(log_lams[i])
+    def lam(self, vec: np.ndarray) -> float:
+        return self.base.bubbles[0].lam * math.exp(vec[-1])
 
 
 # --------------------------------------------------------------------------
@@ -723,12 +711,9 @@ def _single_bubble_derivatives(
     through gamma(v) = <c, exp_a0(B0 v)> and J = ||u||^{qe} D^{-e} follows; a
     mirrored bubble is integrated as its lam >= 1 twin, flipping gamma and
     ell.  The noise is the largest Hessian entry change from nodes // 2 to
-    nodes Gauss points per panel, plus rounding.  Any other sum raises a
-    ValueError before a J is taken.
+    nodes Gauss points per panel, plus rounding.  The chart holds one bubble
+    on S^3 by construction.
     """
-    if chart.base.p != 1 or chart.base.n != 3:
-        raise ValueError("chart derivatives of J are taken for one bubble on S^3 only; "
-                         f"got {chart.base.p} bubble(s) on S^{chart.base.n}")
     u = chart.unpack(x)
     flip = -1.0 if u.bubbles[0].lam < 1.0 else 1.0
     b, alpha = canonical_bubble(u.bubbles[0]), u.alphas[0]
@@ -760,7 +745,7 @@ def _single_bubble_derivatives(
 
     # gamma = <c, center(v)>, center(v) = cos(r) a0 + g(r) B0 v: its first and
     # second v-derivatives, with g, h, k of r = |v|; flip maps them to the twin
-    a0, frame = np.asarray(chart.base.bubbles[0].center), chart.frames[0]
+    a0, frame = chart.center, chart.frame
     v = np.asarray(x, dtype=float)[:3]
     sg, sh, sk = _chart_sinc(float(np.linalg.norm(v)))
     w, vv, eye = frame @ v, np.outer(v, v), np.eye(3)
@@ -858,7 +843,7 @@ class FlowReport:
     """Outcome of flow_to_critical.
 
     ``status`` is one of converged / blow-up-escape / non-convergence.
-    Trajectory rows are (step, J, then per bubble: center components, lam).
+    Trajectory rows are (step, J, the bubble's center components, lam).
     """
 
     status: str
@@ -909,17 +894,16 @@ def flow_to_critical(
         # the threshold leaves a hysteresis band so flows settling at
         # lam = 1 (a near-constant function) never teleport their center.
         # J is the same in either chart: it integrates the lam >= 1 twins
-        if any(chart.lam_of(x, i) < 0.75 for i in range(chart.base.p)):
+        if chart.lam(x) < 0.75:
             chart = BubbleChart(_canonical_sum(chart.unpack(x)))
             x = np.zeros(chart.dim)
         return chart, x
 
     def record(step: int, u: BubbleSum, j: JEvaluation) -> bool:
         """Append a trajectory row; True when a scale crossed the cap."""
-        u = _canonical_sum(u, below=0.75)
-        centers_lams = [v for b in u.bubbles for v in (*b.center, b.lam)]
-        rows.append(tuple(float(v) for v in (step, j.value, *centers_lams)))
-        return any(b.lam > LAM_CAP for b in u.bubbles)
+        b = _canonical_sum(u, below=0.75).bubbles[0]
+        rows.append(tuple(float(v) for v in (step, j.value, *b.center, b.lam)))
+        return b.lam > LAM_CAP
 
     chart = BubbleChart(u0)
     x = np.zeros(chart.dim)
@@ -952,7 +936,7 @@ def flow_to_critical(
         status, message = "non-convergence", f"final gradient norm {gnorm:.3e} above tolerance"
 
     final = _canonical_sum(chart.unpack(x), below=0.75)
-    if status == "converged" and any(b.lam < 1.25 for b in final.bubbles):
+    if status == "converged" and final.bubbles[0].lam < 1.25:
         message = (
             "a scale settled near 1: the configuration is nearly constant "
             "there and the recorded center is pure gauge"

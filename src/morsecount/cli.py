@@ -421,8 +421,9 @@ def run_flow(cfg: RunConfig) -> int:
             "deterministic flow reports are wired for the 3-sphere presets",
         )
     tau = cfg.tau if cfg.tau is not None else 0.05
-    if not tau > 0:
-        raise CLIFailure(EXIT_INVARIANT, "invariant", "tau must be positive for flows")
+    if not 0 < tau < 4.0 / (K.n - 2):
+        raise CLIFailure(EXIT_INVARIANT, "invariant",
+                         f"flows need 0 < tau < 4/(n-2) = {4.0 / (K.n - 2):g}; got {tau!r}")
     scheme = QuadratureScheme()
     # the search's warnings (dropped degenerate points) go to stdout beside
     # the inventory check, not to stderr under this file's path and line

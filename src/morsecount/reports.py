@@ -63,15 +63,8 @@ def bounds_csv(report) -> str:
 
 
 def trajectory_csv(report, n: int) -> str:
-    """Flow trajectory: step, J, then per bubble the center and scale."""
-    width = n + 2  # center components + lam
-    if report.trajectory:
-        p = (len(report.trajectory[0]) - 2) // width
-    else:
-        p = 0
-    header = ["step", "J"]
-    for i in range(1, p + 1):
-        header += [f"x{i}_{j}" for j in range(1, n + 2)] + [f"lam{i}"]
+    """Flow trajectory of one bubble: step, J, its center components, lam."""
+    header = ["step", "J", *(f"x1_{j}" for j in range(1, n + 2)), "lam1"]
     rows = [[repr(v) for v in row] for row in report.trajectory]
     return _csv_string(header, rows)
 

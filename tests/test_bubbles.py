@@ -970,29 +970,26 @@ def test_energy_conversion():
 
 
 def test_chart_roundtrip_and_layout():
-    u = BubbleSum(
-        n=3,
-        bubbles=(
-            Bubble(center=tuple(E4), lam=3.0),
-            Bubble(center=(0.0, 1.0, 0.0, 0.0), lam=6.0),
-        ),
-        alphas=(1.0, 0.5),
-        tau=0.1,
-    )
+    """One bubble on S^3 in [tangential offset (3) | log lam]: the zero vector
+    is the base sum, an offset moves the center by its length, the last
+    coordinate scales lam, and a vector of any other length is refused."""
+    u = single(E4, 3.0, tau=0.1, alpha=0.5)
     chart = BubbleChart(u)
-    assert chart.dim == 1 + 2 * 3 + 2
-    assert chart.unpack(np.zeros(chart.dim)) == u
-    vec = np.zeros(chart.dim)
-    vec[0] = math.log(2.0)  # double the second coefficient
-    vec[1] = 0.2  # move the first center
-    vec[-1] = math.log(3.0)  # triple the second scale
+    assert chart.dim == 4
+    assert chart.unpack(np.zeros(4)) == u
+    vec = np.zeros(4)
+    vec[0] = 0.2  # move the center
+    vec[-1] = math.log(3.0)  # triple the scale
     moved = chart.unpack(vec)
-    assert moved.alphas[1] == pytest.approx(1.0)
+    assert moved.alphas == u.alphas and moved.tau == u.tau
     assert geodesic_distance(
         np.asarray(moved.bubbles[0].center), E4
     ) == pytest.approx(0.2, rel=1e-9)
-    assert moved.bubbles[1].lam == pytest.approx(18.0)
-    assert chart.lam_of(vec, 1) == pytest.approx(18.0)
+    assert moved.bubbles[0].lam == pytest.approx(9.0)
+    assert chart.lam(vec) == pytest.approx(9.0)
+    for wrong in (np.zeros(3), np.zeros(5), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match="parameter vector must have length 4"):
+            chart.unpack(wrong)
 
 
 def fd_gradient(u, K, scheme=None, step=1e-4):
@@ -1343,7 +1340,7 @@ def off_route_sums(K3):
 
 
 def assert_refused_before_any_j(monkeypatch, call, K3):
-    """``call(u, K)`` raises the kernel's refusal on every off-route sum,
+    """``call(u, K)`` raises the chart's refusal on every off-route sum,
     and no J, pair energy or weighted integral is taken first."""
     from morsecount import bubbles
 
@@ -1405,10 +1402,12 @@ def test_monte_carlo_single_bubble_flow_is_the_radial_one(monkeypatch):
 def test_flow_refuses_bubbles_off_a_common_axis_under_a_radial_scheme(monkeypatch):
     """Under the radial scheme too, the flow and the Morse index of two
     bubbles (an antipodal pair, which has a J, and a pair off a common axis)
-    or of one bubble on S^4 raise the kernel's refusal before any J."""
+    or of one bubble on S^4 raise the chart's refusal before any J; so does
+    building the chart itself, where the refusal lives."""
     K = load_preset("three-bump-s3")
     assert_refused_before_any_j(monkeypatch, flow_to_critical, K)
     assert_refused_before_any_j(monkeypatch, reduced_morse_index, K)
+    assert_refused_before_any_j(monkeypatch, lambda u, K: BubbleChart(u), K)
 
 
 def test_flow_constant_candidate_flattens_in_place():

@@ -380,12 +380,23 @@ def test_quadrature_diagnostics(tmp_path, capsys):
         (["flow", "--tau", "-0.05"], 3, "invariant"),
         (["indices", "--parities", ",".join(["0"] * (cli.MAX_INDICES_M + 1))], 2, "usage"),
         (["verify", "--exhaustive", "--max-m", str(cli.MAX_VERIFY_M + 1)], 2, "usage"),
+        (["flow", "--tau", "4"], 3, "invariant"),
+        (["flow", "--tau", "inf"], 3, "invariant"),
     ],
 )
 def test_failures_exit_with_structured_errors(capsys, argv, code, kind):
     got, _, err = run(capsys, *argv)
     assert got == code
     assert stderr_error(err)["kind"] == kind
+
+
+def test_flow_refuses_an_out_of_range_tau_before_its_search(capsys):
+    """tau at 4/(n-2) is refused before the critical-point search runs: the
+    saddle preset's search drops degenerate points with a warning on stdout,
+    and at --tau 4 nothing is printed there."""
+    code, out, err = run(capsys, "flow", "--preset", "three-max-one-saddle", "--tau", "4")
+    assert (code, out) == (3, "")
+    assert stderr_error(err)["detail"] == "flows need 0 < tau < 4/(n-2) = 4; got 4.0"
 
 
 @pytest.mark.parametrize(

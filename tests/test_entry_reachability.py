@@ -3,7 +3,7 @@
 subcommand or a demo, or is named in ``ALLOWED`` with its caller outside
 ``src/`` and the reason it stays.
 
-One fresh interpreter runs, under a ``sys.setprofile`` trace, ``verify
+One fresh interpreter runs, under a ``sys.settrace`` trace, ``verify
 --exhaustive --max-m 6 --max-N 10``, ``flow`` on both S^3 presets,
 ``quadrature``, ``indices`` and ``bounds`` on every parity preset, and the
 four demos, and records the first line of every ``src/`` code object it
@@ -12,7 +12,11 @@ which asks only that a name be mentioned somewhere.
 
 Run as a script, ``python tests/test_entry_reachability.py`` prints every
 function no entry point enters, with its line count and its allowlist
-reason, and the totals.
+reason, and the totals.  Then, for every function the entry points do
+enter, it lists the statements they never run (by first line; docstrings
+are not statements here), with totals per module: the same trace keeps
+every line executed in ``src/``.  A compound statement counts as run when
+any line of it runs.
 """
 from __future__ import annotations
 
@@ -83,22 +87,29 @@ def _cli_runs() -> list[list[str]]:
     ]
 
 
-def _trace(out: Path) -> list[tuple[str, int]]:
-    """(file name, first line) of every ``src/`` code object the entry points
-    enter; run in a fresh interpreter, since imports run code too."""
+def _trace(out: Path) -> dict[str, list[tuple[str, int]]]:
+    """(file name, line) of the first line of every ``src/`` code object the
+    entry points enter, and of every ``src/`` line they execute; run in a
+    fresh interpreter, since imports run code too."""
     import morsecount
     from morsecount.cli import main
 
     prefix = os.path.dirname(os.path.realpath(morsecount.__file__)) + os.sep
-    entered = set()
+    entered, executed = set(), set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(prefix):
-                entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
+    def line_trace(frame, event, arg):
+        if event == "line":
+            executed.add((os.path.basename(frame.f_code.co_filename), frame.f_lineno))
+        return line_trace
 
-    sys.setprofile(profile)
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(prefix):
+            entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
+            return line_trace
+        return None
+
+    sys.settrace(trace)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             for i, argv in enumerate(_cli_runs()):
@@ -108,14 +119,24 @@ def _trace(out: Path) -> list[tuple[str, int]]:
                 os.chdir(out)
                 runpy.run_path(str(demo), run_name="__main__")
     finally:
-        sys.setprofile(None)
-    return sorted(entered)
+        sys.settrace(None)
+    return {"entered": sorted(entered), "executed": sorted(executed)}
+
+
+def _statements(nodes):
+    """The statements among ``nodes`` and in their blocks, not in a nested
+    ``def`` or ``class`` (a body of its own)."""
+    for node in nodes:
+        if isinstance(node, ast.stmt):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.expr)):
+            yield from _statements(ast.iter_child_nodes(node))
 
 
 def _definitions():
-    """(qualified name, (file name, first line), line count) of every
-    ``def`` in the package; a decorated function's code starts at its first
-    decorator."""
+    """(qualified name, (file name, first line), line count, statement
+    spans) of every ``def`` in the package; a decorated function's code
+    starts at its first decorator, and a docstring is no statement."""
     for path in sorted(PACKAGE.glob("*.py")):
         stack = [path.stem]
         found = []
@@ -128,8 +149,10 @@ def _definitions():
 
             def visit_FunctionDef(self, node):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                spans = [(st.lineno, st.end_lineno) for st in _statements(body)]
                 stack.append(node.name)
-                found.append((".".join(stack), (path.name, first), node.end_lineno - first + 1))
+                found.append((".".join(stack), (path.name, first), node.end_lineno - first + 1, spans))
                 self.generic_visit(node)
                 stack.pop()
 
@@ -139,8 +162,8 @@ def _definitions():
         yield from found
 
 
-def _unentered() -> list[tuple[str, int]]:
-    """(qualified name, line count) of every function no entry point enters."""
+def _run_trace() -> tuple[set, set]:
+    """(entered, executed) of one traced run in a fresh interpreter."""
     with tempfile.TemporaryDirectory() as out:
         proc = subprocess.run(
             [sys.executable, __file__, "--trace", out],
@@ -150,13 +173,32 @@ def _unentered() -> list[tuple[str, int]]:
             timeout=600,
         )
     assert proc.returncode == 0, proc.stderr
-    entered = {tuple(key) for key in json.loads(proc.stdout)}
-    return [(name, lines) for name, key, lines in _definitions() if key not in entered]
+    trace = json.loads(proc.stdout)
+    return tuple({tuple(key) for key in trace[k]} for k in ("entered", "executed"))
+
+
+def _unentered(entered: set) -> list[tuple[str, int]]:
+    """(qualified name, line count) of every function no entry point enters."""
+    return [(name, lines) for name, key, lines, _ in _definitions() if key not in entered]
+
+
+def _unrun(entered: set, executed: set) -> list[tuple[str, int, list[int]]]:
+    """(qualified name, statement count, first lines of the statements no
+    entry point runs) of every function an entry point enters."""
+    rows = []
+    for name, (file, first), _, spans in _definitions():
+        if (file, first) in entered:
+            unrun = [
+                lo for lo, hi in spans
+                if not any((file, line) in executed for line in range(lo, hi + 1))
+            ]
+            rows.append((name, len(spans), unrun))
+    return rows
 
 
 @pytest.fixture(scope="module")
 def unentered():
-    return _unentered()
+    return _unentered(_run_trace()[0])
 
 
 def test_every_function_is_entered_or_allowed(unentered):
@@ -179,8 +221,20 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--trace"]:
         print(json.dumps(_trace(Path(sys.argv[2]))))
     else:
-        rows = _unentered()
+        entered, executed = _run_trace()
+        rows = _unentered(entered)
         for name, lines in rows:
             reason = ALLOWED.get(name, ("", "NOT ALLOWED"))[1]
             print(f"{name:48s} {lines:4d}  {reason}")
         print(f"{len(rows)} functions, {sum(lines for _, lines in rows)} lines unentered")
+        print()
+        totals = {}
+        for name, count, unrun in _unrun(entered, executed):
+            module = totals.setdefault(name.split(".")[0], [0, 0, 0])
+            module[0] += 1
+            module[1] += count
+            module[2] += len(unrun)
+            if unrun:
+                print(f"{name:48s} {len(unrun):3d}/{count:<3d} unrun at {', '.join(map(str, unrun))}")
+        for module, (functions, count, unrun) in totals.items():
+            print(f"{module}: {functions} functions entered, {unrun} of {count} statements unrun")
