@@ -27,9 +27,10 @@ forms are the cases b = 0, a = 1 and a = b + 1.  ``|mu_p|`` lower-bounds the
 number of solutions with energy near ``p/n * S_n``; ``solution_bounds`` turns a
 classified parity pattern into the sharpest published per-level bound and
 cross-checks it against ``|mu_p|`` read from this generating function (no rank
-recursion), failing loudly on any inconsistency.  All arithmetic uses Python's
-arbitrary-precision integers; the binomial growth in m and N can never overflow
-silently.  ``admissible_epsilon`` evaluates the oscillation threshold of the
+recursion; one row per class (a, b, N), shared by every pattern in it), failing
+loudly on any inconsistency.  All arithmetic uses Python's arbitrary-precision
+integers; the binomial growth in m and N can never overflow silently.
+``admissible_epsilon`` evaluates the oscillation threshold of the
 perturbation for a level cap N and window eta.  The module needs only the
 standard library.
 """
@@ -353,11 +354,18 @@ def euler_poincare_check(t: IndexTable) -> bool:
 
 
 def _mu_row(par: tuple[int, ...], N: int) -> tuple[int, ...]:
-    """mu_p = -[x^p] (1-x)^{1-a} (1+x)^{-b} for p = 1..N, with a even and b odd
-    parities; a >= 1 because parities[0] == 0, and each (1-x)^{-1} is a running sum."""
+    """The mu row of a parity pattern: that of its class (a evens, b odds)."""
     b = sum(par)
+    return _class_mu_row(len(par) - b, b, N)
+
+
+@lru_cache(maxsize=128)
+def _class_mu_row(a: int, b: int, N: int) -> tuple[int, ...]:
+    """mu_p = -[x^p] (1-x)^{1-a} (1+x)^{-b} for p = 1..N; a >= 1 because
+    parities[0] == 0, and each (1-x)^{-1} is a running sum.  Keyed by the
+    counts, so every permutation of a pattern shares one tuple."""
     row = [(-1) ** p * comb(p + b - 1, p) for p in range(N + 1)] if b else [1] + [0] * N
-    for _ in range(len(par) - b - 1):
+    for _ in range(a - 1):
         row = list(accumulate(row))
     return tuple(-c for c in row[1:])
 
@@ -413,8 +421,9 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
     * ``Case3``/``Case4``: level 2p bound C(p+m-l-2, p), level 2p-1 bound
       C(p+m-l-3, p-1); no closed total, so the total is the sum of the rows.
 
-    Every bound is cross-checked against |mu_p| from the generating function; a
-    bound exceeding |mu_p| raises ConsistencyError.  Configurations with m = 1
+    Every bound is cross-checked against |mu_p| from the generating function,
+    whose row is built once per class (a, b, N) of the pattern; a bound
+    exceeding |mu_p| raises ConsistencyError.  Configurations with m = 1
     get an empty report (no theorem applies) and a warning.
     """
     m, N = cfg.m, cfg.N
@@ -463,8 +472,8 @@ def solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
 
 def all_parity_patterns(m: int) -> Iterator[tuple[int, ...]]:
     """All 2^{m-1} parity tuples of length m with the leading bit fixed to 0."""
-    if m < 1:
-        raise ValueError(f"a parity pattern needs m >= 1 points, got m = {m!r}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"the point count m must be an integer >= 1, got m = {m!r}")
     return ((0,) + tuple((mask >> j) & 1 for j in range(m - 1)) for mask in range(1 << (m - 1)))
 
 

@@ -11,6 +11,7 @@ theorem the tests exercise.
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from dataclasses import replace
 from math import comb
@@ -32,7 +33,7 @@ from morsecount import (
     mu_recurrence,
     solution_bounds,
 )
-from morsecount import indexcount
+from morsecount import cli, indexcount
 from morsecount.cli import MAX_INDICES_M
 from morsecount.indexcount import _mu_row
 from oracles import bucketed_mu_direct
@@ -319,6 +320,37 @@ def test_direct_route_reads_no_other_route(monkeypatch):
     assert mu_direct(c) == want
 
 
+def test_recurrence_and_closed_routes_read_no_generating_function_row(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a counting route read the generating-function row")
+
+    recurrence = cfg((0, 1, 1, 0, 1, 0, 0, 1), N=12)
+    closed = [cfg(p, N=12) for p in ((0,) * 8, (0,) + (1,) * 7, (0, 1, 0, 1, 0, 1, 0))]
+    want = {c: bucketed_mu_direct(c) for c in [recurrence, *closed]}
+    for name in ("_mu_row", "_class_mu_row"):
+        monkeypatch.setattr(indexcount, name, forbidden)
+    assert mu_recurrence(recurrence) == want[recurrence]
+    for c in closed:
+        assert mu_closed_form(c) == want[c], c
+
+
+def test_permuted_patterns_share_one_mu_row():
+    """The row is keyed by the class (a, b, N), never by the pattern."""
+    rows = [_mu_row(p, 40) for p in ((0, 1, 1, 0, 0), (0, 0, 0, 1, 1), (0, 1, 0, 1, 0))]
+    assert rows[0] is rows[1] is rows[2]
+    assert _mu_row((0, 1, 1, 1, 0), 40) is not rows[0]
+    assert _mu_row((0, 1, 1, 0, 0), 41)[:40] == rows[0]
+
+
+def test_verify_builds_one_mu_row_per_class(capsys):
+    """m = 2..8 holds 254 patterns in 2 + 3 + ... + 8 = 35 classes (a, b)."""
+    indexcount._class_mu_row.cache_clear()
+    assert cli.main(["verify", "--exhaustive", "--max-m", "8", "--max-N", "12"]) == 0
+    assert capsys.readouterr().out.startswith("checked 254 parity patterns")
+    info = indexcount._class_mu_row.cache_info()
+    assert (info.misses, info.hits) == (35, 254 - 35)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive sweep (small): every pattern with m <= 6, N = 8
 # ---------------------------------------------------------------------------
@@ -430,6 +462,12 @@ def test_a_bool_dimension_or_level_cap_is_refused(field):
 @pytest.mark.parametrize("m", [0, -1])
 def test_all_parity_patterns_refuses_fewer_than_one_point(m):
     with pytest.raises(ValueError, match=f"got m = {m}"):
+        all_parity_patterns(m)
+
+
+@pytest.mark.parametrize("m", [True, 2.0, "3"])
+def test_all_parity_patterns_refuses_a_non_integer_point_count(m):
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer >= 1, got m = {m!r}")):
         all_parity_patterns(m)
 
 
