@@ -61,7 +61,7 @@ class H3Warning(UserWarning):
 
 
 class ConsistencyError(RuntimeError):
-    """A theorem-derived bound exceeded |mu_p|.
+    """A theorem-derived bound exceeded |mu_p|, or a closed-form row is short.
 
     This can only happen through an implementation bug -- the bounds are proved
     from the same identities the tables are built on -- so it is raised rather
@@ -274,11 +274,17 @@ def _recurrence_rows(
         mu_{>=k;k}^{inf,p} = (-1)^{1 + parity_k} * (mu_{p-1} + mu_{>=k+1}^{inf,p-1})
         mu_{>=k}^{inf,p}   = mu_{>=k+1}^{inf,p} + mu_{>=k;k}^{inf,p}
 
-    A level whose mu_p is not yet in ``mu`` is closed by the Euler-Poincare
-    identity mu_p = delta_{p,1} - mu_{>=1}^{inf,p}, appended in place: the
-    recurrence route passes an empty list and grows it level by level, the
-    closed-form route passes its whole binomial row, which is never appended to.
+    Handed an empty list (the recurrence route), each level's mu_p is closed
+    by the Euler-Poincare identity mu_p = delta_{p,1} - mu_{>=1}^{inf,p} and
+    appended in place.  The closed-form route passes its whole binomial row,
+    which is never appended to: a row whose length is not N is refused, so
+    the recursion cannot fill in levels the closed form did not compute.
     """
+    fill = not mu
+    if not fill and len(mu) != N:
+        raise ConsistencyError(
+            f"the closed-form row for {par} holds {len(mu)} levels, not N = {N}"
+        )
     m = len(par)
     mu_geq, mu_geq_at = _empty_rows(m, N)
     for p in range(1, N + 1):
@@ -290,7 +296,7 @@ def _recurrence_rows(
                 at = -at
             mu_geq_at[k - 1][p - 1] = at
             mu_geq[k - 1][p - 1] = mu_geq[k][p - 1] + at
-        if len(mu) < p:
+        if fill:
             mu.append((1 if p == 1 else 0) - mu_geq[0][p - 1])
     return mu_geq, mu_geq_at
 

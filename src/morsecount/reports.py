@@ -34,8 +34,8 @@ def write_meta(out_dir: str | Path) -> Path:
 
 
 def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path``, whose directory must exist."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
 

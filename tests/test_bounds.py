@@ -170,3 +170,27 @@ def test_index_one_even_levels_are_sharp():
             else:
                 assert t.mu[row.p - 1] == 0 and row.lower_bound == 0
         assert r.total_bound == comb(ell + 6, ell) - 1
+
+
+def test_mixed_case_bounds_are_sharp_when_the_tail_is_one_point():
+    """Case3/Case4 with m = 2l + 2 (one point left after the l pairs): the
+    bound meets |mu_p| from the recursion at every level."""
+    checked = 0
+    for m in range(2, 11):
+        for parities in all_parity_patterns(m):
+            c = cfg(parities, N=12)
+            label, ell = indexcount.classify_case(c)
+            if label not in ("Case3", "Case4") or m != 2 * ell + 2:
+                continue
+            t = mu_recurrence(c)
+            assert [row.lower_bound for row in solution_bounds(c).rows] == [abs(v) for v in t.mu]
+            checked += 1
+    assert checked == 348
+
+
+@pytest.mark.parametrize("parities, label", [((0, 0, 0, 0, 1), "Case3"), ((0, 1, 1, 1, 0), "Case4")])
+def test_mixed_case_rows_off_the_sharp_family(parities, label):
+    r = solution_bounds(cfg(parities, N=8))
+    assert (r.case_label, r.ell) == (label, 1)
+    assert [row.lower_bound for row in r.rows] == [1, 3, 3, 6, 6, 10, 10, 15]
+    assert r.total_bound == 54

@@ -468,17 +468,22 @@ def test_oversized_direct_route_inputs_name_the_limit(capsys, tmp_path):
                     assert "0 is below 1" in stderr_error(err)["detail"]
 
 
+def _subparsers(parser) -> dict:
+    """The subcommand parsers of a top-level parser, by mode."""
+    (sub,) = [a for a in parser._actions if a.dest == "mode"]
+    return sub.choices
+
+
 def _subcommand_flags() -> dict[str, dict[str, str]]:
     """Each subcommand's flags other than --config, --out and help, mapped to
     their destinations, in declaration order."""
-    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "mode"]
     return {
         mode: {
             a.option_strings[0]: a.dest
             for a in p._actions
             if a.dest not in ("help", "config", "out")
         }
-        for mode, p in sub.choices.items()
+        for mode, p in _subparsers(cli.build_parser()).items()
     }
 
 
@@ -511,6 +516,100 @@ def test_readme_flag_table_matches_the_parser(tmp_path):
             else:
                 accepted.add(key)
         assert accepted == set(flags.values()) | {"out"}, mode
+
+
+_MODES = ["indices", "bounds", "verify", "flow", "quadrature"]
+
+#: argv that parse_args reads the same whether it builds the named
+#: subcommand's parser alone or all five; "{cfg}" is a file holding the
+#: case's config object
+_PARSE_CASES = [
+    (["indices", "--preset", "index-one-ell-2", "--out", "o"], None),
+    (["indices", "--parities", "0,1,1", "--N", "6"], None),
+    (["indices", "--config", "{cfg}", "--N", "5"], {"parities": [0, 1], "N": 3}),
+    (["indices", "--config", "{cfg}"], {"tau": 0.1}),
+    (["indices", "--seed", "1"], None),
+    (["indices", "--N", "x"], None),
+    (["indices", "--parities"], None),
+    (["indices", "-h"], None),
+    (["bounds", "--parities", "0,0,1", "--N", "3", "--eta", "0.01"], None),
+    (["bounds", "--config", "{cfg}"], {"preset": "all-even-m3", "eta": 0.01}),
+    (["bounds", "--config", "{cfg}"], {"parities": "0,1", "N": True}),
+    (["bounds", "--tau", "0.1"], None),
+    (["bounds", "--N", "x"], None),
+    (["bounds", "--eta"], None),
+    (["bounds", "-h"], None),
+    (["verify", "--exhaustive", "--max-m", "4", "--max-N", "6"], None),
+    (["verify", "--config", "{cfg}", "--max-m", "3"], {"exhaustive": True, "max_m": 5}),
+    (["verify", "--config", "{cfg}"], {"preset": "all-odd-m5"}),
+    (["verify", "--N", "20"], None),
+    (["verify", "--max-m", "x"], None),
+    (["verify", "--max-N"], None),
+    (["verify", "-h"], None),
+    (["flow", "--preset", "three-bump-s3", "--tau", "0.05"], None),
+    (["flow", "--config", "{cfg}"], {"tau": 0.1, "out": "runs"}),
+    (["flow", "--config", "{cfg}"], {"seed": 1}),
+    (["flow", "--eta", "0.1"], None),
+    (["flow", "--tau", "small"], None),
+    (["flow", "--preset"], None),
+    (["flow", "-h"], None),
+    (["quadrature"], None),
+    (["quadrature", "--config", "{cfg}", "--out", "q"], {"out": "elsewhere"}),
+    (["quadrature", "--config", "{cfg}"], {"nodes": 128}),
+    (["quadrature", "--preset", "three-bump-s3"], None),
+    (["quadrature", "--config"], None),
+    (["quadrature", "--out"], None),
+    (["quadrature", "-h"], None),
+    (["-h"], None),
+    ([], None),
+    (["nonsense", "--N", "3"], None),
+    (["--out", "o", "indices"], None),
+]
+
+
+@pytest.mark.parametrize("argv, config", _PARSE_CASES, ids=[" ".join(a) or "-" for a, _ in _PARSE_CASES])
+def test_one_subparser_reads_argv_as_all_five_do(tmp_path, capsys, monkeypatch, argv, config):
+    """The same RunConfig, the same usage failure, or the same help text."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = [str(path) if a == "{cfg}" else a for a in argv]
+
+    def parsed():
+        try:
+            return cli.parse_args(argv)
+        except cli.CLIFailure as fail:
+            return fail.code, fail.kind, fail.detail
+        except SystemExit as done:  # -h prints its help and exits 0
+            return done.code, capsys.readouterr().out
+
+    one = parsed()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda mode=None: full())
+    assert parsed() == one
+
+
+def test_a_known_mode_gets_only_its_own_subparser():
+    for mode in _MODES:
+        assert list(_subparsers(cli.build_parser(mode))) == [mode]
+    for first in (None, "-h", "nonsense", "--out"):
+        assert list(_subparsers(cli.build_parser(first))) == _MODES
+
+
+def test_top_level_help_and_usage_errors_are_unchanged(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.parse_args(["-h"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: morsecount [-h] {indices,bounds,verify,flow,quadrature} ...\n"
+    )
+    code, _, err = run(capsys)
+    assert (code, stderr_error(err)) == (
+        2, {"kind": "usage", "detail": "the following arguments are required: mode"}
+    )
+    code, _, err = run(capsys, "nonsense")
+    detail = stderr_error(err)["detail"]
+    assert code == 2 and detail.startswith("argument mode: invalid choice: 'nonsense'")
+    assert all(mode in detail for mode in _MODES)
 
 
 # ---- cold start: which modules a fresh interpreter loads ----
@@ -549,6 +648,34 @@ def probe(body: str):
 )
 def test_exact_side_loads_no_numpy_or_scipy(step):
     assert probe(step + "\nprint(json.dumps(loaded('numpy', 'scipy')))") == []
+
+
+def test_a_cold_call_builds_two_parsers_and_writes_into_a_new_nested_out(tmp_path):
+    """Importing the CLI builds no parser; an ``indices`` call builds the
+    top-level one and its own subparser, then creates --out, three levels
+    deep, and writes report.json, the side file and report_meta.json."""
+    out = tmp_path / "a" / "b" / "c"
+    got = probe(
+        "import argparse, pathlib\n"
+        "built, written = [], []\n"
+        "init, write = argparse.ArgumentParser.__init__, pathlib.Path.write_text\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "def logging_write(self, text, *args, **kwargs):\n"
+        "    written.append(self.name)\n"
+        "    return write(self, text, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "pathlib.Path.write_text = logging_write\n"
+        "import morsecount.cli\n"
+        "at_import = list(built)\n"
+        f"run('indices', '--preset', 'index-one-ell-2', '--out', {str(out)!r})\n"
+        "print(json.dumps([at_import, built, written]))"
+    )
+    assert got == [
+        [], ["morsecount", "morsecount indices"], ["report.json", "indices.csv", "report_meta.json"]
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["indices.csv", "report.json", "report_meta.json"]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

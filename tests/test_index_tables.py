@@ -417,6 +417,30 @@ def test_closed_form_alternating_pattern():
             assert t.mu[p - 1] == -comb(p // 2 + 2, p // 2)
 
 
+@pytest.mark.parametrize("short", [1, 2])
+def test_a_short_closed_form_row_is_refused(monkeypatch, capsys, short):
+    """A closed form that computes fewer than N levels is refused rather than
+    completed by the recursion, and ``verify`` then fails."""
+    real = indexcount._recurrence_rows
+    c = cfg((0, 0, 0), N=6)
+    row = list(mu_closed_form(c).mu[:-short])
+    with pytest.raises(ConsistencyError, match=rf"for \(0, 0, 0\) holds {6 - short} levels, not N = 6"):
+        real(c.parities, 6, row)
+    assert len(row) == 6 - short
+
+    def cut(par, N, mu):
+        if mu:  # the closed form's row; the recurrence route passes []
+            del mu[-short:]
+        return real(par, N, mu)
+
+    monkeypatch.setattr(indexcount, "_recurrence_rows", cut)
+    with pytest.raises(ConsistencyError):
+        mu_closed_form(c)
+    assert mu_recurrence(c) == mu_direct(c)  # the recurrence route is not cut
+    assert cli.main(["verify", "--exhaustive", "--max-m", "3", "--max-N", "6"]) == cli.EXIT_CONSISTENCY
+    assert f"holds {6 - short} levels" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # index_K and classification
 # ---------------------------------------------------------------------------
