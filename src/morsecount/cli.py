@@ -369,7 +369,10 @@ def run_bounds(cfg: RunConfig) -> int:
 
 
 def _verify_one(pcfg: ParityConfig) -> dict:
-    direct, checks = _cross_check(pcfg)
+    try:
+        direct, checks = _cross_check(pcfg)
+    except ConsistencyError as exc:  # a route refused its own table
+        return {"parities": list(pcfg.parities), "routes_agree": False, "error": str(exc)}
     try:
         ok_bounds = solution_bounds(pcfg).mu == direct.mu
     except ConsistencyError:
@@ -401,7 +404,7 @@ def run_verify(cfg: RunConfig) -> int:
     payload = {
         "config": cfg.to_dict(),
         "checked": len(results),
-        "closed_form_hits": sum(r["closed_form"] for r in results),
+        "closed_form_hits": sum(r.get("closed_form", False) for r in results),
         "failures": bad,
         "results": results,
     }
@@ -411,10 +414,11 @@ def run_verify(cfg: RunConfig) -> int:
     )
     _write(cfg, payload)
     if bad:
+        refusal = next((f"; {tuple(r['parities'])}: {r['error']}" for r in bad if "error" in r), "")
         raise CLIFailure(
             EXIT_CONSISTENCY,
             "consistency",
-            f"{len(bad)} parity patterns failed cross-route verification",
+            f"{len(bad)} parity patterns failed cross-route verification{refusal}",
         )
     return EXIT_OK
 

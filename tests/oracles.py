@@ -28,6 +28,10 @@ None is used by ``morsecount`` itself:
 - ``level_bound_rows``: solution-bound rows built one frozen dataclass and
   one ``Fraction(p, n)`` per level, the reference for ``solution_bounds``'
   shared level energies and tuple rows.
+- ``per_pattern_solution_bounds``: ``indexcount.solution_bounds`` as it was
+  before it read its case's bounds, rows and total from one cache entry per
+  class (a, b, N): every pattern classified, its bound list and total taken
+  and its rows built anew.  The class route must give equal reports.
 - ``bucketed_mu_direct``: ``indexcount.mu_direct`` as it was before it
   filled its buckets one minimum rank at a time and summed each level as dot
   products: every subset keyed by its lowest set bit, and one signed term per
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from math import comb
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -82,7 +87,18 @@ from morsecount.bubbles import (
     functional_J_detailed,
     sobolev_constant,
 )
-from morsecount.indexcount import IndexTable, ParityConfig
+from morsecount import indexcount
+from morsecount.indexcount import (
+    ConsistencyError,
+    H3Warning,
+    IndexTable,
+    LevelBound,
+    ParityConfig,
+    SolutionBoundReport,
+    _level_energies,
+    classify_case,
+    index_K,
+)
 from morsecount import kfunc
 from morsecount.kfunc import KFunction, eval_K
 from morsecount.quadrature import QuadratureScheme, _doubled, _gl_rule, integrate_radial, panel_breakpoints
@@ -450,6 +466,53 @@ def level_bound_rows(n: int, bounds: Sequence[int]) -> tuple[FrozenLevelBound, .
     return tuple(
         FrozenLevelBound(p=p, energy_multiple=Fraction(p, n), lower_bound=b)
         for p, b in enumerate(bounds, start=1)
+    )
+
+
+def per_pattern_solution_bounds(cfg: ParityConfig) -> SolutionBoundReport:
+    """The bound report built for this one pattern, its mu row read through
+    ``indexcount._mu_row`` so that a patched row reaches it too."""
+    m, N = cfg.m, cfg.N
+    mu = indexcount._mu_row(cfg.parities, N)
+    levels = range(1, N + 1)
+    label, ell = classify_case(cfg)
+    if not cfg.satisfies_h3:
+        warnings.warn(
+            "m = 1: multiplicity theorems need m >= 2; emitting an empty bound report",
+            H3Warning,
+            stacklevel=2,
+        )
+        ell, bounds, total = None, [], 0
+    elif label == "IndexOne":
+        bounds = [comb(p // 2 + ell - 1, p // 2) if p % 2 == 0 else 0 for p in levels]
+        total = comb(ell + N // 2, ell) - 1
+    elif label in ("Case1", "Case2"):
+        bounds = [comb(p + m - 2, p) for p in levels]
+        total = comb(N + m - 1, m - 1) - 1
+    else:
+        bounds = [
+            comb(p // 2 + m - ell - 2, p // 2) if p % 2 == 0
+            else comb((p + 1) // 2 + m - ell - 3, (p - 1) // 2)
+            for p in levels
+        ]
+        total = sum(bounds)
+
+    for p, bound, mu_p in zip(levels, bounds, mu):
+        if bound > abs(mu_p):
+            raise ConsistencyError(
+                f"level {p}: bound {bound} exceeds |mu| = {abs(mu_p)} "
+                f"for parities {cfg.parities}"
+            )
+    return SolutionBoundReport(
+        config=cfg,
+        index_K=index_K(cfg),
+        case_label=label,
+        ell=ell,
+        rows=tuple(map(LevelBound, levels, _level_energies(cfg.n, N), bounds)),
+        total_bound=total,
+        mu=mu,
+        h3_satisfied=cfg.satisfies_h3,
+        outside_theorem_dimension=cfg.n < 7,
     )
 
 

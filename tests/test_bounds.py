@@ -14,12 +14,13 @@ from morsecount import (
     H3Warning,
     ParityConfig,
     all_parity_patterns,
+    cli,
     index_K,
     indexcount,
     mu_recurrence,
     solution_bounds,
 )
-from oracles import level_bound_rows
+from oracles import level_bound_rows, per_pattern_solution_bounds
 
 
 def cfg(parities, N=4, n=7):
@@ -108,15 +109,31 @@ def test_bound_above_mu_raises_at_the_first_offending_level(
         return tuple(mu)
 
     monkeypatch.setattr(indexcount, "_mu_row", lowered)
+    hits = indexcount._class_bounds.cache_info().hits
     with pytest.raises(ConsistencyError) as exc:
         solution_bounds(c)
     assert str(exc.value) == message
+    # the class was already held: the check runs on every call, not once per class
+    assert indexcount._class_bounds.cache_info().hits == hits + 1
+
+
+def test_bound_above_mu_raises_at_the_last_level(monkeypatch):
+    c = cfg((0, 0, 0), N=8)
+    bound = solution_bounds(c).rows[-1].lower_bound
+    real = indexcount._mu_row
+    monkeypatch.setattr(indexcount, "_mu_row", lambda par, N: real(par, N)[:-1] + (1 - bound,))
+    with pytest.raises(ConsistencyError, match=rf"^level 8: bound {bound} exceeds \|mu\| = {bound - 1} "):
+        solution_bounds(c)
 
 
 def test_m1_report_is_suppressed():
     with pytest.warns(H3Warning):
-        r = solution_bounds(ParityConfig(n=7, parities=(0,), N=3))
-    assert r.rows == () and r.total_bound == 0 and not r.h3_satisfied
+        c = ParityConfig(n=7, parities=(0,), N=3)
+    for _ in range(2):  # the second call reads a held class and still warns
+        with pytest.warns(H3Warning, match="emitting an empty bound report") as caught:
+            r = solution_bounds(c)
+        assert r.rows == () and r.total_bound == 0 and not r.h3_satisfied
+        assert caught[0].filename == __file__  # the warning names the caller
 
 
 def test_dimension_banner():
@@ -194,3 +211,33 @@ def test_mixed_case_rows_off_the_sharp_family(parities, label):
     assert (r.case_label, r.ell) == (label, 1)
     assert [row.lower_bound for row in r.rows] == [1, 3, 3, 6, 6, 10, 10, 15]
     assert r.total_bound == 54
+
+
+def test_class_route_matches_the_per_pattern_route():
+    """Reports built from one cache entry per class equal reports built per
+    pattern, on every pattern with m <= 10."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", H3Warning)
+        for n in (3, 7):
+            for N in (1, 2, 12, 64):
+                for m in range(1, 11):
+                    for parities in all_parity_patterns(m):
+                        c = cfg(parities, N=N, n=n)
+                        got, want = solution_bounds(c), per_pattern_solution_bounds(c)
+                        assert got.to_dict() == want.to_dict(), (n, N, parities)
+                        assert (got.rows, got.mu) == (want.rows, want.mu)
+
+
+def test_a_class_shares_one_rows_tuple():
+    one = [solution_bounds(cfg(p, N=12)).rows for p in ((0, 1, 0, 0, 1), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1))]
+    assert one[0] is one[1] is one[2]
+    for other in ((0, 1, 1, 0, 1), 12), ((0, 1, 0, 0, 1), 13):  # another class; another N
+        assert solution_bounds(cfg(*other)).rows is not one[0]
+
+
+def test_a_sweep_builds_bounds_once_per_class():
+    """verify over m = 2..8 holds 254 patterns in 2 + 3 + ... + 8 = 35 classes."""
+    indexcount._class_bounds.cache_clear()
+    assert cli.main(["verify", "--exhaustive", "--max-m", "8", "--max-N", "12"]) == cli.EXIT_OK
+    info = indexcount._class_bounds.cache_info()
+    assert (info.misses, info.hits) == (35, 254 - 35)

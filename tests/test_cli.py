@@ -191,6 +191,12 @@ def test_verify_flags_bounds_whose_mu_disagrees_with_direct(tmp_path, capsys, mo
     ]
 
 
+def test_verify_runs_the_smallest_sweep(capsys):
+    code, out, _ = run(capsys, "verify", "--exhaustive", "--max-m", "2", "--max-N", "1")
+    assert code == 0
+    assert "checked 2 parity patterns (m <= 2, N = 1): 2 ok, 0 failed" in out
+
+
 @pytest.mark.parametrize("max_m", [1, 0, -3])
 def test_verify_refuses_a_sweep_that_checks_no_pattern(tmp_path, capsys, max_m):
     path = tmp_path / "run.json"

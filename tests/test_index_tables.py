@@ -10,6 +10,7 @@ theorem the tests exercise.
 """
 from __future__ import annotations
 
+import json
 import random
 import re
 import warnings
@@ -418,9 +419,10 @@ def test_closed_form_alternating_pattern():
 
 
 @pytest.mark.parametrize("short", [1, 2])
-def test_a_short_closed_form_row_is_refused(monkeypatch, capsys, short):
+def test_a_short_closed_form_row_is_refused(monkeypatch, capsys, tmp_path, short):
     """A closed form that computes fewer than N levels is refused rather than
-    completed by the recursion, and ``verify`` then fails."""
+    completed by the recursion, and ``verify`` then fails, with a report that
+    lists each refused pattern."""
     real = indexcount._recurrence_rows
     c = cfg((0, 0, 0), N=6)
     row = list(mu_closed_form(c).mu[:-short])
@@ -437,8 +439,16 @@ def test_a_short_closed_form_row_is_refused(monkeypatch, capsys, short):
     with pytest.raises(ConsistencyError):
         mu_closed_form(c)
     assert mu_recurrence(c) == mu_direct(c)  # the recurrence route is not cut
-    assert cli.main(["verify", "--exhaustive", "--max-m", "3", "--max-N", "6"]) == cli.EXIT_CONSISTENCY
-    assert f"holds {6 - short} levels" in capsys.readouterr().err
+    argv = ["verify", "--exhaustive", "--max-m", "3", "--max-N", "6", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONSISTENCY
+    out, err = capsys.readouterr()
+    assert f"holds {6 - short} levels" in err
+    assert "checked 6 parity patterns (m <= 3, N = 6): 3 ok, 3 failed" in out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checked"] == 6
+    refused = [r for r in report["failures"] if "error" in r]
+    assert refused[0]["parities"] == [0, 0, 0] and not refused[0]["routes_agree"]
+    assert f"holds {6 - short} levels" in refused[0]["error"]
 
 
 # ---------------------------------------------------------------------------
